@@ -1,141 +1,14 @@
 #include "mtsched/sim/simulator.hpp"
 
-#include <algorithm>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "mtsched/core/error.hpp"
-#include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/simcore/engine.hpp"
+#include "mtsched/simcore/replay.hpp"
 
 namespace mtsched::sim {
-
-namespace {
-
-/// Mutable replay state; lives on the run() stack, referenced by the
-/// engine callbacks (the engine drains before run() returns).
-struct ReplayState {
-  const dag::Dag* g = nullptr;
-  const sched::Schedule* s = nullptr;
-  const models::CostModel* model = nullptr;
-  simcore::Engine* engine = nullptr;
-  simcore::ClusterSim* cluster = nullptr;
-  sched::RunTrace* trace = nullptr;
-
-  std::vector<int> order_preds_left;   // processor-order gating
-  std::vector<int> edges_left;         // inbound redistributions
-  std::vector<bool> spawned;           // startup phase submitted
-  std::vector<bool> started_up;        // startup phase finished
-  std::vector<bool> executing;         // execution phase submitted
-  std::vector<std::vector<std::size_t>> out_edge_index;  // by task
-  std::vector<std::vector<dag::TaskId>> order_succs;
-
-  void maybe_spawn(dag::TaskId t);
-  void maybe_execute(dag::TaskId t);
-  void on_task_done(dag::TaskId t, double now);
-  void launch_redistribution(std::size_t edge_idx);
-};
-
-void ReplayState::maybe_spawn(dag::TaskId t) {
-  if (spawned[t] || order_preds_left[t] > 0) return;
-  spawned[t] = true;
-  const int p = static_cast<int>(s->placement(t).procs.size());
-  const double startup = model->task_sim_cost(g->task(t), p).startup_seconds;
-  (*trace).tasks[t].startup_begin = engine->now();
-  if (startup > 0.0) {
-    engine->submit_timer(
-        startup,
-        [this, t](double) {
-          started_up[t] = true;
-          maybe_execute(t);
-        },
-        "startup_" + g->task(t).name);
-  } else {
-    started_up[t] = true;
-    maybe_execute(t);
-  }
-}
-
-void ReplayState::maybe_execute(dag::TaskId t) {
-  if (executing[t] || !started_up[t] || edges_left[t] > 0) return;
-  executing[t] = true;
-  const auto& pl = s->placement(t);
-  const int p = static_cast<int>(pl.procs.size());
-  const auto cost = model->task_sim_cost(g->task(t), p);
-  (*trace).tasks[t].exec_begin = engine->now();
-
-  auto done = [this, t](double when) { on_task_done(t, when); };
-  if (cost.is_fixed()) {
-    // Fixed durations were measured/regressed at the reference speed;
-    // heterogeneous sets run at the pace of their slowest member. (The
-    // analytical branch below needs no correction: per-node cpu resources
-    // bound the fluid activity by the slowest member automatically.)
-    const double scaled = cost.fixed_seconds *
-                          platform::exec_slowdown(model->spec(), pl.procs);
-    engine->submit_timer(scaled, done, g->task(t).name);
-  } else {
-    simcore::Ptask pt;
-    pt.name = g->task(t).name;
-    pt.host_of_rank = pl.procs;
-    pt.flops = cost.flops_per_rank;
-    pt.bytes = cost.bytes_rank_pair;
-    MTSCHED_INVARIANT(cost.fixed_seconds == 0.0,
-                      "resource-driven task costs must have no fixed part");
-    cluster->submit_ptask(pt, done);
-  }
-}
-
-void ReplayState::on_task_done(dag::TaskId t, double now) {
-  (*trace).tasks[t].finish = now;
-  trace->makespan = std::max(trace->makespan, now);
-  // Processor-order successors may now seize the released processors.
-  for (dag::TaskId u : order_succs[t]) {
-    --order_preds_left[u];
-    maybe_spawn(u);
-  }
-  // Outputs start redistributing immediately.
-  for (std::size_t e : out_edge_index[t]) launch_redistribution(e);
-}
-
-void ReplayState::launch_redistribution(std::size_t edge_idx) {
-  const auto& e = g->edges()[edge_idx];
-  const auto& src_pl = s->placement(e.src);
-  const auto& dst_pl = s->placement(e.dst);
-  const int p_src = static_cast<int>(src_pl.procs.size());
-  const int p_dst = static_cast<int>(dst_pl.procs.size());
-  const double overhead = model->redist_overhead(p_src, p_dst);
-
-  auto& span = (*trace).edges[edge_idx];
-  span.request = engine->now();
-
-  auto transfer = [this, edge_idx, &span](double when) {
-    span.transfer = when;
-    const auto& edge = g->edges()[edge_idx];
-    const auto& sp = s->placement(edge.src);
-    const auto& dp = s->placement(edge.dst);
-    const auto plan = redist::plan_block_redistribution(
-        g->task(edge.src).matrix_dim, static_cast<int>(sp.procs.size()),
-        static_cast<int>(dp.procs.size()));
-    auto pt = simcore::make_redistribution_ptask(
-        sp.procs, dp.procs, plan.bytes,
-        "redist_" + std::to_string(edge.src) + "_" + std::to_string(edge.dst));
-    cluster->submit_ptask(pt, [this, edge_idx](double done_at) {
-      auto& sp2 = (*trace).edges[edge_idx];
-      sp2.done = done_at;
-      const dag::TaskId dst = g->edges()[edge_idx].dst;
-      --edges_left[dst];
-      maybe_execute(dst);
-    });
-  };
-
-  if (overhead > 0.0) {
-    engine->submit_timer(overhead, transfer, "redist_overhead");
-  } else {
-    transfer(engine->now());
-  }
-}
-
-}  // namespace
 
 Simulator::Simulator(const models::CostModel& model, obs::Track trace)
     : model_(model), trace_(trace) {}
@@ -154,45 +27,54 @@ sched::RunTrace Simulator::run(const dag::Dag& g,
   engine.set_trace(trk);
   simcore::ClusterSim cluster(engine, spec);
 
-  sched::RunTrace trace;
-  trace.tasks.resize(g.num_tasks());
-  trace.edges.resize(g.num_edges());
-  for (std::size_t i = 0; i < g.num_edges(); ++i) {
-    trace.edges[i].src = g.edges()[i].src;
-    trace.edges[i].dst = g.edges()[i].dst;
-  }
+  simcore::ReplayPolicy policy;
+  policy.startup = [&](dag::TaskId t, simcore::CompletionFn done) {
+    const int p = static_cast<int>(s.placement(t).procs.size());
+    const double startup = model_.task_sim_cost(g.task(t), p).startup_seconds;
+    if (startup > 0.0) {
+      engine.submit_timer(startup, std::move(done),
+                          "startup_" + g.task(t).name);
+    } else {
+      done(engine.now());
+    }
+  };
+  policy.execute = [&](dag::TaskId t, simcore::CompletionFn done) {
+    const auto& pl = s.placement(t);
+    const auto cost =
+        model_.task_sim_cost(g.task(t), static_cast<int>(pl.procs.size()));
+    if (cost.is_fixed()) {
+      // Fixed durations were measured/regressed at the reference speed;
+      // heterogeneous sets run at the pace of their slowest member. (The
+      // analytical branch below needs no correction: per-node cpu
+      // resources bound the fluid activity by the slowest member
+      // automatically.)
+      const double scaled =
+          cost.fixed_seconds * platform::exec_slowdown(spec, pl.procs);
+      engine.submit_timer(scaled, std::move(done), g.task(t).name);
+    } else {
+      simcore::Ptask pt;
+      pt.name = g.task(t).name;
+      pt.host_of_rank = pl.procs;
+      pt.flops = cost.flops_per_rank;
+      pt.bytes = cost.bytes_rank_pair;
+      MTSCHED_INVARIANT(cost.fixed_seconds == 0.0,
+                        "resource-driven task costs must have no fixed part");
+      cluster.submit_ptask(pt, std::move(done));
+    }
+  };
+  policy.overhead = [&](std::size_t edge, simcore::CompletionFn done) {
+    const auto& e = g.edges()[edge];
+    const double overhead = model_.redist_overhead(
+        static_cast<int>(s.placement(e.src).procs.size()),
+        static_cast<int>(s.placement(e.dst).procs.size()));
+    if (overhead > 0.0) {
+      engine.submit_timer(overhead, std::move(done), "redist_overhead");
+    } else {
+      done(engine.now());
+    }
+  };
 
-  ReplayState st;
-  st.g = &g;
-  st.s = &s;
-  st.model = &model_;
-  st.engine = &engine;
-  st.cluster = &cluster;
-  st.trace = &trace;
-  st.spawned.assign(g.num_tasks(), false);
-  st.started_up.assign(g.num_tasks(), false);
-  st.executing.assign(g.num_tasks(), false);
-  st.edges_left.assign(g.num_tasks(), 0);
-  st.out_edge_index.resize(g.num_tasks());
-  for (std::size_t i = 0; i < g.num_edges(); ++i) {
-    const auto& e = g.edges()[i];
-    ++st.edges_left[e.dst];
-    st.out_edge_index[e.src].push_back(i);
-  }
-  const auto opreds = sched::order_predecessors(g, s);
-  st.order_preds_left.resize(g.num_tasks());
-  st.order_succs.resize(g.num_tasks());
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    st.order_preds_left[t] = static_cast<int>(opreds[t].size());
-    for (dag::TaskId p : opreds[t]) st.order_succs[p].push_back(t);
-  }
-
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) st.maybe_spawn(t);
-  engine.run();
-
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    MTSCHED_INVARIANT(st.executing[t], "replay finished with unstarted tasks");
-  }
+  auto trace = simcore::replay(g, s, cluster, policy);
   trk.counter("sim", "makespan_seconds", trace.makespan);
   return trace;
 }

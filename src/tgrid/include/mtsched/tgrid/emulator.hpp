@@ -18,10 +18,11 @@
 //   * execution times drawn from the ground-truth machine model, including
 //     run-to-run noise and the outliers of Section VII-A.
 //
-// Unlike the simulator, a redistribution can only begin once the
-// *destination* task's containers are up (its processes must exist to
-// register), which is how TGrid actually sequences context-to-context
-// communication.
+// The replay lifecycle is simcore::replay's, shared with the simulator;
+// this front end supplies the TGrid phase costs. Unlike the simulator, a
+// redistribution can only begin once the *destination* task's containers
+// are up (its processes must exist to register), which is how TGrid
+// actually sequences context-to-context communication.
 //
 // This module deliberately has no dependency on mtsched::models — the
 // world does not know what the simulators believe.

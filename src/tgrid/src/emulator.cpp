@@ -1,15 +1,15 @@
 #include "mtsched/tgrid/emulator.hpp"
 
-#include <algorithm>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/obs/trace.hpp"
-#include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/simcore/engine.hpp"
 #include "mtsched/simcore/fifo.hpp"
+#include "mtsched/simcore/replay.hpp"
 
 namespace mtsched::tgrid {
 
@@ -22,117 +22,6 @@ enum class Stream : std::uint64_t { Startup = 1, Exec = 2, Redist = 3 };
 core::Rng entity_rng(std::uint64_t seed, Stream s, std::uint64_t entity) {
   return core::Rng(
       core::hash_mix(seed, static_cast<std::uint64_t>(s), entity));
-}
-
-struct EmuState {
-  const dag::Dag* g = nullptr;
-  const sched::Schedule* s = nullptr;
-  const machine::MachineModel* machine = nullptr;
-  simcore::Engine* engine = nullptr;
-  simcore::ClusterSim* cluster = nullptr;
-  simcore::FifoServer* subnet = nullptr;
-  sched::RunTrace* trace = nullptr;
-  std::uint64_t seed = 0;
-
-  std::vector<int> order_preds_left;
-  std::vector<int> edges_left;
-  std::vector<bool> spawned;      ///< startup submitted
-  std::vector<bool> containers_up;
-  std::vector<bool> computing;
-  std::vector<bool> producer_done;  ///< per edge index
-  std::vector<std::vector<std::size_t>> out_edge_index;
-  std::vector<std::vector<std::size_t>> in_edge_index;
-  std::vector<std::vector<dag::TaskId>> order_succs;
-
-  void maybe_spawn(dag::TaskId t);
-  void on_containers_up(dag::TaskId t, double now);
-  void maybe_register_edge(std::size_t edge_idx);
-  void maybe_compute(dag::TaskId t);
-  void on_task_done(dag::TaskId t, double now);
-};
-
-void EmuState::maybe_spawn(dag::TaskId t) {
-  if (spawned[t] || order_preds_left[t] > 0) return;
-  spawned[t] = true;
-  const int p = static_cast<int>(s->placement(t).procs.size());
-  auto rng = entity_rng(seed, Stream::Startup, t);
-  const double startup = machine->startup_sample(p, rng);
-  (*trace).tasks[t].startup_begin = engine->now();
-  engine->submit_timer(
-      startup, [this, t](double now) { on_containers_up(t, now); },
-      "startup_" + g->task(t).name);
-}
-
-void EmuState::on_containers_up(dag::TaskId t, double now) {
-  (void)now;
-  containers_up[t] = true;
-  for (std::size_t e : in_edge_index[t]) maybe_register_edge(e);
-  maybe_compute(t);
-}
-
-void EmuState::maybe_register_edge(std::size_t edge_idx) {
-  const auto& e = g->edges()[edge_idx];
-  // Registration requires both sides: the producer's data must exist and
-  // the consumer's containers must be running to register with the subnet
-  // manager.
-  if (!producer_done[edge_idx] || !containers_up[e.dst]) return;
-
-  auto& span = (*trace).edges[edge_idx];
-  span.request = engine->now();
-
-  const int p_src = static_cast<int>(s->placement(e.src).procs.size());
-  const int p_dst = static_cast<int>(s->placement(e.dst).procs.size());
-  auto rng = entity_rng(seed, Stream::Redist, edge_idx);
-  const double service = machine->redist_overhead_sample(p_src, p_dst, rng);
-
-  subnet->enqueue(service, [this, edge_idx](double when) {
-    auto& sp = (*trace).edges[edge_idx];
-    sp.transfer = when;
-    const auto& edge = g->edges()[edge_idx];
-    const auto& spl = s->placement(edge.src);
-    const auto& dpl = s->placement(edge.dst);
-    const auto plan = redist::plan_block_redistribution(
-        g->task(edge.src).matrix_dim, static_cast<int>(spl.procs.size()),
-        static_cast<int>(dpl.procs.size()));
-    auto pt = simcore::make_redistribution_ptask(
-        spl.procs, dpl.procs, plan.bytes,
-        "redist_" + std::to_string(edge.src) + "_" + std::to_string(edge.dst));
-    cluster->submit_ptask(pt, [this, edge_idx](double done_at) {
-      (*trace).edges[edge_idx].done = done_at;
-      const dag::TaskId dst = g->edges()[edge_idx].dst;
-      --edges_left[dst];
-      maybe_compute(dst);
-    });
-  });
-}
-
-void EmuState::maybe_compute(dag::TaskId t) {
-  if (computing[t] || !containers_up[t] || edges_left[t] > 0) return;
-  computing[t] = true;
-  const auto& task = g->task(t);
-  const int p = static_cast<int>(s->placement(t).procs.size());
-  auto rng = entity_rng(seed, Stream::Exec, t);
-  // Heterogeneous sets run at the pace of their slowest member.
-  const double exec =
-      machine->exec_time_sample(task.kernel, task.matrix_dim, p, rng) *
-      platform::exec_slowdown(cluster->spec(), s->placement(t).procs);
-  (*trace).tasks[t].exec_begin = engine->now();
-  engine->submit_timer(
-      exec, [this, t](double now) { on_task_done(t, now); },
-      "exec_" + task.name);
-}
-
-void EmuState::on_task_done(dag::TaskId t, double now) {
-  (*trace).tasks[t].finish = now;
-  trace->makespan = std::max(trace->makespan, now);
-  for (dag::TaskId u : order_succs[t]) {
-    --order_preds_left[u];
-    maybe_spawn(u);
-  }
-  for (std::size_t e : out_edge_index[t]) {
-    producer_done[e] = true;
-    maybe_register_edge(e);
-  }
 }
 
 }  // namespace
@@ -157,51 +46,38 @@ sched::RunTrace TGridEmulator::run(const dag::Dag& g, const sched::Schedule& s,
   simcore::ClusterSim cluster(engine, spec_);
   simcore::FifoServer subnet(engine, "subnet_manager");
 
-  sched::RunTrace trace;
-  trace.tasks.resize(g.num_tasks());
-  trace.edges.resize(g.num_edges());
-  for (std::size_t i = 0; i < g.num_edges(); ++i) {
-    trace.edges[i].src = g.edges()[i].src;
-    trace.edges[i].dst = g.edges()[i].dst;
-  }
+  simcore::ReplayPolicy policy;
+  // The emulated cluster always spawns containers, even when the machine
+  // claims a zero startup: the timer's completion is its own engine event.
+  policy.startup = [&](dag::TaskId t, simcore::CompletionFn done) {
+    const int p = static_cast<int>(s.placement(t).procs.size());
+    auto rng = entity_rng(seed, Stream::Startup, t);
+    engine.submit_timer(machine_.startup_sample(p, rng), std::move(done),
+                        "startup_" + g.task(t).name);
+  };
+  policy.execute = [&](dag::TaskId t, simcore::CompletionFn done) {
+    const auto& task = g.task(t);
+    const auto& procs = s.placement(t).procs;
+    auto rng = entity_rng(seed, Stream::Exec, t);
+    // Heterogeneous sets run at the pace of their slowest member.
+    const double exec =
+        machine_.exec_time_sample(task.kernel, task.matrix_dim,
+                                  static_cast<int>(procs.size()), rng) *
+        platform::exec_slowdown(spec_, procs);
+    engine.submit_timer(exec, std::move(done), "exec_" + task.name);
+  };
+  // Registrations with the single subnet manager serialize in FIFO order.
+  policy.overhead = [&](std::size_t edge, simcore::CompletionFn done) {
+    const auto& e = g.edges()[edge];
+    auto rng = entity_rng(seed, Stream::Redist, edge);
+    subnet.enqueue(machine_.redist_overhead_sample(
+                       static_cast<int>(s.placement(e.src).procs.size()),
+                       static_cast<int>(s.placement(e.dst).procs.size()), rng),
+                   std::move(done));
+  };
+  policy.transfer_waits_for_consumer = true;
 
-  EmuState st;
-  st.g = &g;
-  st.s = &s;
-  st.machine = &machine_;
-  st.engine = &engine;
-  st.cluster = &cluster;
-  st.subnet = &subnet;
-  st.trace = &trace;
-  st.seed = seed;
-  st.spawned.assign(g.num_tasks(), false);
-  st.containers_up.assign(g.num_tasks(), false);
-  st.computing.assign(g.num_tasks(), false);
-  st.edges_left.assign(g.num_tasks(), 0);
-  st.producer_done.assign(g.num_edges(), false);
-  st.out_edge_index.resize(g.num_tasks());
-  st.in_edge_index.resize(g.num_tasks());
-  for (std::size_t i = 0; i < g.num_edges(); ++i) {
-    const auto& e = g.edges()[i];
-    ++st.edges_left[e.dst];
-    st.out_edge_index[e.src].push_back(i);
-    st.in_edge_index[e.dst].push_back(i);
-  }
-  const auto opreds = sched::order_predecessors(g, s);
-  st.order_preds_left.resize(g.num_tasks());
-  st.order_succs.resize(g.num_tasks());
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    st.order_preds_left[t] = static_cast<int>(opreds[t].size());
-    for (dag::TaskId p : opreds[t]) st.order_succs[p].push_back(t);
-  }
-
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) st.maybe_spawn(t);
-  engine.run();
-
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    MTSCHED_INVARIANT(st.computing[t], "replay finished with idle tasks");
-  }
-  return trace;
+  return simcore::replay(g, s, cluster, policy);
 }
 
 double TGridEmulator::makespan(const dag::Dag& g, const sched::Schedule& s,

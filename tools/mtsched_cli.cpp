@@ -82,7 +82,6 @@ void add_mapping_options(ArgParser& args) {
   args.add_str("mapping", "earliest",
                "list-mapping strategy: earliest, redist_aware or rack_aware",
                "NAME");
-  args.add_flag("redist-aware", "deprecated alias for --mapping redist_aware");
 }
 
 sched::MappingStrategy mapping_from_args(const ArgParser& args) {
@@ -91,11 +90,6 @@ sched::MappingStrategy mapping_from_args(const ArgParser& args) {
   if (!strategy) {
     throw core::InvalidArgument("unknown --mapping '" + name +
                                 "' (earliest | redist_aware | rack_aware)");
-  }
-  // The deprecated flag only applies when --mapping was left at its
-  // default; an explicit --mapping always wins.
-  if (args.flag("redist-aware") && !args.given("mapping")) {
-    return sched::MappingStrategy::RedistributionAware;
   }
   return *strategy;
 }
