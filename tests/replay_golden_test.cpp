@@ -8,8 +8,11 @@
 // two experiment seeds, each on a flat star (bayreuth32) and on a
 // two-rack fabric (hier2x16, the hierarchical ClusterSim path); one run of
 // each on an oversubscribed four-rack fabric (hier4x8), where rack uplink
-// contention moves the stamps; and an emulator run on a measurement table
-// whose startup row is all zeros.
+// contention moves the stamps; one analytical simulation and one emulator
+// run on each remaining star variant, cray_xt4(32) (a non-blocking switch,
+// so no fabric resource) and a 32-node heterogeneous cluster (per-node
+// speeds); and an emulator run on a measurement table whose startup row is
+// all zeros.
 //
 // To re-baseline after an intended behaviour change, delete the golden
 // file and run the test once: it writes the current output in its place
@@ -57,10 +60,9 @@ void expect_golden(const std::string& name, const sched::RunTrace& trace) {
   EXPECT_EQ(expected.str(), actual) << "replay drifted from " << path;
 }
 
-/// The same lab construction the CLI uses for `--platform NAME` (every
-/// platform here has 32 nodes, so the default profiling plan applies).
-std::unique_ptr<exp::Lab> lab_on(const std::string& platform) {
-  auto spec = *platform::named_platform(platform);
+/// The same lab construction the CLI uses for `--platform` (every platform
+/// here has 32 nodes, so the default profiling plan applies).
+std::unique_ptr<exp::Lab> lab_on(platform::ClusterSpec spec) {
   exp::LabConfig cfg;
   cfg.machine.num_nodes = spec.num_nodes;
   cfg.machine.nominal_flops = spec.node.flops;
@@ -76,15 +78,19 @@ class ReplayGolden : public ::testing::Test {
     params.width = 4;
     params.seed = 7;
     dag_ = std::make_unique<dag::Dag>(dag::generate_random_dag(params).graph);
-    flat_ = lab_on("bayreuth32");
-    hier_ = lab_on("hier2x16");
-    oversub_ = lab_on("hier4x8");
+    flat_ = lab_on(platform::bayreuth32());
+    hier_ = lab_on(*platform::named_platform("hier2x16"));
+    oversub_ = lab_on(*platform::named_platform("hier4x8"));
+    cray_ = lab_on(platform::cray_xt4(32));
+    hetero_ = lab_on(platform::heterogeneous_cluster(32, 150e6, 350e6, 3));
   }
   static void TearDownTestSuite() {
     dag_.reset();
     flat_.reset();
     hier_.reset();
     oversub_.reset();
+    cray_.reset();
+    hetero_.reset();
   }
 
   /// HCPA + earliest-start mapping under `kind`'s cost estimates.
@@ -112,6 +118,8 @@ class ReplayGolden : public ::testing::Test {
   static inline std::unique_ptr<exp::Lab> flat_;
   static inline std::unique_ptr<exp::Lab> hier_;
   static inline std::unique_ptr<exp::Lab> oversub_;
+  static inline std::unique_ptr<exp::Lab> cray_;
+  static inline std::unique_ptr<exp::Lab> hetero_;
 };
 
 TEST_F(ReplayGolden, SimulatorAnalyticalBayreuth32) {
@@ -142,6 +150,14 @@ TEST_F(ReplayGolden, SimulatorAnalyticalHier4x8) {
   simulate("sim_analytical_hier4x8", *oversub_, CostModelKind::Analytical);
 }
 
+TEST_F(ReplayGolden, SimulatorAnalyticalCrayXt4) {
+  simulate("sim_analytical_cray_xt4", *cray_, CostModelKind::Analytical);
+}
+
+TEST_F(ReplayGolden, SimulatorAnalyticalHetero32) {
+  simulate("sim_analytical_hetero32", *hetero_, CostModelKind::Analytical);
+}
+
 TEST_F(ReplayGolden, EmulatorSeed1Bayreuth32) {
   execute("tgrid_seed1_bayreuth32", *flat_, 1);
 }
@@ -160,6 +176,14 @@ TEST_F(ReplayGolden, EmulatorSeed9001Hier2x16) {
 
 TEST_F(ReplayGolden, EmulatorSeed1Hier4x8) {
   execute("tgrid_seed1_hier4x8", *oversub_, 1);
+}
+
+TEST_F(ReplayGolden, EmulatorSeed1CrayXt4) {
+  execute("tgrid_seed1_cray_xt4", *cray_, 1);
+}
+
+TEST_F(ReplayGolden, EmulatorSeed1Hetero32) {
+  execute("tgrid_seed1_hetero32", *hetero_, 1);
 }
 
 TEST_F(ReplayGolden, EmulatorZeroStartupTable) {
