@@ -46,14 +46,11 @@ int main() {
   for (double skew : {1.0, 2.0, 4.0, 8.0}) {
     auto spec = machine_model.platform_spec();
     if (skew > 1.0) {
-      // Speeds spread uniformly in [lo, lo*skew] with mean = reference.
-      const double ref = spec.node.flops;
-      const double lo = 2.0 * ref / (1.0 + skew);
-      auto hetero = platform::heterogeneous_cluster(
-          spec.num_nodes, lo, lo * skew, /*seed=*/5);
-      spec.node_speeds = hetero.node_speeds;
-      // Keep the reference at the true mean speed.
-      spec.node.flops = hetero.node.flops;
+      // Speeds spread uniformly in [lo, lo*skew] with mean = reference; the
+      // reference speed is their true mean.
+      const double lo = 2.0 * spec.node.flops / (1.0 + skew);
+      spec = platform::heterogeneous_cluster(spec.num_nodes, lo, lo * skew,
+                                             /*seed=*/5);
     }
     const tgrid::TGridEmulator rig(machine_model, spec);
     const models::AnalyticalModel model(spec);

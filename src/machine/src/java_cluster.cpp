@@ -116,10 +116,7 @@ double JavaClusterModel::redist_overhead_mean(int p_src, int p_dst) const {
 }
 
 platform::ClusterSpec JavaClusterModel::platform_spec() const {
-  platform::ClusterSpec spec = platform::bayreuth32();
-  spec.num_nodes = cfg_.num_nodes;
-  spec.node.flops = cfg_.nominal_flops;
-  return spec;
+  return platform::bayreuth32(cfg_.num_nodes, cfg_.nominal_flops);
 }
 
 }  // namespace mtsched::machine

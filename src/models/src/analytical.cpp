@@ -48,20 +48,13 @@ double AnalyticalModel::exec_estimate(const dag::Task& t, int p) const {
                       static_cast<double>(p) / spec_.node.flops;
   const double rb = ring_bytes(t.kernel, t.matrix_dim, p);
   if (rb <= 0.0) return comp;
-  double comm = rb / spec_.net.link_bandwidth;
-  if (spec_.net.shared_backbone) {
-    comm = std::max(comm, rb * static_cast<double>(p) /
-                              spec_.net.backbone_bandwidth);
-  }
-  if (spec_.hierarchical()) {
-    // Placement-blind worst case on a hierarchical platform: a ring hop
-    // may cross the slowest rack uplink.
-    comm = std::max(comm, rb / spec_.topology->min_uplink_bandwidth());
-  }
+  // Placement-blind: on a hierarchical platform a ring hop may cross the
+  // slowest rack uplink.
+  const double comm = spec_.topology().flat_network().transfer_time(
+      rb, rb * static_cast<double>(p), rb);
   // L07 semantics: computation and communication overlap fully. The
-  // latency term is the worst route the placement could use (identical to
-  // route_latency() on star platforms).
-  return std::max(comp, comm) + spec_.max_route_latency();
+  // latency term is the worst route the placement could use.
+  return std::max(comp, comm) + spec_.topology().max_route_latency();
 }
 
 double AnalyticalModel::startup_estimate(int p) const {

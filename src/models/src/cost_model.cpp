@@ -22,17 +22,14 @@ double redist_payload_estimate(const platform::ClusterSpec& spec, int n,
   for (int j = 0; j < p_dst; ++j) {
     max_in = std::max(max_in, plan.bytes.col_total(static_cast<std::size_t>(j)));
   }
-  double t = std::max(max_out, max_in) / spec.net.link_bandwidth;
-  if (spec.net.shared_backbone) {
-    t = std::max(t, plan.total_bytes() / spec.net.backbone_bandwidth);
-  }
-  if (spec.hierarchical()) {
-    // Placement-blind worst case: source and destination live in
-    // different racks, so the whole payload crosses a rack uplink.
-    t = std::max(t,
-                 plan.total_bytes() / spec.topology->min_uplink_bandwidth());
-  }
-  return t + spec.max_route_latency();
+  // Placement-blind worst case: source and destination live in different
+  // racks, so on a hierarchical platform the whole payload crosses a rack
+  // uplink.
+  const platform::Topology& topo = spec.topology();
+  return topo.flat_network().transfer_time(std::max(max_out, max_in),
+                                           plan.total_bytes(),
+                                           plan.total_bytes()) +
+         topo.max_route_latency();
 }
 
 double CostModel::redist_estimate(const dag::Task& producer, int p_src,

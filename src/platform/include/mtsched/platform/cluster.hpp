@@ -1,10 +1,12 @@
 // Cluster platform description (paper Sections II-B and IV).
 //
-// A homogeneous cluster of N identical nodes connected to one switch by
-// private full-duplex links; the switch backbone may itself be a shared
-// resource. The paper's instance: 32 nodes, compute speed calibrated to
-// 250 MFlop/s (Java matrix multiply on a 2 GHz Opteron 246), Gigabit
-// Ethernet (1 Gb/s links, 100 us latency).
+// A ClusterSpec is a flat view (node count, node speeds) over the one
+// network description, a platform::Topology, which every spec carries. The
+// paper's clusters are stars: one rack of nodes, each with a private
+// full-duplex link into the rack's switch, whose fabric may itself be a
+// shared resource. The paper's instance: 32 nodes, compute speed
+// calibrated to 250 MFlop/s (Java matrix multiply on a 2 GHz Opteron 246),
+// Gigabit Ethernet (1 Gb/s links, 100 us latency).
 #pragma once
 
 #include <cstdint>
@@ -14,46 +16,33 @@
 
 namespace mtsched::platform {
 
-struct Topology;  // hierarchical rack/ToR/core description (topology.hpp)
+struct Topology;  // racks, ToR switches and core (topology.hpp)
 
 /// One compute node.
 struct NodeSpec {
   double flops = 250e6;  ///< effective compute speed, flop/s
 };
 
-/// Star interconnect: node --(private link)-- switch --(backbone)--.
-struct NetworkSpec {
-  double link_bandwidth = 125e6;     ///< private link, bytes/s (1 Gb/s)
-  double link_latency = 100e-6;      ///< private link latency, s
-  double backbone_bandwidth = 1e9;   ///< switch fabric, bytes/s
-  double backbone_latency = 0.0;     ///< switch latency, s
-  bool shared_backbone = true;       ///< false: ideal non-blocking switch
-};
-
 /// A cluster; homogeneous by default, heterogeneous when per-node speeds
-/// are given.
+/// are given. Built from a Topology by platform::to_cluster, which keeps
+/// the flat fields consistent with it.
 struct ClusterSpec {
-  std::string name = "cluster";
-  int num_nodes = 32;
+  /// The paper's platform, bayreuth32().
+  ClusterSpec();
+
+  std::string name;
+  int num_nodes = 0;
   NodeSpec node;  ///< the reference node (every node when homogeneous)
-  NetworkSpec net;
   /// Optional per-node speeds (flop/s). Empty = homogeneous at node.flops;
   /// otherwise must have num_nodes entries. node.flops remains the
   /// *reference* speed used by virtual-cluster scheduling.
   std::vector<double> node_speeds;
-  /// Optional hierarchical description (racks, ToR switches, core). When
-  /// set, this spec is the flat view over it (platform::to_cluster keeps
-  /// the two consistent) and topology-aware consumers — the cluster
-  /// simulator, the redistribution estimators — read the link graph
-  /// instead of the star fields. Null for classic star platforms.
-  std::shared_ptr<const Topology> topology;
+
+  /// The network: racks of nodes behind ToR switches joined by a core. A
+  /// star is a one-rack topology.
+  const Topology& topology() const { return *topology_; }
 
   bool heterogeneous() const { return !node_speeds.empty(); }
-
-  /// True when the attached topology has more than one rack — the star
-  /// fields are then only an approximation and the simulator expands the
-  /// full link graph. One-rack topologies reduce exactly to the star.
-  bool hierarchical() const;
 
   /// Speed of one node (reference speed when homogeneous).
   double flops_of(int node_id) const;
@@ -63,34 +52,26 @@ struct ClusterSpec {
   double min_flops() const;
   double max_flops() const;
 
-  /// End-to-end latency of the star route between two distinct nodes.
-  /// Star platforms have a single route shape, so this needs no
-  /// endpoints; topology-aware callers use the overloads below.
-  double route_latency() const {
-    return 2.0 * net.link_latency + net.backbone_latency;
-  }
-
-  /// End-to-end latency of the route between two concrete nodes: 0 for
-  /// a == b, the star formula above on flat platforms, the per-route
-  /// value on hierarchical ones (intra-rack routes skip uplink and core).
-  double route_latency(int a, int b) const;
-
-  /// The largest route latency any node pair can see — the value
-  /// placement-blind estimators charge. Identical to route_latency() on
-  /// star platforms.
-  double max_route_latency() const;
-
-  /// Throws core::InvalidArgument unless all fields are physical.
+  /// Throws core::InvalidArgument unless all fields are physical and the
+  /// node count matches the topology's.
   void validate() const;
+
+ private:
+  friend ClusterSpec to_cluster(const Topology& topo);
+  explicit ClusterSpec(std::shared_ptr<const Topology> topology);
+
+  std::shared_ptr<const Topology> topology_;  ///< never null
 };
 
-/// The paper's experimental platform: University of Bayreuth cluster,
-/// N = 32, 250 MFlop/s effective per node, GigE.
-ClusterSpec bayreuth32();
+/// The paper's experimental platform: University of Bayreuth cluster, a
+/// GigE star of N = 32 nodes at 250 MFlop/s effective. A machine model
+/// calibrated to another node count or speed gets the same star resized;
+/// it keeps the name, which is what requests select a platform by.
+ClusterSpec bayreuth32(int num_nodes = 32, double node_flops = 250e6);
 
 /// The paper's second platform (Figure 2 right): Cray XT4 "Franklin" at
 /// LBNL, PDGEMM runs at 4165.3 MFLOPS per core; SeaStar interconnect
-/// approximated as a fat star.
+/// approximated as a star with a non-blocking switch.
 ClusterSpec cray_xt4(int num_nodes = 64);
 
 /// Slowdown factor of a data-parallel task on the given node set relative
@@ -102,7 +83,8 @@ double exec_slowdown(const ClusterSpec& spec, const std::vector<int>& nodes);
 
 /// A synthetic heterogeneous cluster: node speeds drawn uniformly from
 /// [min_flops, max_flops] (deterministic in `seed`); the reference speed
-/// is their mean. Models the aggregated lab clusters HCPA targets.
+/// is their mean. The network is bayreuth32's star. Models the aggregated
+/// lab clusters HCPA targets.
 ClusterSpec heterogeneous_cluster(int num_nodes, double min_flops,
                                   double max_flops, std::uint64_t seed = 1);
 

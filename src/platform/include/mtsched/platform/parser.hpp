@@ -1,8 +1,8 @@
 // Text platform descriptions, so experiments can run against
 // user-provided platforms without recompiling.
 //
-// The current format is versioned: `mtsched.platform.v1` describes a
-// hierarchical topology as rack/core sections,
+// The format is versioned: `mtsched.platform.v1` describes a topology as
+// rack/core sections (a star is a single [rack]),
 //
 //   mtsched.platform.v1
 //   name = hier4x8
@@ -23,10 +23,8 @@
 //   uplink_bandwidth = 0      # explicit override; 0 = derive
 //   node_speeds = 2e8 3e8 ... # optional, one entry per node
 //
-// The legacy flat key = value format (no header line; keys name, nodes,
-// node_flops, link_*, backbone_*, shared_backbone, node_speeds) is still
-// parsed — parse_platform falls back to it and reports a deprecation
-// note — but new files should carry the v1 header.
+// The header line is mandatory: a file without it is rejected with a
+// core::ParseError naming the missing header.
 #pragma once
 
 #include <string>
@@ -39,16 +37,6 @@ namespace mtsched::platform {
 /// Header line identifying the versioned platform format.
 inline constexpr const char* kPlatformSchema = "mtsched.platform.v1";
 
-/// Parses the legacy flat format; unknown keys raise core::ParseError,
-/// missing keys keep their ClusterSpec defaults. Deprecated in favour of
-/// parse_platform, which also accepts mtsched.platform.v1 files.
-ClusterSpec parse_cluster(const std::string& text);
-
-/// Serializes a flat spec back to the legacy format (round-trips with
-/// parse_cluster). An attached topology is NOT represented — use
-/// to_text(const Topology&) for hierarchical platforms.
-std::string to_text(const ClusterSpec& spec);
-
 /// Parses an mtsched.platform.v1 document (the header line must be
 /// present). Raises core::ParseError on malformed input.
 Topology parse_topology(const std::string& text);
@@ -58,11 +46,8 @@ Topology parse_topology(const std::string& text);
 /// a count).
 std::string to_text(const Topology& topo);
 
-/// Parses either format: mtsched.platform.v1 when the header line is the
-/// first significant line, the legacy flat format otherwise. When the
-/// legacy path is taken and `deprecation_note` is non-null it receives a
-/// one-line migration hint (left empty for v1 input).
-ClusterSpec parse_platform(const std::string& text,
-                           std::string* deprecation_note = nullptr);
+/// Parses an mtsched.platform.v1 document into the ClusterSpec view over
+/// it (to_cluster(parse_topology(text))).
+ClusterSpec parse_platform(const std::string& text);
 
 }  // namespace mtsched::platform

@@ -13,9 +13,8 @@
 // — the standard oversubscription knob: at 1.0 the rack can drain every
 // node link at once; at 4.0 cross-rack traffic contends 4:1.
 //
-// A topology with a single rack reduces *exactly* to the flat star
-// ClusterSpec (the uplink and core are unreachable), which is the
-// bit-identity bridge to every star-minded consumer.
+// A star is a one-rack topology: its uplink and core are unreachable, so
+// the simulator registers neither and every route is the intra-rack one.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +63,23 @@ struct CoreSpec {
   bool operator==(const CoreSpec&) const = default;
 };
 
+/// The network as placement-blind estimators see it: every transfer leaves
+/// through rack 0's node link and crosses one switch fabric — rack 0's ToR
+/// on a one-rack topology (exactly the star's switch), the core otherwise —
+/// and, on multi-rack topologies, the slowest rack uplink.
+struct FlatNetwork {
+  double link_bandwidth = 0.0;    ///< rack 0's node link, bytes/s
+  double fabric_bandwidth = 0.0;  ///< the switch fabric, bytes/s
+  bool shared_fabric = false;     ///< false: non-blocking, never binds
+  double uplink_bandwidth = 0.0;  ///< slowest rack uplink; 0 on one rack
+
+  /// The slowest leg of a transfer that moves `link_bytes` through one node
+  /// link, `fabric_bytes` through the fabric (when shared) and
+  /// `uplink_bytes` through an uplink (on multi-rack topologies).
+  double transfer_time(double link_bytes, double fabric_bytes,
+                       double uplink_bytes) const;
+};
+
 /// A node -> ToR -> core link graph. Node ids are assigned rack by rack:
 /// rack 0 owns [0, racks[0].nodes), rack 1 the next block, and so on.
 struct Topology {
@@ -71,6 +87,7 @@ struct Topology {
   std::vector<RackSpec> racks;
   CoreSpec core;
 
+  /// Total node count. Throws core::InvalidArgument past INT_MAX.
   int num_nodes() const;
   int num_racks() const { return static_cast<int>(racks.size()); }
 
@@ -96,38 +113,41 @@ struct Topology {
   /// core are unreachable.
   bool reduces_to_star() const { return racks.size() == 1; }
 
-  /// Throws core::InvalidArgument unless all fields are physical.
+  /// The star approximation placement-blind estimators charge (see
+  /// FlatNetwork).
+  FlatNetwork flat_network() const;
+
+  /// Throws core::InvalidArgument unless all fields are physical and the
+  /// node count fits an int.
   void validate() const;
 
   bool operator==(const Topology&) const = default;
 };
 
-/// Flattens `topo` into a ClusterSpec view with the topology attached:
-/// legacy accessors (num_nodes, node speeds, link fields) stay meaningful
-/// while topology-aware consumers read the attached link graph. For a
-/// one-rack topology the flat fields are exact (link = rack link,
-/// backbone = ToR); for multiple racks they are the rack-0 link plus the
-/// core as the "backbone" — a flat approximation that only
-/// topology-blind consumers see.
+/// Flattens `topo` into a ClusterSpec view over it: num_nodes, the
+/// reference speed (rack 0's) and, when any rack deviates from it or has
+/// per-node speeds, the per-node speeds. Validates both.
 ClusterSpec to_cluster(const Topology& topo);
 
-/// The one-rack topology equivalent to a flat star spec (the inverse of
-/// to_cluster for star platforms).
-Topology star_topology(const ClusterSpec& spec);
+/// The one-rack topology of a star: `rack` behind its switch, the rack's
+/// ToR. The core is unreachable on one rack; it mirrors the switch fabric,
+/// so hierarchical_topology can widen a star into racks joined by the same
+/// fabric.
+Topology one_rack(std::string name, RackSpec rack);
 
-/// A homogeneous rack x nodes-per-rack platform built from a star spec's
-/// link/node parameters: each rack's ToR inherits the star backbone, the
-/// core gets the same fabric, and the uplinks are oversubscribed by the
-/// given ratio.
+/// A homogeneous rack x nodes-per-rack platform widened from a star
+/// `base`: each rack copies the star's rack (its ToR is the star's switch)
+/// at `nodes_per_rack` nodes, the core copies the star's core, and the
+/// uplinks are oversubscribed by the given ratio.
 Topology hierarchical_topology(int num_racks, int nodes_per_rack,
                                double oversubscription,
                                const ClusterSpec& base = bayreuth32());
 
 /// Built-in platforms addressable by name (the CLI's `--platform NAME`):
-///   bayreuth32  - the paper's flat 32-node star
-///   cray_xt4    - the paper's second platform (flat, 64 nodes)
-///   hier1x32    - one rack of 32 bayreuth nodes (reduces exactly to
-///                 bayreuth32; the bit-identity check platform)
+///   bayreuth32  - the paper's 32-node star
+///   cray_xt4    - the paper's second platform (a 64-node star)
+///   hier1x32    - one rack of 32 bayreuth nodes (bayreuth32 under another
+///                 name; the bit-identity check platform)
 ///   hier2x16    - 2 racks x 16 nodes, non-oversubscribed
 ///   hier4x8     - 4 racks x 8 nodes, 4:1 oversubscribed uplinks
 /// Returns std::nullopt for unknown names (callers fall back to file

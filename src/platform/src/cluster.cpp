@@ -9,19 +9,13 @@
 
 namespace mtsched::platform {
 
-bool ClusterSpec::hierarchical() const {
-  return topology != nullptr && !topology->reduces_to_star();
+ClusterSpec::ClusterSpec() {
+  static const ClusterSpec paper = bayreuth32();
+  *this = paper;
 }
 
-double ClusterSpec::route_latency(int a, int b) const {
-  if (topology != nullptr) return topology->route_latency(a, b);
-  return a == b ? 0.0 : route_latency();
-}
-
-double ClusterSpec::max_route_latency() const {
-  if (topology != nullptr) return topology->max_route_latency();
-  return route_latency();
-}
+ClusterSpec::ClusterSpec(std::shared_ptr<const Topology> topology)
+    : topology_(std::move(topology)) {}
 
 double ClusterSpec::flops_of(int node_id) const {
   MTSCHED_REQUIRE(node_id >= 0 && node_id < num_nodes, "node out of range");
@@ -57,45 +51,34 @@ void ClusterSpec::validate() const {
       MTSCHED_REQUIRE(s > 0.0, "node speeds must be positive");
     }
   }
-  MTSCHED_REQUIRE(net.link_bandwidth > 0.0, "link bandwidth must be positive");
-  MTSCHED_REQUIRE(net.link_latency >= 0.0, "link latency must be >= 0");
-  MTSCHED_REQUIRE(net.backbone_bandwidth > 0.0,
-                  "backbone bandwidth must be positive");
-  MTSCHED_REQUIRE(net.backbone_latency >= 0.0, "backbone latency must be >= 0");
-  if (topology != nullptr) {
-    topology->validate();
-    MTSCHED_REQUIRE(topology->num_nodes() == num_nodes,
-                    "attached topology node count must match num_nodes");
-  }
+  topology_->validate();
+  MTSCHED_REQUIRE(topology_->num_nodes() == num_nodes,
+                  "topology node count must match num_nodes");
 }
 
-ClusterSpec bayreuth32() {
-  ClusterSpec c;
-  c.name = "bayreuth32";
-  c.num_nodes = 32;
-  c.node.flops = 250e6;  // Java matrix-multiply calibration (paper IV)
-  c.net.link_bandwidth = core::bps_to_Bps(1e9);  // 1 Gb/s
-  c.net.link_latency = core::usec(100.0);
+ClusterSpec bayreuth32(int num_nodes, double node_flops) {
+  RackSpec rack;
+  rack.nodes = num_nodes;
+  rack.node_flops = node_flops;  // Java matrix-multiply calibration (paper IV)
+  rack.link_bandwidth = core::bps_to_Bps(1e9);  // 1 Gb/s
+  rack.link_latency = core::usec(100.0);
   // GigE switch fabric: ample but finite aggregate capacity.
-  c.net.backbone_bandwidth = 16.0 * core::bps_to_Bps(1e9);
-  c.net.backbone_latency = 0.0;
-  c.net.shared_backbone = true;
-  c.validate();
-  return c;
+  rack.tor_bandwidth = 16.0 * core::bps_to_Bps(1e9);
+  rack.tor_latency = 0.0;
+  rack.shared_tor = true;
+  return to_cluster(one_rack("bayreuth32", std::move(rack)));
 }
 
 ClusterSpec cray_xt4(int num_nodes) {
-  ClusterSpec c;
-  c.name = "cray_xt4";
-  c.num_nodes = num_nodes;
-  c.node.flops = 4165.3e6;  // PDGEMM flop rate measured on Franklin (paper VI-A)
-  c.net.link_bandwidth = 6.4e9;  // SeaStar2 injection bandwidth, bytes/s
-  c.net.link_latency = core::usec(8.0);
-  c.net.backbone_bandwidth = 1e12;
-  c.net.backbone_latency = 0.0;
-  c.net.shared_backbone = false;
-  c.validate();
-  return c;
+  RackSpec rack;
+  rack.nodes = num_nodes;
+  rack.node_flops = 4165.3e6;  // PDGEMM rate measured on Franklin (paper VI-A)
+  rack.link_bandwidth = 6.4e9;  // SeaStar2 injection bandwidth, bytes/s
+  rack.link_latency = core::usec(8.0);
+  rack.tor_bandwidth = 1e12;
+  rack.tor_latency = 0.0;
+  rack.shared_tor = false;
+  return to_cluster(one_rack("cray_xt4", std::move(rack)));
 }
 
 double exec_slowdown(const ClusterSpec& spec, const std::vector<int>& nodes) {
@@ -111,19 +94,17 @@ ClusterSpec heterogeneous_cluster(int num_nodes, double min_flops,
   MTSCHED_REQUIRE(num_nodes >= 1, "cluster needs at least one node");
   MTSCHED_REQUIRE(min_flops > 0.0 && min_flops <= max_flops,
                   "speed range must satisfy 0 < min <= max");
-  ClusterSpec c = bayreuth32();
-  c.name = "hetero" + std::to_string(num_nodes);
-  c.num_nodes = num_nodes;
+  RackSpec rack = bayreuth32(num_nodes).topology().racks.front();
   core::Rng rng(seed);
   double sum = 0.0;
   for (int i = 0; i < num_nodes; ++i) {
     const double s = rng.uniform(min_flops, max_flops);
-    c.node_speeds.push_back(s);
+    rack.node_speeds.push_back(s);
     sum += s;
   }
-  c.node.flops = sum / num_nodes;  // reference speed = mean
-  c.validate();
-  return c;
+  rack.node_flops = sum / num_nodes;  // reference speed = mean
+  return to_cluster(
+      one_rack("hetero" + std::to_string(num_nodes), std::move(rack)));
 }
 
 }  // namespace mtsched::platform

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "mtsched/core/error.hpp"
@@ -39,12 +42,13 @@ bool parse_bool(const std::string& v, std::size_t lineno) {
 
 int parse_int(const std::string& v, std::size_t lineno) {
   const double d = parse_double(v, lineno);
-  const int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) {
+  // Range-check before the cast: converting NaN or an out-of-range double
+  // to int is undefined behaviour.
+  if (!(d >= INT_MIN && d <= INT_MAX) || std::trunc(d) != d) {
     throw core::ParseError("expected integer, got '" + v + "' on line " +
                            std::to_string(lineno));
   }
-  return i;
+  return static_cast<int>(d);
 }
 
 std::vector<double> parse_speeds(const std::string& v, std::size_t lineno) {
@@ -70,74 +74,6 @@ std::string first_significant_line(const std::string& text) {
 
 }  // namespace
 
-ClusterSpec parse_cluster(const std::string& text) {
-  ClusterSpec spec;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw core::ParseError("expected key = value on line " +
-                             std::to_string(lineno));
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key == "name") {
-      spec.name = value;
-    } else if (key == "nodes") {
-      spec.num_nodes = static_cast<int>(parse_double(value, lineno));
-    } else if (key == "node_flops") {
-      spec.node.flops = parse_double(value, lineno);
-    } else if (key == "link_bandwidth") {
-      spec.net.link_bandwidth = parse_double(value, lineno);
-    } else if (key == "link_latency") {
-      spec.net.link_latency = parse_double(value, lineno);
-    } else if (key == "backbone_bandwidth") {
-      spec.net.backbone_bandwidth = parse_double(value, lineno);
-    } else if (key == "backbone_latency") {
-      spec.net.backbone_latency = parse_double(value, lineno);
-    } else if (key == "shared_backbone") {
-      spec.net.shared_backbone = parse_bool(value, lineno);
-    } else if (key == "node_speeds") {
-      std::istringstream vs(value);
-      std::string tok;
-      spec.node_speeds.clear();
-      while (vs >> tok) spec.node_speeds.push_back(parse_double(tok, lineno));
-    } else {
-      throw core::ParseError("unknown key '" + key + "' on line " +
-                             std::to_string(lineno));
-    }
-  }
-  spec.validate();
-  return spec;
-}
-
-std::string to_text(const ClusterSpec& spec) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "name = " << spec.name << '\n';
-  os << "nodes = " << spec.num_nodes << '\n';
-  os << "node_flops = " << spec.node.flops << '\n';
-  os << "link_bandwidth = " << spec.net.link_bandwidth << '\n';
-  os << "link_latency = " << spec.net.link_latency << '\n';
-  os << "backbone_bandwidth = " << spec.net.backbone_bandwidth << '\n';
-  os << "backbone_latency = " << spec.net.backbone_latency << '\n';
-  os << "shared_backbone = " << (spec.net.shared_backbone ? "true" : "false")
-     << '\n';
-  if (!spec.node_speeds.empty()) {
-    os << "node_speeds =";
-    for (double v : spec.node_speeds) os << ' ' << v;
-    os << '\n';
-  }
-  return os.str();
-}
-
 Topology parse_topology(const std::string& text) {
   if (first_significant_line(text) != kPlatformSchema) {
     throw core::ParseError(std::string("missing '") + kPlatformSchema +
@@ -151,8 +87,18 @@ Topology parse_topology(const std::string& text) {
   RackSpec rack;
   int rack_count = 1;
   bool header_seen = false;
+  std::int64_t total_nodes = 0;
   auto flush_rack = [&] {
     if (section != "rack") return;
+    // Bound the node total before expanding `count`, so that neither the
+    // expansion nor Topology::num_nodes() can run away. Non-positive node
+    // counts are left to validate().
+    if (rack.nodes > 0) {
+      total_nodes += static_cast<std::int64_t>(rack.nodes) * rack_count;
+      if (total_nodes > INT_MAX) {
+        throw core::ParseError("platform has more than INT_MAX nodes");
+      }
+    }
     for (int i = 0; i < rack_count; ++i) topo.racks.push_back(rack);
   };
 
@@ -283,19 +229,8 @@ std::string to_text(const Topology& topo) {
   return os.str();
 }
 
-ClusterSpec parse_platform(const std::string& text,
-                           std::string* deprecation_note) {
-  if (deprecation_note != nullptr) deprecation_note->clear();
-  if (first_significant_line(text) == kPlatformSchema) {
-    return to_cluster(parse_topology(text));
-  }
-  if (deprecation_note != nullptr) {
-    *deprecation_note =
-        std::string("platform file uses the deprecated flat key = value "
-                    "format; add a '") +
-        kPlatformSchema + "' header and rack/core sections";
-  }
-  return parse_cluster(text);
+ClusterSpec parse_platform(const std::string& text) {
+  return to_cluster(parse_topology(text));
 }
 
 }  // namespace mtsched::platform

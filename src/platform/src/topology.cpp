@@ -1,6 +1,8 @@
 #include "mtsched/platform/topology.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 
 #include "mtsched/core/error.hpp"
 
@@ -12,9 +14,12 @@ double RackSpec::effective_uplink_bandwidth() const {
 }
 
 int Topology::num_nodes() const {
-  int n = 0;
-  for (const auto& r : racks) n += r.nodes;
-  return n;
+  std::int64_t n = 0;
+  for (const auto& r : racks) {
+    n += r.nodes;
+    MTSCHED_REQUIRE(n <= INT_MAX, "topology has more than INT_MAX nodes");
+  }
+  return static_cast<int>(n);
 }
 
 int Topology::rack_of(int node) const {
@@ -85,6 +90,30 @@ double Topology::min_uplink_bandwidth() const {
   return lo;
 }
 
+double FlatNetwork::transfer_time(double link_bytes, double fabric_bytes,
+                                  double uplink_bytes) const {
+  double t = link_bytes / link_bandwidth;
+  if (shared_fabric) t = std::max(t, fabric_bytes / fabric_bandwidth);
+  if (uplink_bandwidth > 0.0) t = std::max(t, uplink_bytes / uplink_bandwidth);
+  return t;
+}
+
+FlatNetwork Topology::flat_network() const {
+  MTSCHED_REQUIRE(!racks.empty(), "topology needs at least one rack");
+  const RackSpec& r0 = racks.front();
+  FlatNetwork net;
+  net.link_bandwidth = r0.link_bandwidth;
+  if (reduces_to_star()) {
+    net.fabric_bandwidth = r0.tor_bandwidth;
+    net.shared_fabric = r0.shared_tor;
+  } else {
+    net.fabric_bandwidth = core.bandwidth;
+    net.shared_fabric = core.shared;
+    net.uplink_bandwidth = min_uplink_bandwidth();
+  }
+  return net;
+}
+
 void Topology::validate() const {
   MTSCHED_REQUIRE(!racks.empty(), "topology needs at least one rack");
   for (const auto& r : racks) {
@@ -109,29 +138,16 @@ void Topology::validate() const {
   }
   MTSCHED_REQUIRE(core.bandwidth > 0.0, "core bandwidth must be positive");
   MTSCHED_REQUIRE(core.latency >= 0.0, "core latency must be >= 0");
+  (void)num_nodes();  // throws past INT_MAX
 }
 
 ClusterSpec to_cluster(const Topology& topo) {
   topo.validate();
-  ClusterSpec spec;
+  ClusterSpec spec(std::make_shared<const Topology>(topo));
   spec.name = topo.name;
   spec.num_nodes = topo.num_nodes();
   const RackSpec& r0 = topo.racks.front();
   spec.node.flops = r0.node_flops;
-  spec.net.link_bandwidth = r0.link_bandwidth;
-  spec.net.link_latency = r0.link_latency;
-  if (topo.reduces_to_star()) {
-    // Exact: the one rack's ToR *is* the star backbone.
-    spec.net.backbone_bandwidth = r0.tor_bandwidth;
-    spec.net.backbone_latency = r0.tor_latency;
-    spec.net.shared_backbone = r0.shared_tor;
-  } else {
-    // Flat approximation for topology-blind consumers: the core stands in
-    // for the backbone. Topology-aware code reads spec.topology instead.
-    spec.net.backbone_bandwidth = topo.core.bandwidth;
-    spec.net.backbone_latency = topo.core.latency;
-    spec.net.shared_backbone = topo.core.shared;
-  }
   // Per-node speeds are flattened whenever any rack deviates from the
   // reference (rack 0) speed or carries explicit per-node speeds.
   bool uniform = true;
@@ -147,30 +163,17 @@ ClusterSpec to_cluster(const Topology& topo) {
       spec.node_speeds.push_back(topo.flops_of(n));
     }
   }
-  spec.topology = std::make_shared<const Topology>(topo);
   spec.validate();
   return spec;
 }
 
-Topology star_topology(const ClusterSpec& spec) {
-  MTSCHED_REQUIRE(spec.topology == nullptr,
-                  "spec already carries a topology");
-  spec.validate();
+Topology one_rack(std::string name, RackSpec rack) {
   Topology topo;
-  topo.name = spec.name;
-  RackSpec rack;
-  rack.nodes = spec.num_nodes;
-  rack.node_flops = spec.node.flops;
-  rack.link_bandwidth = spec.net.link_bandwidth;
-  rack.link_latency = spec.net.link_latency;
-  rack.tor_bandwidth = spec.net.backbone_bandwidth;
-  rack.tor_latency = spec.net.backbone_latency;
-  rack.shared_tor = spec.net.shared_backbone;
-  rack.node_speeds = spec.node_speeds;
+  topo.name = std::move(name);
+  topo.core.bandwidth = rack.tor_bandwidth;
+  topo.core.latency = rack.tor_latency;
+  topo.core.shared = rack.shared_tor;
   topo.racks.push_back(std::move(rack));
-  topo.core.bandwidth = spec.net.backbone_bandwidth;
-  topo.core.latency = spec.net.backbone_latency;
-  topo.core.shared = spec.net.shared_backbone;
   return topo;
 }
 
@@ -182,19 +185,13 @@ Topology hierarchical_topology(int num_racks, int nodes_per_rack,
   Topology topo;
   topo.name = "hier" + std::to_string(num_racks) + "x" +
               std::to_string(nodes_per_rack);
-  RackSpec rack;
+  RackSpec rack = base.topology().racks.front();
   rack.nodes = nodes_per_rack;
-  rack.node_flops = base.node.flops;
-  rack.link_bandwidth = base.net.link_bandwidth;
-  rack.link_latency = base.net.link_latency;
-  rack.tor_bandwidth = base.net.backbone_bandwidth;
-  rack.tor_latency = base.net.backbone_latency;
-  rack.shared_tor = base.net.shared_backbone;
+  rack.node_speeds.clear();
   rack.oversubscription = oversubscription;
+  rack.uplink_bandwidth = 0.0;
   topo.racks.assign(static_cast<std::size_t>(num_racks), rack);
-  topo.core.bandwidth = base.net.backbone_bandwidth;
-  topo.core.latency = base.net.backbone_latency;
-  topo.core.shared = base.net.shared_backbone;
+  topo.core = base.topology().core;
   topo.validate();
   return topo;
 }

@@ -42,8 +42,7 @@ ListMapper::ListMapper(MappingStrategy strategy,
                        const platform::ClusterSpec& spec,
                        double locality_weight)
     : ListMapper(strategy, locality_weight) {
-  if (spec.topology == nullptr) return;
-  const platform::Topology& topo = *spec.topology;
+  const platform::Topology& topo = spec.topology();
   num_racks_ = topo.num_racks();
   rack_of_.reserve(static_cast<std::size_t>(spec.num_nodes));
   for (int r = 0; r < num_racks_; ++r) {
@@ -51,13 +50,14 @@ ListMapper::ListMapper(MappingStrategy strategy,
       rack_of_.push_back(r);
     }
   }
-  if (spec.hierarchical()) {
+  const platform::FlatNetwork net = topo.flat_network();
+  if (net.uplink_bandwidth > 0.0) {
     // sigma: the rack uplink's share of the per-byte cross-rack path cost
     // — what a same-rack (but non-holder) processor saves relative to a
-    // cross-rack one. 0 when uplinks are infinitely fast; -> 1 as the
-    // uplink becomes the bottleneck.
-    const double inv_link = 1.0 / spec.net.link_bandwidth;
-    const double inv_uplink = 1.0 / topo.min_uplink_bandwidth();
+    // cross-rack one. 0 on one rack and when uplinks are infinitely fast;
+    // -> 1 as the uplink becomes the bottleneck.
+    const double inv_link = 1.0 / net.link_bandwidth;
+    const double inv_uplink = 1.0 / net.uplink_bandwidth;
     sigma_ = 1.0 - inv_link / (inv_link + inv_uplink);
   }
 }

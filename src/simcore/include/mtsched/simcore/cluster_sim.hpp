@@ -1,19 +1,17 @@
 // Cluster resource wiring and the parallel-task (Ptask_L07-style) model.
 //
-// Maps a platform::ClusterSpec onto engine resources:
+// Maps a platform::ClusterSpec's topology onto engine resources:
 //   * one compute resource per node (capacity = flop/s),
 //   * one uplink and one downlink resource per node (capacity = bytes/s,
 //     full duplex as in SimGrid's cluster model),
-//   * optionally one shared backbone resource for the switch fabric.
-//
-// Hierarchical platforms (spec.hierarchical(), i.e. an attached
-// multi-rack platform::Topology) expand into the full link graph instead:
-// per-node cpu/up/down as above, plus per rack an optional shared ToR
-// fabric resource and a full-duplex uplink/downlink pair into the core,
-// and optionally a shared core fabric. A transfer's bytes are charged to
-// every link on its route, so the max-min engine shares bandwidth per
-// link and redistribution cost becomes placement-dependent. One-rack
-// topologies take the star path and stay bit-identical to flat specs.
+//   * per rack, a resource for the ToR switch fabric when it is shared,
+//   * on multi-rack topologies, per rack a full-duplex uplink/downlink pair
+//     into the core, and a resource for the core fabric when it is shared.
+// A star is a one-rack topology: per-node cpu/up/down plus its switch
+// fabric, as in SimGrid's cluster model. A transfer's bytes are charged to
+// every link on its route, so the max-min engine shares bandwidth per link
+// and on multi-rack platforms redistribution cost becomes
+// placement-dependent.
 //
 // A parallel task is described exactly as in the paper's Section IV: a
 // computation vector `a` (flops per participating rank) and a communication
@@ -69,23 +67,15 @@ class ClusterSim {
   ResourceId cpu(int node) const;
   ResourceId uplink(int node) const;
   ResourceId downlink(int node) const;
-  /// Star platforms only (hierarchical specs expand per-link resources).
-  bool has_backbone() const {
-    return !hierarchical() && spec_.net.shared_backbone;
-  }
-  ResourceId backbone() const;
-
-  /// True when the spec carries a multi-rack topology and this sim wired
-  /// the full link graph (per-rack ToR/uplink/core resources).
-  bool hierarchical() const { return !rack_of_.empty(); }
-  /// Rack owning `node` (hierarchical sims only).
+  /// Rack owning `node`.
   int rack_of(int node) const;
-  /// The rack's shared ToR fabric; only valid when the rack's ToR is
-  /// shared (throws otherwise).
+  /// The rack's shared ToR fabric (a star's switch); only valid when the
+  /// rack's ToR is shared (throws otherwise).
   ResourceId tor(int rack) const;
-  /// The rack's core uplink / downlink resources.
+  /// The rack's core uplink / downlink resources (multi-rack only).
   ResourceId rack_uplink(int rack) const;
   ResourceId rack_downlink(int rack) const;
+  /// True when a multi-rack platform's core fabric is shared.
   bool has_core() const;
   ResourceId core_switch() const;
 
@@ -108,10 +98,9 @@ class ClusterSim {
   std::vector<ResourceId> cpus_;
   std::vector<ResourceId> up_;
   std::vector<ResourceId> down_;
-  ResourceId backbone_ = static_cast<ResourceId>(-1);
-  // Hierarchical wiring (empty / invalid on star platforms).
   std::vector<int> rack_of_;        ///< node -> rack
   std::vector<ResourceId> tor_;     ///< per rack; invalid if not shared
+  // Multi-rack wiring (empty on one rack).
   std::vector<ResourceId> torup_;   ///< per rack: uplink into the core
   std::vector<ResourceId> tordown_; ///< per rack: downlink from the core
   std::vector<double> rack_lat_;    ///< (racks x racks) route latencies

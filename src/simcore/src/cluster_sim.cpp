@@ -34,57 +34,48 @@ Ptask make_redistribution_ptask(const std::vector<int>& src_nodes,
 ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
     : engine_(engine), spec_(spec) {
   spec_.validate();
-  if (spec_.hierarchical()) {
-    const platform::Topology& topo = *spec_.topology;
-    const std::size_t racks = topo.racks.size();
-    int node = 0;
-    for (std::size_t r = 0; r < racks; ++r) {
-      const platform::RackSpec& rk = topo.racks[r];
-      for (int k = 0; k < rk.nodes; ++k, ++node) {
-        const std::string tag = std::to_string(node);
-        cpus_.push_back(engine_.add_resource(spec_.flops_of(node),
-                                             "cpu" + tag));
-        up_.push_back(engine_.add_resource(rk.link_bandwidth, "up" + tag));
-        down_.push_back(engine_.add_resource(rk.link_bandwidth,
-                                             "down" + tag));
-        rack_of_.push_back(static_cast<int>(r));
-      }
-      const std::string rtag = std::to_string(r);
-      tor_.push_back(rk.shared_tor
-                         ? engine_.add_resource(rk.tor_bandwidth, "tor" + rtag)
-                         : static_cast<ResourceId>(-1));
+  const platform::Topology& topo = spec_.topology();
+  const std::size_t racks = topo.racks.size();
+  // Resource ids follow registration order: per rack its nodes' cpu/up/
+  // down, the shared ToR fabric and — only when routes can leave the rack
+  // — the uplink pair; the shared core last. A star thus registers
+  // cpu/up/down per node followed by its switch fabric if shared.
+  int node = 0;
+  for (std::size_t r = 0; r < racks; ++r) {
+    const platform::RackSpec& rk = topo.racks[r];
+    for (int k = 0; k < rk.nodes; ++k, ++node) {
+      const std::string tag = std::to_string(node);
+      cpus_.push_back(engine_.add_resource(spec_.flops_of(node), "cpu" + tag));
+      up_.push_back(engine_.add_resource(rk.link_bandwidth, "up" + tag));
+      down_.push_back(engine_.add_resource(rk.link_bandwidth, "down" + tag));
+      rack_of_.push_back(static_cast<int>(r));
+    }
+    const std::string rtag = std::to_string(r);
+    tor_.push_back(rk.shared_tor
+                       ? engine_.add_resource(rk.tor_bandwidth, "tor" + rtag)
+                       : static_cast<ResourceId>(-1));
+    if (racks > 1) {
       torup_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth(),
                                             "torup" + rtag));
       tordown_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth(),
                                               "tordown" + rtag));
     }
-    has_core_ = topo.core.shared;
-    if (has_core_) {
-      core_ = engine_.add_resource(topo.core.bandwidth, "core");
-    }
-    // Precompute per-rack-pair route latencies (same expressions as
-    // Topology::route_latency, hoisted out of build_uses).
-    rack_lat_.assign(racks * racks, 0.0);
-    for (std::size_t a = 0; a < racks; ++a) {
-      for (std::size_t b = 0; b < racks; ++b) {
-        rack_lat_[a * racks + b] =
-            a == b ? 2.0 * topo.racks[a].link_latency + topo.racks[a].tor_latency
-                   : topo.racks[a].link_latency + topo.racks[a].tor_latency +
-                         topo.core.latency + topo.racks[b].tor_latency +
-                         topo.racks[b].link_latency;
-      }
-    }
-    return;
   }
-  for (int i = 0; i < spec_.num_nodes; ++i) {
-    const std::string tag = std::to_string(i);
-    cpus_.push_back(engine_.add_resource(spec_.flops_of(i), "cpu" + tag));
-    up_.push_back(engine_.add_resource(spec_.net.link_bandwidth, "up" + tag));
-    down_.push_back(
-        engine_.add_resource(spec_.net.link_bandwidth, "down" + tag));
+  has_core_ = racks > 1 && topo.core.shared;
+  if (has_core_) {
+    core_ = engine_.add_resource(topo.core.bandwidth, "core");
   }
-  if (spec_.net.shared_backbone) {
-    backbone_ = engine_.add_resource(spec_.net.backbone_bandwidth, "backbone");
+  // Precompute per-rack-pair route latencies (same expressions as
+  // Topology::route_latency, hoisted out of build_uses).
+  rack_lat_.assign(racks * racks, 0.0);
+  for (std::size_t a = 0; a < racks; ++a) {
+    for (std::size_t b = 0; b < racks; ++b) {
+      rack_lat_[a * racks + b] =
+          a == b ? 2.0 * topo.racks[a].link_latency + topo.racks[a].tor_latency
+                 : topo.racks[a].link_latency + topo.racks[a].tor_latency +
+                       topo.core.latency + topo.racks[b].tor_latency +
+                       topo.racks[b].link_latency;
+    }
   }
 }
 
@@ -103,14 +94,7 @@ ResourceId ClusterSim::downlink(int node) const {
   return down_[static_cast<std::size_t>(node)];
 }
 
-ResourceId ClusterSim::backbone() const {
-  MTSCHED_REQUIRE(has_backbone(),
-                  "platform has a non-blocking switch (no backbone resource)");
-  return backbone_;
-}
-
 int ClusterSim::rack_of(int node) const {
-  MTSCHED_REQUIRE(hierarchical(), "star platform has no racks");
   MTSCHED_REQUIRE(node >= 0 && node < spec_.num_nodes, "node out of range");
   return rack_of_[static_cast<std::size_t>(node)];
 }
@@ -126,13 +110,13 @@ ResourceId ClusterSim::tor(int rack) const {
 
 ResourceId ClusterSim::rack_uplink(int rack) const {
   MTSCHED_REQUIRE(rack >= 0 && rack < static_cast<int>(torup_.size()),
-                  "rack out of range");
+                  "no such rack uplink (one-rack platforms have none)");
   return torup_[static_cast<std::size_t>(rack)];
 }
 
 ResourceId ClusterSim::rack_downlink(int rack) const {
   MTSCHED_REQUIRE(rack >= 0 && rack < static_cast<int>(tordown_.size()),
-                  "rack out of range");
+                  "no such rack downlink (one-rack platforms have none)");
   return tordown_[static_cast<std::size_t>(rack)];
 }
 
@@ -168,10 +152,8 @@ std::pair<std::vector<Use>, double> ClusterSim::build_uses(
       }
     }
   }
-  bool any_remote_comm = false;
-  const bool hier = hierarchical();
   const std::size_t racks = tor_.size();
-  double hier_latency = 0.0;
+  double latency = 0.0;
   if (!task.bytes.empty()) {
     for (std::size_t i = 0; i < p; ++i) {
       for (std::size_t j = 0; j < p; ++j) {
@@ -181,13 +163,8 @@ std::pair<std::vector<Use>, double> ClusterSim::build_uses(
         const int src = task.host_of_rank[i];
         const int dst = task.host_of_rank[j];
         if (src == dst) continue;  // local copy, no network usage
-        any_remote_comm = true;
         weight[uplink(src)] += b;
         weight[downlink(dst)] += b;
-        if (!hier) {
-          if (spec_.net.shared_backbone) weight[backbone_] += b;
-          continue;
-        }
         // Charge every link on the route: ToR fabric(s) when shared, and
         // for cross-rack transfers the uplink, core and downlink.
         const auto ra = static_cast<std::size_t>(rack_of_[src]);
@@ -199,7 +176,7 @@ std::pair<std::vector<Use>, double> ClusterSim::build_uses(
           weight[tordown_[rb]] += b;
           if (tor_[rb] != static_cast<ResourceId>(-1)) weight[tor_[rb]] += b;
         }
-        hier_latency = std::max(hier_latency, rack_lat_[ra * racks + rb]);
+        latency = std::max(latency, rack_lat_[ra * racks + rb]);
       }
     }
   }
@@ -208,8 +185,6 @@ std::pair<std::vector<Use>, double> ClusterSim::build_uses(
   for (const auto& [res, w] : weight) uses.push_back(Use{res, w});
   // L07 charges the route latency once; with distinct routes we charge the
   // slowest route used — the one the last byte may traverse.
-  const double latency =
-      hier ? hier_latency : (any_remote_comm ? spec_.route_latency() : 0.0);
   return {std::move(uses), latency};
 }
 

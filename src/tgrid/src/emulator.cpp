@@ -6,6 +6,7 @@
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/obs/trace.hpp"
+#include "mtsched/platform/topology.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/simcore/engine.hpp"
 #include "mtsched/simcore/fifo.hpp"
@@ -114,10 +115,9 @@ double TGridEmulator::measure_redist_overhead(int p_src, int p_dst,
                                        static_cast<std::uint64_t>(p_dst)));
   // The mostly-empty matrix's transfer time is negligible by construction;
   // only the registration service and one network round remain. The round
-  // may take the worst route on hierarchical platforms (identical to
-  // route_latency() on stars).
+  // may take the worst route on hierarchical platforms.
   return machine_.redist_overhead_sample(p_src, p_dst, rng) +
-         spec_.max_route_latency();
+         spec_.topology().max_route_latency();
 }
 
 }  // namespace mtsched::tgrid

@@ -307,12 +307,14 @@ TEST(Session, PlatformIsPartOfTheScheduleCacheKey) {
 }
 
 TEST(Session, OneRackPlatformIsBitIdenticalToStar) {
-  // The bit-identity bridge at the service layer: an 8-node star and its
-  // one-rack topology twin serve byte-identical responses.
-  auto star = platform::bayreuth32();
-  star.num_nodes = 8;
+  // The bit-identity bridge at the service layer: an 8-node star and the
+  // one-rack hierarchical topology of the same nodes serve byte-identical
+  // responses.
+  auto star = platform::bayreuth32(8);
   star.name = "star8";
-  const auto one_rack = platform::to_cluster(platform::star_topology(star));
+  auto rack_topo = platform::hierarchical_topology(1, 8, 1.0);
+  rack_topo.name = "star8";
+  const auto one_rack = platform::to_cluster(rack_topo);
   const auto lab_star = lab_for_spec(star);
   const auto lab_rack = lab_for_spec(one_rack);
   const exp::Session a(*lab_star);

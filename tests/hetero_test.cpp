@@ -8,6 +8,7 @@
 #include "mtsched/models/analytical.hpp"
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/platform/parser.hpp"
+#include "mtsched/platform/topology.hpp"
 #include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/hetero.hpp"
 #include "mtsched/sim/simulator.hpp"
@@ -22,11 +23,11 @@ using mtsched::core::InvalidArgument;
 using mtsched::sched::VirtualCluster;
 
 ClusterSpec skewed4() {
-  ClusterSpec c = bayreuth32();
-  c.num_nodes = 4;
-  c.node.flops = 100.0;  // reference
-  c.node_speeds = {200.0, 100.0, 100.0, 50.0};
-  return c;
+  RackSpec rack = bayreuth32().topology().racks.front();
+  rack.nodes = 4;
+  rack.node_flops = 100.0;  // reference
+  rack.node_speeds = {200.0, 100.0, 100.0, 50.0};
+  return to_cluster(one_rack("skewed4", rack));
 }
 
 TEST(HeteroSpec, AccessorsAndValidation) {
@@ -69,7 +70,7 @@ TEST(HeteroSpec, GeneratorProducesSeededSpeeds) {
 
 TEST(HeteroSpec, ParserRoundTripsSpeeds) {
   const auto c = skewed4();
-  const auto parsed = parse_cluster(to_text(c));
+  const auto parsed = parse_platform(to_text(c.topology()));
   EXPECT_EQ(parsed.node_speeds, c.node_speeds);
 }
 

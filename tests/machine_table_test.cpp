@@ -155,9 +155,7 @@ TEST(TableMachine, WorksInsideTheEmulator) {
   auto tables = small_tables();
   tables.noise_sigma = 0.0;
   const TableMachineModel m(tables);
-  auto spec = platform::bayreuth32();
-  spec.num_nodes = 4;
-  const tgrid::TGridEmulator rig(m, spec);
+  const tgrid::TGridEmulator rig(m, platform::bayreuth32(4));
   dag::Dag g;
   g.add_task(TaskKernel::MatAdd, 1000);
   sched::Schedule s;

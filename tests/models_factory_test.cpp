@@ -82,8 +82,7 @@ TEST(Factory, MakesEveryKindAndRoundTripsIt) {
   const auto tables = mini_tables();
   const auto fits = mini_fits();
   ModelSpec spec;
-  spec.platform = mtsched::platform::bayreuth32();
-  spec.platform.num_nodes = 4;
+  spec.platform = mtsched::platform::bayreuth32(4);
   spec.profile = &tables;
   spec.empirical = &fits;
   for (const auto kind : all_kinds()) {
@@ -105,8 +104,7 @@ TEST(Factory, MakeFromParsedSpec) {
 
 TEST(Factory, MissingParamsThrow) {
   ModelSpec spec;
-  spec.platform = mtsched::platform::bayreuth32();
-  spec.platform.num_nodes = 4;
+  spec.platform = mtsched::platform::bayreuth32(4);
   spec.kind = CostModelKind::Profile;
   EXPECT_THROW(make_cost_model(spec), InvalidArgument);
   spec.kind = CostModelKind::Empirical;

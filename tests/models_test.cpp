@@ -8,6 +8,7 @@
 #include "mtsched/models/empirical.hpp"
 #include "mtsched/models/profile.hpp"
 #include "mtsched/platform/cluster.hpp"
+#include "mtsched/platform/topology.hpp"
 
 namespace {
 
@@ -80,7 +81,7 @@ TEST(Analytical, ExecEstimateMatchesBottleneckFormula) {
   // Parallel: compute dominates at small p; latency added once.
   const double comp4 =
       kernel_flops(TaskKernel::MatMul, 2000) / 4.0 / spec.node.flops;
-  EXPECT_NEAR(m.exec_estimate(mm_task(), 4), comp4 + spec.route_latency(),
+  EXPECT_NEAR(m.exec_estimate(mm_task(), 4), comp4 + spec.topology().route_latency(0, 1),
               1e-9);
 }
 
@@ -104,9 +105,7 @@ ProfileTables small_tables() {
 }
 
 mtsched::platform::ClusterSpec four_nodes() {
-  auto spec = mtsched::platform::bayreuth32();
-  spec.num_nodes = 4;
-  return spec;
+  return mtsched::platform::bayreuth32(4);
 }
 
 TEST(Profile, LooksUpMeasuredValues) {
@@ -202,7 +201,7 @@ TEST(RedistPayloadEstimate, ScalesWithMatrixAndRespectsLatency) {
   const double small = redist_payload_estimate(spec, 1000, 4, 8);
   const double large = redist_payload_estimate(spec, 3000, 4, 8);
   EXPECT_GT(large, small);
-  EXPECT_GE(small, spec.route_latency());
+  EXPECT_GE(small, spec.topology().route_latency(0, 1));
 }
 
 TEST(RedistEstimate, AddsOverheadToPayload) {

@@ -1,9 +1,13 @@
 // Tests for platform descriptions and the platform file parser.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <string>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/platform/parser.hpp"
+#include "mtsched/platform/topology.hpp"
 
 namespace {
 
@@ -11,28 +15,36 @@ using namespace mtsched::platform;
 using mtsched::core::InvalidArgument;
 using mtsched::core::ParseError;
 
+const std::string kHead = std::string(kPlatformSchema) + "\n";
+
 TEST(Presets, Bayreuth32MatchesThePaper) {
   const auto c = bayreuth32();
   EXPECT_EQ(c.num_nodes, 32);
-  EXPECT_DOUBLE_EQ(c.node.flops, 250e6);             // Java MM calibration
-  EXPECT_DOUBLE_EQ(c.net.link_bandwidth, 125e6);     // 1 Gb/s
-  EXPECT_DOUBLE_EQ(c.net.link_latency, 100e-6);      // 100 us
-  EXPECT_TRUE(c.net.shared_backbone);
+  EXPECT_DOUBLE_EQ(c.node.flops, 250e6);  // Java MM calibration
+  ASSERT_EQ(c.topology().num_racks(), 1);  // a star
+  const RackSpec& r = c.topology().racks.front();
+  EXPECT_DOUBLE_EQ(r.link_bandwidth, 125e6);  // 1 Gb/s
+  EXPECT_DOUBLE_EQ(r.link_latency, 100e-6);   // 100 us
+  EXPECT_TRUE(r.shared_tor);
   EXPECT_NO_THROW(c.validate());
 }
 
 TEST(Presets, CrayXt4MatchesFigure2) {
   const auto c = cray_xt4();
   EXPECT_DOUBLE_EQ(c.node.flops, 4165.3e6);  // PDGEMM rate on Franklin
-  EXPECT_FALSE(c.net.shared_backbone);
+  ASSERT_EQ(c.topology().num_racks(), 1);
+  EXPECT_FALSE(c.topology().racks.front().shared_tor);
   EXPECT_NO_THROW(c.validate());
 }
 
 TEST(RouteLatency, TwoLinksPlusBackbone) {
-  ClusterSpec c = bayreuth32();
-  c.net.link_latency = 1e-4;
-  c.net.backbone_latency = 5e-5;
-  EXPECT_DOUBLE_EQ(c.route_latency(), 2.5e-4);
+  RackSpec rack;
+  rack.nodes = 4;
+  rack.link_latency = 1e-4;
+  rack.tor_latency = 5e-5;
+  const Topology star = one_rack("star4", rack);
+  EXPECT_DOUBLE_EQ(star.route_latency(0, 1), 2.5e-4);
+  EXPECT_DOUBLE_EQ(star.max_route_latency(), 2.5e-4);
 }
 
 TEST(Validate, CatchesNonPhysicalValues) {
@@ -43,31 +55,31 @@ TEST(Validate, CatchesNonPhysicalValues) {
   c.node.flops = -1;
   EXPECT_THROW(c.validate(), InvalidArgument);
   c = bayreuth32();
-  c.net.link_bandwidth = 0;
+  c.num_nodes = 16;  // the topology still has 32
   EXPECT_THROW(c.validate(), InvalidArgument);
-  c = bayreuth32();
-  c.net.link_latency = -1e-6;
-  EXPECT_THROW(c.validate(), InvalidArgument);
+  RackSpec rack = bayreuth32().topology().racks.front();
+  rack.link_bandwidth = 0;
+  EXPECT_THROW((void)to_cluster(one_rack("bad", rack)), InvalidArgument);
+  rack = bayreuth32().topology().racks.front();
+  rack.link_latency = -1e-6;
+  EXPECT_THROW((void)to_cluster(one_rack("bad", rack)), InvalidArgument);
 }
 
 TEST(Parser, RoundTripsPresets) {
   for (const auto& spec : {bayreuth32(), cray_xt4()}) {
-    const auto parsed = parse_cluster(to_text(spec));
+    const auto parsed = parse_platform(to_text(spec.topology()));
     EXPECT_EQ(parsed.name, spec.name);
     EXPECT_EQ(parsed.num_nodes, spec.num_nodes);
     EXPECT_DOUBLE_EQ(parsed.node.flops, spec.node.flops);
-    EXPECT_DOUBLE_EQ(parsed.net.link_bandwidth, spec.net.link_bandwidth);
-    EXPECT_DOUBLE_EQ(parsed.net.link_latency, spec.net.link_latency);
-    EXPECT_DOUBLE_EQ(parsed.net.backbone_bandwidth,
-                     spec.net.backbone_bandwidth);
-    EXPECT_EQ(parsed.net.shared_backbone, spec.net.shared_backbone);
+    EXPECT_EQ(parsed.topology(), spec.topology());
   }
 }
 
 TEST(Parser, AcceptsCommentsAndWhitespace) {
-  const auto c = parse_cluster(
-      "# my cluster\n"
+  const auto c = parse_platform(
+      "# my cluster\n" + kHead +
       "  name = test   # trailing comment\n"
+      "[rack]\n"
       "nodes = 8\n"
       "node_flops = 1e9\n");
   EXPECT_EQ(c.name, "test");
@@ -76,30 +88,63 @@ TEST(Parser, AcceptsCommentsAndWhitespace) {
 }
 
 TEST(Parser, MissingKeysKeepDefaults) {
-  const auto c = parse_cluster("nodes = 4\n");
+  const auto c = parse_platform(kHead + "[rack]\nnodes = 4\n");
   EXPECT_EQ(c.num_nodes, 4);
-  EXPECT_DOUBLE_EQ(c.node.flops, ClusterSpec{}.node.flops);
+  EXPECT_DOUBLE_EQ(c.node.flops, RackSpec{}.node_flops);
 }
 
 TEST(Parser, RejectsUnknownKey) {
-  EXPECT_THROW(parse_cluster("cores = 4\n"), ParseError);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\ncores = 4\n"), ParseError);
 }
 
 TEST(Parser, RejectsMalformedValue) {
-  EXPECT_THROW(parse_cluster("nodes = four\n"), ParseError);
-  EXPECT_THROW(parse_cluster("shared_backbone = maybe\n"), ParseError);
-  EXPECT_THROW(parse_cluster("just a line\n"), ParseError);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\nnodes = four\n"), ParseError);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\nshared_tor = maybe\n"),
+               ParseError);
+  EXPECT_THROW(parse_platform(kHead + "just a line\n"), ParseError);
+}
+
+TEST(Parser, RejectsIntegersOutsideIntRange) {
+  // Converting these doubles to int would be undefined behaviour; the
+  // parser must reject them before the conversion.
+  for (const char* v : {"1e300", "nan", "3e9", "-1e12"}) {
+    EXPECT_THROW(parse_platform(kHead + "[rack]\nnodes = " + v + "\n"),
+                 ParseError)
+        << v;
+    EXPECT_THROW(parse_platform(kHead + "[rack]\ncount = " + v + "\n"),
+                 ParseError)
+        << v;
+  }
+}
+
+TEST(Parser, RejectsNodeTotalsPastIntMax) {
+  // 65536 racks x 65537 nodes overflows int; rejected before the 65536
+  // racks are expanded.
+  EXPECT_THROW(parse_platform(kHead + "[rack]\ncount = 65536\nnodes = 65537\n"),
+               ParseError);
+  // Two sections that each fit but together do not.
+  const std::string half =
+      "[rack]\nnodes = " + std::to_string(INT_MAX / 2 + 1) + "\n";
+  EXPECT_THROW(parse_platform(kHead + half + half), ParseError);
 }
 
 TEST(Parser, BooleanForms) {
-  EXPECT_TRUE(parse_cluster("shared_backbone = true\n").net.shared_backbone);
-  EXPECT_TRUE(parse_cluster("shared_backbone = 1\n").net.shared_backbone);
-  EXPECT_FALSE(parse_cluster("shared_backbone = false\n").net.shared_backbone);
-  EXPECT_FALSE(parse_cluster("shared_backbone = 0\n").net.shared_backbone);
+  const auto shared_tor = [](const std::string& v) {
+    return parse_platform(kHead + "[rack]\nnodes = 2\nshared_tor = " + v +
+                          "\n")
+        .topology()
+        .racks.front()
+        .shared_tor;
+  };
+  EXPECT_TRUE(shared_tor("true"));
+  EXPECT_TRUE(shared_tor("1"));
+  EXPECT_FALSE(shared_tor("false"));
+  EXPECT_FALSE(shared_tor("0"));
 }
 
 TEST(Parser, ValidatesResult) {
-  EXPECT_THROW(parse_cluster("nodes = 0\n"), InvalidArgument);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\nnodes = 0\n"),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Tests for hierarchical network platforms: the Topology description and
 // its route/uplink arithmetic, the mtsched.platform.v1 text format
-// (round-trip property sweep, parse errors, legacy fallback), the named
-// platform registry, the one-rack-equals-star bit-identity bridge, and
-// the hierarchical cluster simulation wiring.
+// (round-trip property sweep, parse errors, rejection of headerless
+// files), the named platform registry, the flat view placement-blind
+// estimators read, and the cluster simulation wiring of stars and racks.
 #include "mtsched/platform/topology.hpp"
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -124,9 +125,20 @@ TEST(Topology, ValidateCatchesNonPhysicalValues) {
   EXPECT_NO_THROW(two_racks(1.0).validate());
 }
 
+TEST(Topology, ValidateRejectsNodeTotalsPastIntMax) {
+  auto big = two_racks(1.0);
+  big.racks[0].nodes = INT_MAX;
+  big.racks[1].nodes = 1;
+  EXPECT_THROW(big.validate(), InvalidArgument);
+  EXPECT_THROW((void)big.num_nodes(), InvalidArgument);
+  big.racks[0].nodes = INT_MAX - 1;
+  EXPECT_NO_THROW(big.validate());
+  EXPECT_EQ(big.num_nodes(), INT_MAX);
+}
+
 TEST(TopologyFormat, RoundTripsPresets) {
   for (const Topology& topo :
-       {star_topology(bayreuth32()), star_topology(cray_xt4()),
+       {bayreuth32().topology(), cray_xt4().topology(),
         hierarchical_topology(2, 16, 1.0), hierarchical_topology(4, 8, 4.0),
         two_racks(4.0)}) {
     const auto text = to_text(topo);
@@ -200,24 +212,19 @@ TEST(TopologyFormat, ParseErrors) {
   EXPECT_THROW((void)parse_topology(head + "name = empty\n"), InvalidArgument);
 }
 
-TEST(PlatformFormat, ParsesBothFormatsWithDeprecationNote) {
-  std::string note = "sentinel";
-  const auto v1 = parse_platform(to_text(hierarchical_topology(4, 8, 4.0)),
-                                 &note);
-  EXPECT_TRUE(note.empty());  // v1 input: no deprecation
-  ASSERT_NE(v1.topology, nullptr);
-  EXPECT_TRUE(v1.hierarchical());
+TEST(PlatformFormat, RejectsLegacyFlatFormat) {
+  const auto v1 = parse_platform(to_text(hierarchical_topology(4, 8, 4.0)));
+  EXPECT_EQ(v1.topology().num_racks(), 4);
   EXPECT_EQ(v1.num_nodes, 32);
 
-  const auto legacy = parse_platform("name = flatfile\nnodes = 8\n", &note);
-  EXPECT_FALSE(note.empty());
-  EXPECT_NE(note.find(kPlatformSchema), std::string::npos) << note;
-  EXPECT_EQ(legacy.name, "flatfile");
-  EXPECT_EQ(legacy.num_nodes, 8);
-  EXPECT_EQ(legacy.topology, nullptr);
-
-  // The note pointer is optional.
-  EXPECT_NO_THROW((void)parse_platform("nodes = 8\n"));
+  // A headerless flat key = value file is rejected, naming the header.
+  try {
+    (void)parse_platform("name = flatfile\nnodes = 8\n");
+    FAIL() << "headerless platform file was accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(kPlatformSchema), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PlatformNames, RegistryIsCompleteAndRejectsUnknown) {
@@ -230,83 +237,96 @@ TEST(PlatformNames, RegistryIsCompleteAndRejectsUnknown) {
   EXPECT_FALSE(named_platform("nosuch").has_value());
   EXPECT_FALSE(named_platform("").has_value());
 
-  // The hier platforms carry topologies; only the multi-rack ones are
-  // hierarchical in the simulator's sense.
-  EXPECT_EQ(named_platform("bayreuth32")->topology, nullptr);
-  ASSERT_NE(named_platform("hier1x32")->topology, nullptr);
-  EXPECT_FALSE(named_platform("hier1x32")->hierarchical());
-  EXPECT_TRUE(named_platform("hier2x16")->hierarchical());
-  EXPECT_TRUE(named_platform("hier4x8")->hierarchical());
+  // Stars are one-rack topologies; hier1x32 is bayreuth32 under another
+  // name.
+  EXPECT_EQ(named_platform("bayreuth32")->topology().num_racks(), 1);
+  EXPECT_EQ(named_platform("cray_xt4")->topology().num_racks(), 1);
+  auto hier1 = named_platform("hier1x32")->topology();
+  hier1.name = "bayreuth32";
+  EXPECT_EQ(hier1, bayreuth32().topology());
+  EXPECT_EQ(named_platform("hier2x16")->topology().num_racks(), 2);
+  EXPECT_EQ(named_platform("hier4x8")->topology().num_racks(), 4);
 }
 
 TEST(TopologyCluster, OneRackFlattensToExactStarFields) {
+  // A star's flat view is its one rack: the node link and the switch
+  // fabric, with no uplink on any route.
   const auto star = bayreuth32();
-  const auto spec = to_cluster(star_topology(star));
-  EXPECT_FALSE(spec.hierarchical());
-  EXPECT_EQ(spec.num_nodes, star.num_nodes);
-  EXPECT_EQ(spec.node.flops, star.node.flops);
-  EXPECT_EQ(spec.net.link_bandwidth, star.net.link_bandwidth);
-  EXPECT_EQ(spec.net.link_latency, star.net.link_latency);
-  EXPECT_EQ(spec.net.backbone_bandwidth, star.net.backbone_bandwidth);
-  EXPECT_EQ(spec.net.backbone_latency, star.net.backbone_latency);
-  EXPECT_EQ(spec.net.shared_backbone, star.net.shared_backbone);
-  // Route latencies agree bit-for-bit with the star formula.
-  EXPECT_EQ(spec.route_latency(0, 1), star.route_latency());
-  EXPECT_EQ(spec.max_route_latency(), star.max_route_latency());
+  const RackSpec& rack = star.topology().racks.front();
+  EXPECT_EQ(star.num_nodes, rack.nodes);
+  EXPECT_EQ(star.node.flops, rack.node_flops);
+  const FlatNetwork net = star.topology().flat_network();
+  EXPECT_EQ(net.link_bandwidth, rack.link_bandwidth);
+  EXPECT_EQ(net.fabric_bandwidth, rack.tor_bandwidth);
+  EXPECT_EQ(net.shared_fabric, rack.shared_tor);
+  EXPECT_EQ(net.uplink_bandwidth, 0.0);
+  // Route latencies are the star formula, bit for bit.
+  const double star_route = 2.0 * rack.link_latency + rack.tor_latency;
+  EXPECT_EQ(star.topology().route_latency(0, 1), star_route);
+  EXPECT_EQ(star.topology().max_route_latency(), star_route);
+  // Transfers are bound by the slower of link and fabric.
+  EXPECT_EQ(net.transfer_time(125e6, 0.0, 1e30), 1.0);
+  EXPECT_EQ(net.transfer_time(0.0, 4e9, 1e30), 2.0);
 }
 
 TEST(TopologyCluster, MultiRackFlatViewUsesCoreAsBackbone) {
   auto topo = two_racks(4.0);
   topo.racks[1].node_flops = 50.0;  // heterogeneous across racks
   const auto spec = to_cluster(topo);
-  EXPECT_TRUE(spec.hierarchical());
   EXPECT_EQ(spec.num_nodes, 4);
-  EXPECT_DOUBLE_EQ(spec.net.backbone_bandwidth, topo.core.bandwidth);
+  const FlatNetwork net = spec.topology().flat_network();
+  EXPECT_DOUBLE_EQ(net.fabric_bandwidth, topo.core.bandwidth);
+  EXPECT_EQ(net.shared_fabric, topo.core.shared);
+  EXPECT_DOUBLE_EQ(net.uplink_bandwidth, topo.min_uplink_bandwidth());
+  // 30 B through a 5 B/s uplink outlasts the 10 B/s link and 40 B/s core.
+  EXPECT_DOUBLE_EQ(net.transfer_time(30.0, 30.0, 30.0), 6.0);
   // Rack speeds flatten into per-node speeds; rack 0 is the reference.
   ASSERT_EQ(spec.node_speeds.size(), 4u);
   EXPECT_DOUBLE_EQ(spec.flops_of(1), 100.0);
   EXPECT_DOUBLE_EQ(spec.flops_of(2), 50.0);
-  // Per-node route latencies come from the attached topology.
-  EXPECT_DOUBLE_EQ(spec.route_latency(0, 1), topo.route_latency(0, 1));
-  EXPECT_DOUBLE_EQ(spec.route_latency(0, 3), topo.route_latency(0, 3));
 }
 
 TEST(TopologySim, OneRackSimulationIsBitIdenticalToStar) {
-  // The bit-identity bridge, observed end to end: the same ptask mix on a
-  // flat spec and its one-rack topology twin finishes at *identical*
-  // doubles, and the engine holds the same resources.
-  mtsched::platform::ClusterSpec flat;
-  flat.name = "tiny";
-  flat.num_nodes = 4;
-  flat.node.flops = 100.0;
-  flat.net.link_bandwidth = 10.0;
-  flat.net.link_latency = 0.5;
-  flat.net.backbone_bandwidth = 15.0;
-  const auto one_rack = to_cluster(star_topology(flat));
+  // A star wires exactly SimGrid's star cluster: cpu/up/down per node in
+  // node order, then the shared switch fabric — no uplink, no core. The
+  // ptask mix finishes at the star model's exact doubles.
+  RackSpec rack;
+  rack.nodes = 4;
+  rack.node_flops = 100.0;
+  rack.link_bandwidth = 10.0;
+  rack.link_latency = 0.5;
+  rack.tor_bandwidth = 15.0;
+  const auto star = to_cluster(one_rack("tiny", rack));
 
-  std::vector<double> done_flat, done_rack;
-  for (int variant = 0; variant < 2; ++variant) {
-    const auto& spec = variant == 0 ? flat : one_rack;
-    auto& done = variant == 0 ? done_flat : done_rack;
-    mtsched::simcore::Engine e;
-    mtsched::simcore::ClusterSim cs(e, spec);
-    EXPECT_FALSE(cs.hierarchical());
-    EXPECT_EQ(e.num_resources(), 13u);  // 4 x (cpu, up, down) + backbone
-
-    mtsched::simcore::Ptask compute;
-    compute.host_of_rank = {0, 1};
-    compute.flops = {200.0, 100.0};
-    mtsched::simcore::Ptask transfer;
-    transfer.host_of_rank = {1, 2};
-    transfer.bytes = mtsched::core::Matrix<double>(2, 2);
-    transfer.bytes(0, 1) = 30.0;
-    cs.submit_ptask(compute, [&](double when) { done.push_back(when); });
-    cs.submit_ptask(transfer, [&](double when) { done.push_back(when); });
-    e.run();
+  mtsched::simcore::Engine e;
+  mtsched::simcore::ClusterSim cs(e, star);
+  EXPECT_EQ(e.num_resources(), 13u);  // 4 x (cpu, up, down) + fabric
+  for (int n = 0; n < 4; ++n) {
+    EXPECT_EQ(cs.cpu(n), static_cast<mtsched::simcore::ResourceId>(3 * n));
+    EXPECT_EQ(cs.uplink(n),
+              static_cast<mtsched::simcore::ResourceId>(3 * n + 1));
+    EXPECT_EQ(cs.downlink(n),
+              static_cast<mtsched::simcore::ResourceId>(3 * n + 2));
+    EXPECT_EQ(cs.rack_of(n), 0);
   }
-  ASSERT_EQ(done_flat.size(), 2u);
-  // Exact equality, not tolerance: this is the star bit-identity contract.
-  EXPECT_EQ(done_flat, done_rack);
+  EXPECT_EQ(cs.tor(0), 12u);
+  EXPECT_FALSE(cs.has_core());
+  EXPECT_THROW(cs.rack_uplink(0), InvalidArgument);
+
+  mtsched::simcore::Ptask compute;
+  compute.host_of_rank = {0, 1};
+  compute.flops = {200.0, 100.0};
+  mtsched::simcore::Ptask transfer;
+  transfer.host_of_rank = {1, 2};
+  transfer.bytes = mtsched::core::Matrix<double>(2, 2);
+  transfer.bytes(0, 1) = 30.0;
+  std::vector<double> done;
+  cs.submit_ptask(compute, [&](double when) { done.push_back(when); });
+  cs.submit_ptask(transfer, [&](double when) { done.push_back(when); });
+  e.run();
+  // Exact equality, not tolerance: 200 flops at 100 flop/s; 30 B over the
+  // 10 B/s links (the 15 B/s fabric does not bind) plus 2 x 0.5 s latency.
+  EXPECT_EQ(done, (std::vector<double>{2.0, 4.0}));
 }
 
 TEST(TopologySim, CrossRackTransfersPayTheOversubscribedUplink) {
@@ -315,7 +335,6 @@ TEST(TopologySim, CrossRackTransfersPayTheOversubscribedUplink) {
   const auto spec = to_cluster(two_racks(4.0));
   mtsched::simcore::Engine e;
   mtsched::simcore::ClusterSim cs(e, spec);
-  ASSERT_TRUE(cs.hierarchical());
 
   mtsched::simcore::Ptask intra;
   intra.host_of_rank = {0, 1};
@@ -345,7 +364,6 @@ TEST(TopologySim, HierarchicalWiringExposesRackResources) {
   const auto spec = to_cluster(two_racks(4.0));
   mtsched::simcore::Engine e;
   mtsched::simcore::ClusterSim cs(e, spec);
-  ASSERT_TRUE(cs.hierarchical());
   EXPECT_EQ(cs.rack_of(0), 0);
   EXPECT_EQ(cs.rack_of(1), 0);
   EXPECT_EQ(cs.rack_of(2), 1);
@@ -358,9 +376,8 @@ TEST(TopologySim, HierarchicalWiringExposesRackResources) {
   }
   ASSERT_TRUE(cs.has_core());
   EXPECT_DOUBLE_EQ(e.capacity(cs.core_switch()), 40.0);
-  // Star-only accessors are off limits on hierarchical sims.
-  EXPECT_FALSE(cs.has_backbone());
-  EXPECT_THROW(cs.backbone(), InvalidArgument);
+  // 4 x (cpu, up, down) + 2 x (tor, torup, tordown) + core.
+  EXPECT_EQ(e.num_resources(), 19u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "mtsched/core/error.hpp"
-#include "mtsched/platform/cluster.hpp"
+#include "mtsched/platform/topology.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 
 namespace {
@@ -11,37 +11,34 @@ using namespace mtsched::simcore;
 using mtsched::core::InvalidArgument;
 using mtsched::core::Matrix;
 
-mtsched::platform::ClusterSpec tiny() {
-  mtsched::platform::ClusterSpec c;
-  c.name = "tiny";
-  c.num_nodes = 4;
-  c.node.flops = 100.0;           // 100 flop/s
-  c.net.link_bandwidth = 10.0;    // 10 B/s
-  c.net.link_latency = 0.5;
-  c.net.backbone_bandwidth = 15.0;
-  c.net.backbone_latency = 0.0;
-  c.net.shared_backbone = true;
-  return c;
+mtsched::platform::ClusterSpec tiny(bool shared_switch = true) {
+  mtsched::platform::RackSpec rack;
+  rack.nodes = 4;
+  rack.node_flops = 100.0;      // 100 flop/s
+  rack.link_bandwidth = 10.0;   // 10 B/s
+  rack.link_latency = 0.5;
+  rack.tor_bandwidth = 15.0;    // the star's switch fabric
+  rack.tor_latency = 0.0;
+  rack.shared_tor = shared_switch;
+  return to_cluster(mtsched::platform::one_rack("tiny", rack));
 }
 
 TEST(ClusterSim, RegistersResourcesPerNode) {
   Engine e;
   ClusterSim cs(e, tiny());
-  // 4 nodes x (cpu + up + down) + backbone.
+  // 4 nodes x (cpu + up + down) + switch fabric.
   EXPECT_EQ(e.num_resources(), 13u);
   EXPECT_DOUBLE_EQ(e.capacity(cs.cpu(0)), 100.0);
   EXPECT_DOUBLE_EQ(e.capacity(cs.uplink(3)), 10.0);
-  EXPECT_DOUBLE_EQ(e.capacity(cs.backbone()), 15.0);
+  EXPECT_DOUBLE_EQ(e.capacity(cs.tor(0)), 15.0);
   EXPECT_THROW(cs.cpu(4), InvalidArgument);
 }
 
 TEST(ClusterSim, NoBackboneResourceForNonBlockingSwitch) {
-  auto spec = tiny();
-  spec.net.shared_backbone = false;
   Engine e;
-  ClusterSim cs(e, spec);
+  ClusterSim cs(e, tiny(/*shared_switch=*/false));
   EXPECT_EQ(e.num_resources(), 12u);
-  EXPECT_THROW(cs.backbone(), InvalidArgument);
+  EXPECT_THROW(cs.tor(0), InvalidArgument);
 }
 
 TEST(Ptask, ComputeOnlySoloDuration) {

@@ -16,14 +16,13 @@ using simcore::CompletionFn;
 struct Chain {
   dag::Dag g;
   sched::Schedule s;
-  platform::ClusterSpec spec = platform::bayreuth32();
+  platform::ClusterSpec spec = platform::bayreuth32(2);
   Chain() {
     g.add_task(dag::TaskKernel::MatAdd, 100);
     g.add_task(dag::TaskKernel::MatAdd, 100);
     g.add_edge(0, 1);
     s.placements = {{{0}, 0.0, 1.0}, {{1}, 0.0, 2.0}};
     s.proc_order = {{0}, {1}};
-    spec.num_nodes = 2;
   }
 };
 

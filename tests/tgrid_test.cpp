@@ -4,6 +4,7 @@
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/machine/java_cluster.hpp"
+#include "mtsched/platform/topology.hpp"
 #include "mtsched/tgrid/emulator.hpp"
 
 namespace {
@@ -92,7 +93,7 @@ TEST(TGrid, ChainPaysRegistrationAndTransfer) {
   // 32 MB over 125 MB/s + latency; then 16 s of compute.
   EXPECT_DOUBLE_EQ(trace.edges[0].request, 17.0);
   EXPECT_DOUBLE_EQ(trace.edges[0].transfer, 17.5);
-  const double xfer = 2000.0 * 2000.0 * 8.0 / 125e6 + spec.route_latency();
+  const double xfer = 2000.0 * 2000.0 * 8.0 / 125e6 + spec.topology().route_latency(0, 1);
   EXPECT_NEAR(trace.edges[0].done, 17.5 + xfer, 1e-6);
   EXPECT_NEAR(trace.tasks[b].finish, 17.5 + xfer + 16.0, 1e-6);
 }
@@ -190,9 +191,8 @@ TEST(TGrid, MeasurementHelpersValidateRanges) {
 
 TEST(TGrid, NodeCountMismatchRejected) {
   const machine::JavaClusterModel m(flat_config());  // 8 nodes
-  auto spec = m.platform_spec();
-  spec.num_nodes = 32;
-  EXPECT_THROW(tgrid::TGridEmulator(m, spec), core::InvalidArgument);
+  EXPECT_THROW(tgrid::TGridEmulator(m, platform::bayreuth32(32)),
+               core::InvalidArgument);
 }
 
 TEST(TGrid, NoiseAveragesOut) {

@@ -73,8 +73,8 @@ void add_model_option(ArgParser& args) {
 void add_platform_option(ArgParser& args) {
   args.add_str("platform", "",
                "schedule on this platform: a built-in name (bayreuth32, "
-               "cray_xt4, hier1x32, hier2x16, hier4x8) or a platform file "
-               "(mtsched.platform.v1 or the legacy key = value format)",
+               "cray_xt4, hier1x32, hier2x16, hier4x8) or an "
+               "mtsched.platform.v1 platform file",
                "NAME|FILE");
 }
 
@@ -116,7 +116,7 @@ dag::Dag load_dag(const ArgParser& args) {
 }
 
 /// Resolves one --platform value: a built-in name first, a platform file
-/// otherwise. Legacy-format files parse with a deprecation note on stderr.
+/// otherwise.
 platform::ClusterSpec resolve_platform(const std::string& value) {
   if (auto spec = platform::named_platform(value)) return *std::move(spec);
   std::ifstream f(value);
@@ -129,10 +129,7 @@ platform::ClusterSpec resolve_platform(const std::string& value) {
                                 "': not a built-in name (" + names +
                                 ") and not a readable file");
   }
-  std::string note;
-  auto spec = platform::parse_platform(read_all(f), &note);
-  if (!note.empty()) std::cerr << "note: " << value << ": " << note << '\n';
-  return spec;
+  return platform::parse_platform(read_all(f));
 }
 
 /// A lab on `spec`'s platform: the built-in cluster behaviour calibrated
@@ -161,9 +158,7 @@ std::unique_ptr<exp::Lab> make_machine_lab(const ArgParser& args) {
   }
   auto tables = machine::parse_machine_tables(read_all(f));
   auto model = std::make_unique<machine::TableMachineModel>(std::move(tables));
-  auto spec = platform::bayreuth32();
-  spec.num_nodes = model->max_procs();
-  spec.node.flops = model->nominal_flops();
+  auto spec = platform::bayreuth32(model->max_procs(), model->nominal_flops());
   exp::LabConfig cfg;
   cfg.sample_plan = profiling::SamplePlan::scaled(model->max_procs());
   return std::make_unique<exp::Lab>(std::move(model), spec, cfg);
