@@ -7,6 +7,7 @@
 #include "micro_util.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/platform/cluster.hpp"
+#include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/simcore/engine.hpp"
 #include "mtsched/simcore/maxmin.hpp"
@@ -87,6 +88,32 @@ void BM_PtaskStorm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tasks);
 }
 BENCHMARK(BM_PtaskStorm)->Arg(32)->Arg(256)->Arg(1024);
+
+// The replay's redistribution path end to end: plan a block
+// redistribution of a 2000-column matrix between two disjoint p-node
+// placements, turn it into a ptask, submit it and run it. The plan has p
+// messages; the per-ptask cost must grow with the messages, not with the
+// (2p)^2 cells of a dense rank-pair matrix.
+void BM_RedistributionPtask(benchmark::State& state) {
+  const int p = static_cast<int>(state.range(0));
+  const auto spec = platform::bayreuth32(2 * p);
+  std::vector<int> src, dst;
+  for (int k = 0; k < p; ++k) {
+    src.push_back(k);
+    dst.push_back(p + k);
+  }
+  for (auto _ : state) {
+    simcore::Engine e;
+    simcore::ClusterSim cs(e, spec);
+    const auto plan = redist::plan_block_redistribution(2000, p, p);
+    cs.submit_ptask(simcore::make_redistribution_ptask(src, dst, plan),
+                    nullptr);
+    e.run();
+    benchmark::DoNotOptimize(e.now());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RedistributionPtask)->Arg(4)->Arg(16)->Arg(32);
 
 // Scaling guard for the incremental engine: a large concurrent working
 // set (1000+ activities alive at once) mixing timers with single-resource

@@ -1,6 +1,7 @@
-// Minimal dense row-major matrix used for communication byte matrices and
-// small numeric tables. Not a linear-algebra library; mtsched never
-// multiplies real matrices, it only models their cost.
+// Minimal dense row-major matrix used for small numeric tables (measured
+// redistribution-overhead surfaces). Not a linear-algebra library; mtsched
+// never multiplies real matrices, it only models their cost. Communication
+// is sparse and never stored in one (see redist::RedistPlan).
 #pragma once
 
 #include <cstddef>

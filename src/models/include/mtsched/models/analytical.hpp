@@ -4,7 +4,8 @@
 // point operations. The 1-D parallel matrix multiplication additionally
 // exchanges one local column block (n^2/p elements) per step for p - 1
 // steps, modelled as a ring communication pattern in the parallel task's
-// byte matrix. Matrix additions perform no communication.
+// flow list (rank r sends to rank (r + 1) mod p). Matrix additions perform
+// no communication.
 //
 // No startup overhead and no redistribution protocol overhead exist in
 // this model — precisely the omissions the paper shows to be fatal.

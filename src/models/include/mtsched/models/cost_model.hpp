@@ -24,10 +24,10 @@
 #include <string>
 #include <vector>
 
-#include "mtsched/core/matrix.hpp"
 #include "mtsched/dag/dag.hpp"
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/sched/cost.hpp"
+#include "mtsched/simcore/cluster_sim.hpp"
 
 namespace mtsched::models {
 
@@ -41,18 +41,16 @@ const char* kind_name(CostModelKind k);
 /// (it overlaps with inbound redistributions, as in TGrid); the execution
 /// phase begins once startup is over and all input data has arrived. The
 /// analytical model fills the resource-driven parts (flops per rank and
-/// bytes per rank pair) and has no startup or fixed part; the refined
-/// models charge fixed durations (measured/regressed) and leave the
-/// resource parts empty.
+/// the sparse rank-to-rank flows of the ptask) and has no startup or fixed
+/// part; the refined models charge fixed durations (measured/regressed) and
+/// leave the resource parts empty.
 struct TaskSimCost {
   double startup_seconds = 0.0;  ///< zero under the analytical model
   double fixed_seconds = 0.0;    ///< execution time, when not resource-driven
   std::vector<double> flops_per_rank;
-  core::Matrix<double> bytes_rank_pair;
+  std::vector<simcore::Flow> flows;
 
-  bool is_fixed() const {
-    return flops_per_rank.empty() && bytes_rank_pair.empty();
-  }
+  bool is_fixed() const { return flops_per_rank.empty() && flows.empty(); }
 };
 
 class CostModel {

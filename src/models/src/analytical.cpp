@@ -1,6 +1,7 @@
 #include "mtsched/models/analytical.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/units.hpp"
@@ -26,11 +27,11 @@ TaskSimCost AnalyticalModel::task_sim_cost(const dag::Task& t, int p) const {
   cost.flops_per_rank.assign(static_cast<std::size_t>(p), per_rank);
   const double rb = ring_bytes(t.kernel, t.matrix_dim, p);
   if (rb > 0.0) {
-    cost.bytes_rank_pair = core::Matrix<double>(static_cast<std::size_t>(p),
-                                                static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      cost.bytes_rank_pair(static_cast<std::size_t>(r),
-                           static_cast<std::size_t>((r + 1) % p)) = rb;
+    // The PDGEMM ring: rank r sends to rank (r + 1) mod p.
+    const auto np = static_cast<std::uint32_t>(p);
+    cost.flows.reserve(np);
+    for (std::uint32_t r = 0; r < np; ++r) {
+      cost.flows.push_back(simcore::Flow{r, (r + 1) % np, rb});
     }
   }
   return cost;

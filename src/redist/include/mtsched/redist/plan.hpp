@@ -4,37 +4,53 @@
 // different processor sets (or the same set with different sizes), the
 // matrix must be redistributed from t's 1-D layout to u's 1-D layout. The
 // messages are fully determined by the overlaps of the two layouts' column
-// intervals; this module computes that byte matrix. TGrid performs exactly
-// these point-to-point transfers; the simulator feeds the same matrix into
-// the parallel-task network model.
+// intervals. Each source rank's interval meets a contiguous run of
+// destination intervals, so a plan has at most p_src + p_dst - 1 messages;
+// this module lists them sparsely, in O(p_src + p_dst). TGrid performs
+// exactly these point-to-point transfers; the simulator feeds the same list
+// into the parallel-task network model.
 #pragma once
 
 #include <vector>
 
-#include "mtsched/core/matrix.hpp"
 #include "mtsched/redist/layout.hpp"
 
 namespace mtsched::redist {
 
-/// Byte matrix of a redistribution: entry (i, j) is the number of bytes
-/// source rank i must send to destination rank j.
+/// One point-to-point transfer: source rank `src` sends `bytes` (> 0) to
+/// destination rank `dst`.
+struct Message {
+  int src;
+  int dst;
+  double bytes;
+
+  bool operator==(const Message&) const = default;
+};
+
+/// The messages of a redistribution from p_src to p_dst ranks, in
+/// ascending (src, dst) order — the row-major order of the p_src x p_dst
+/// byte matrix, without its zero entries. In a block redistribution both
+/// src and dst are non-decreasing along the list.
 struct RedistPlan {
-  core::Matrix<double> bytes;  ///< p_src rows, p_dst columns
+  int p_src = 0;
+  int p_dst = 0;
+  std::vector<Message> messages;
 
-  int p_src() const { return static_cast<int>(bytes.rows()); }
-  int p_dst() const { return static_cast<int>(bytes.cols()); }
-
+  /// Bytes source rank i sends (summed in list order).
+  double row_total(int i) const;
+  /// Bytes destination rank j receives (summed in list order).
+  double col_total(int j) const;
   /// Total payload (equals the full matrix size when layouts cover it).
-  double total_bytes() const { return bytes.total(); }
-
-  /// Number of nonzero point-to-point messages.
-  int num_messages() const;
+  double total_bytes() const;
+  int num_messages() const { return static_cast<int>(messages.size()); }
 };
 
 /// Computes the redistribution plan for an n-by-n matrix moving from a
 /// 1-D column-block layout over p_src processors to one over p_dst
-/// processors. If `same_node(i, j)` pairs map to the same physical node the
-/// caller may zero those entries; the plan itself is purely logical.
+/// processors, by one walk over both layouts' column intervals. The plan
+/// is purely logical: messages between ranks that share a physical node
+/// are left to the consumer (the cluster model treats them as local
+/// copies).
 RedistPlan plan_block_redistribution(int n, int p_src, int p_dst);
 
 /// The overlap in *columns* between source rank i and destination rank j.

@@ -1,15 +1,33 @@
 #include "mtsched/redist/plan.hpp"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/units.hpp"
 
 namespace mtsched::redist {
 
-int RedistPlan::num_messages() const {
-  int count = 0;
-  for (double v : bytes.data())
-    if (v > 0.0) ++count;
-  return count;
+double RedistPlan::row_total(int i) const {
+  MTSCHED_REQUIRE(i >= 0 && i < p_src, "source rank out of range");
+  double s = 0.0;
+  for (const Message& m : messages)
+    if (m.src == i) s += m.bytes;
+  return s;
+}
+
+double RedistPlan::col_total(int j) const {
+  MTSCHED_REQUIRE(j >= 0 && j < p_dst, "destination rank out of range");
+  double s = 0.0;
+  for (const Message& m : messages)
+    if (m.dst == j) s += m.bytes;
+  return s;
+}
+
+double RedistPlan::total_bytes() const {
+  double s = 0.0;
+  for (const Message& m : messages) s += m.bytes;
+  return s;
 }
 
 int overlap_columns(const BlockLayout1D& src, const BlockLayout1D& dst, int i,
@@ -22,18 +40,23 @@ int overlap_columns(const BlockLayout1D& src, const BlockLayout1D& dst, int i,
 RedistPlan plan_block_redistribution(int n, int p_src, int p_dst) {
   const BlockLayout1D src(n, p_src);
   const BlockLayout1D dst(n, p_dst);
-  RedistPlan plan;
-  plan.bytes = core::Matrix<double>(static_cast<std::size_t>(p_src),
-                                    static_cast<std::size_t>(p_dst));
+  RedistPlan plan{p_src, p_dst, {}};
+  plan.messages.reserve(static_cast<std::size_t>(p_src) +
+                        static_cast<std::size_t>(p_dst) - 1);
   const double col_bytes = static_cast<double>(n) * core::kElemBytes;
-  for (int i = 0; i < p_src; ++i) {
-    for (int j = 0; j < p_dst; ++j) {
-      const int cols = overlap_columns(src, dst, i, j);
-      if (cols > 0) {
-        plan.bytes(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-            static_cast<double>(cols) * col_bytes;
-      }
-    }
+  // Both layouts tile [0, n) with non-empty intervals, so the current pair
+  // always overlaps; advance whichever interval ends first (both when they
+  // end together).
+  int i = 0, j = 0;
+  auto a = src.columns_of(0);
+  auto b = dst.columns_of(0);
+  while (i < p_src && j < p_dst) {
+    const int cols = interval_overlap(a, b);
+    plan.messages.push_back(
+        Message{i, j, static_cast<double>(cols) * col_bytes});
+    const int end = std::min(a.second, b.second);
+    if (a.second == end && ++i < p_src) a = src.columns_of(i);
+    if (b.second == end && ++j < p_dst) b = dst.columns_of(j);
   }
   return plan;
 }

@@ -11,7 +11,7 @@
 //     communication-only parallel task (contention included);
 //   * a task begins executing when it has its processors and all inbound
 //     redistributions are done; its execution is either a fluid parallel
-//     task (analytical model: flop vector + ring byte matrix) or a fixed
+//     task (analytical model: flop vector + ring flow list) or a fixed
 //     duration (profile/empirical models: measured/regressed time plus
 //     startup overhead);
 //   * the makespan is the completion time of the last task.

@@ -40,7 +40,7 @@ sched::RunTrace Simulator::run(const dag::Dag& g,
   };
   policy.execute = [&](dag::TaskId t, simcore::CompletionFn done) {
     const auto& pl = s.placement(t);
-    const auto cost =
+    auto cost =
         model_.task_sim_cost(g.task(t), static_cast<int>(pl.procs.size()));
     if (cost.is_fixed()) {
       // Fixed durations were measured/regressed at the reference speed;
@@ -55,8 +55,8 @@ sched::RunTrace Simulator::run(const dag::Dag& g,
       simcore::Ptask pt;
       pt.name = g.task(t).name;
       pt.host_of_rank = pl.procs;
-      pt.flops = cost.flops_per_rank;
-      pt.bytes = cost.bytes_rank_pair;
+      pt.flops = std::move(cost.flops_per_rank);
+      pt.flows = std::move(cost.flows);
       MTSCHED_INVARIANT(cost.fixed_seconds == 0.0,
                         "resource-driven task costs must have no fixed part");
       cluster.submit_ptask(pt, std::move(done));

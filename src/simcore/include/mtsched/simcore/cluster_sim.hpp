@@ -14,23 +14,35 @@
 // placement-dependent.
 //
 // A parallel task is described exactly as in the paper's Section IV: a
-// computation vector `a` (flops per participating rank) and a communication
-// matrix `B` (bytes exchanged between each pair of ranks). Submitting it
-// creates one fluid activity whose usage weights are the per-resource byte
-// and flop totals and whose work amount is 1 — so computation and
-// communication progress in lockstep and overlap fully, bounded by the
-// bottleneck resource, with the route latency charged once. These are the
-// L07 semantics.
+// computation vector `a` (flops per participating rank) and the
+// communication amounts `B` between pairs of ranks. `B` is kept as a sparse
+// flow list, as SimGrid's L07 model stores it: every communication mtsched
+// emits is sparse (a block redistribution has at most p_src + p_dst - 1
+// messages, a PDGEMM ring p). Submitting a ptask creates one fluid activity
+// whose usage weights are the per-resource byte and flop totals and whose
+// work amount is 1 — so computation and communication progress in lockstep
+// and overlap fully, bounded by the bottleneck resource, with the route
+// latency charged once. These are the L07 semantics.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "mtsched/core/matrix.hpp"
 #include "mtsched/platform/cluster.hpp"
+#include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/engine.hpp"
 
 namespace mtsched::simcore {
+
+/// `bytes` sent from rank `src_rank` to rank `dst_rank` of one ptask.
+struct Flow {
+  std::uint32_t src_rank;
+  std::uint32_t dst_rank;
+  double bytes;
+
+  bool operator==(const Flow&) const = default;
+};
 
 /// A parallel task instance placed on concrete nodes.
 struct Ptask {
@@ -39,21 +51,30 @@ struct Ptask {
   /// Flops to execute per rank; empty means no computation. If non-empty,
   /// size must equal host_of_rank.size().
   std::vector<double> flops;
-  /// bytes(i, j): bytes rank i sends to rank j; empty means no
-  /// communication. If non-empty, must be square with side
-  /// host_of_rank.size(). Transfers between ranks mapped to the same node
-  /// are local copies and use no network resource.
-  core::Matrix<double> bytes;
+  /// Point-to-point communication; empty means none. Zero-byte flows are
+  /// skipped, and flows between ranks mapped to the same node are local
+  /// copies that use no network resource. A resource's weight sums its
+  /// flows' bytes in list order.
+  std::vector<Flow> flows;
   std::string name;
 };
 
 /// Redistribution ptasks cross two placements: ranks 0..p_src-1 on the
-/// source nodes followed by p_dst ranks on destination nodes, with a
-/// (p_src x p_dst) byte matrix. Helper to build the square Ptask form.
+/// source nodes followed by p_dst ranks on the destination nodes; each
+/// message of `plan` becomes one flow, in plan order. Throws
+/// core::InvalidArgument if the plan's rank counts do not match the
+/// placements.
 Ptask make_redistribution_ptask(const std::vector<int>& src_nodes,
                                 const std::vector<int>& dst_nodes,
-                                const core::Matrix<double>& bytes,
+                                const redist::RedistPlan& plan,
                                 std::string name = {});
+
+/// What a ptask charges: its usage weights, by ascending resource id, and
+/// the route latency paid once before the fluid phase.
+struct PtaskUsage {
+  std::vector<Use> uses;
+  double latency = 0.0;
+};
 
 class ClusterSim {
  public:
@@ -82,16 +103,19 @@ class ClusterSim {
   /// Submits a parallel task; `on_complete` fires when all of its
   /// computation and communication has finished. Returns the activity id.
   /// Throws core::InvalidArgument on malformed ptasks (bad node ids, size
-  /// mismatches, negative entries).
+  /// mismatches, negative entries, flow ranks out of range).
   ActivityId submit_ptask(const Ptask& task, CompletionFn on_complete);
+
+  /// Aggregates a ptask into its usage weights and latency (what
+  /// submit_ptask hands the engine). Same validation as submit_ptask.
+  PtaskUsage usage(const Ptask& task);
 
   /// The duration the ptask would take if it ran alone on the cluster
   /// (bottleneck formula + latency). Useful for cost estimation.
-  double solo_duration(const Ptask& task) const;
+  double solo_duration(const Ptask& task);
 
  private:
-  /// Aggregates a ptask into usage weights and its latency term.
-  std::pair<std::vector<Use>, double> build_uses(const Ptask& task) const;
+  void charge(ResourceId r, double w);
 
   Engine& engine_;
   platform::ClusterSpec spec_;
@@ -106,6 +130,10 @@ class ClusterSim {
   std::vector<double> rack_lat_;    ///< (racks x racks) route latencies
   ResourceId core_ = static_cast<ResourceId>(-1);
   bool has_core_ = false;
+  // usage() scratch: a weight per engine resource (all zero between calls)
+  // and the ids it touched, in first-touch order.
+  std::vector<double> weight_;
+  std::vector<ResourceId> touched_;
 };
 
 }  // namespace mtsched::simcore

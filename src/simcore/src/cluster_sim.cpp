@@ -1,7 +1,7 @@
 #include "mtsched/simcore/cluster_sim.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/platform/topology.hpp"
@@ -10,23 +10,23 @@ namespace mtsched::simcore {
 
 Ptask make_redistribution_ptask(const std::vector<int>& src_nodes,
                                 const std::vector<int>& dst_nodes,
-                                const core::Matrix<double>& bytes,
+                                const redist::RedistPlan& plan,
                                 std::string name) {
-  MTSCHED_REQUIRE(bytes.rows() == src_nodes.size(),
-                  "byte matrix rows must match source node count");
-  MTSCHED_REQUIRE(bytes.cols() == dst_nodes.size(),
-                  "byte matrix cols must match destination node count");
+  MTSCHED_REQUIRE(static_cast<std::size_t>(plan.p_src) == src_nodes.size(),
+                  "plan source ranks must match source node count");
+  MTSCHED_REQUIRE(static_cast<std::size_t>(plan.p_dst) == dst_nodes.size(),
+                  "plan destination ranks must match destination node count");
   Ptask t;
   t.name = std::move(name);
   t.host_of_rank = src_nodes;
   t.host_of_rank.insert(t.host_of_rank.end(), dst_nodes.begin(),
                         dst_nodes.end());
-  const std::size_t p = t.host_of_rank.size();
-  t.bytes = core::Matrix<double>(p, p);
-  for (std::size_t i = 0; i < src_nodes.size(); ++i) {
-    for (std::size_t j = 0; j < dst_nodes.size(); ++j) {
-      t.bytes(i, src_nodes.size() + j) = bytes(i, j);
-    }
+  const auto dst_base = static_cast<std::uint32_t>(src_nodes.size());
+  t.flows.reserve(plan.messages.size());
+  for (const redist::Message& m : plan.messages) {
+    t.flows.push_back(Flow{static_cast<std::uint32_t>(m.src),
+                           dst_base + static_cast<std::uint32_t>(m.dst),
+                           m.bytes});
   }
   return t;
 }
@@ -77,6 +77,7 @@ ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
                        topo.racks[b].link_latency;
     }
   }
+  weight_.assign(engine_.num_resources(), 0.0);
 }
 
 ResourceId ClusterSim::cpu(int node) const {
@@ -128,8 +129,13 @@ ResourceId ClusterSim::core_switch() const {
   return core_;
 }
 
-std::pair<std::vector<Use>, double> ClusterSim::build_uses(
-    const Ptask& task) const {
+void ClusterSim::charge(ResourceId r, double w) {
+  // Weights charged are > 0, so a zero weight marks an untouched resource.
+  if (weight_[r] == 0.0) touched_.push_back(r);
+  weight_[r] += w;
+}
+
+PtaskUsage ClusterSim::usage(const Ptask& task) {
   const std::size_t p = task.host_of_rank.size();
   MTSCHED_REQUIRE(p > 0, "ptask needs at least one rank");
   for (int h : task.host_of_rank) {
@@ -137,68 +143,67 @@ std::pair<std::vector<Use>, double> ClusterSim::build_uses(
   }
   MTSCHED_REQUIRE(task.flops.empty() || task.flops.size() == p,
                   "flops vector size must match rank count");
-  MTSCHED_REQUIRE(task.bytes.empty() ||
-                      (task.bytes.rows() == p && task.bytes.cols() == p),
-                  "byte matrix must be square over the ranks");
+  for (double f : task.flops) MTSCHED_REQUIRE(f >= 0.0, "flops must be >= 0");
+  for (const Flow& f : task.flows) {
+    MTSCHED_REQUIRE(f.src_rank < p && f.dst_rank < p,
+                    "flow rank out of range");
+    MTSCHED_REQUIRE(f.bytes >= 0.0, "bytes must be >= 0");
+  }
 
   // Accumulate weights per resource; the L07 activity has amount 1 and
   // weights equal to the absolute flop/byte totals per resource.
-  std::map<ResourceId, double> weight;
-  if (!task.flops.empty()) {
-    for (std::size_t r = 0; r < p; ++r) {
-      MTSCHED_REQUIRE(task.flops[r] >= 0.0, "flops must be >= 0");
-      if (task.flops[r] > 0.0) {
-        weight[cpu(task.host_of_rank[r])] += task.flops[r];
-      }
+  for (std::size_t r = 0; r < task.flops.size(); ++r) {
+    if (task.flops[r] > 0.0) {
+      charge(cpus_[static_cast<std::size_t>(task.host_of_rank[r])],
+             task.flops[r]);
     }
   }
   const std::size_t racks = tor_.size();
-  double latency = 0.0;
-  if (!task.bytes.empty()) {
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = 0; j < p; ++j) {
-        const double b = task.bytes(i, j);
-        MTSCHED_REQUIRE(b >= 0.0, "bytes must be >= 0");
-        if (b <= 0.0) continue;
-        const int src = task.host_of_rank[i];
-        const int dst = task.host_of_rank[j];
-        if (src == dst) continue;  // local copy, no network usage
-        weight[uplink(src)] += b;
-        weight[downlink(dst)] += b;
-        // Charge every link on the route: ToR fabric(s) when shared, and
-        // for cross-rack transfers the uplink, core and downlink.
-        const auto ra = static_cast<std::size_t>(rack_of_[src]);
-        const auto rb = static_cast<std::size_t>(rack_of_[dst]);
-        if (tor_[ra] != static_cast<ResourceId>(-1)) weight[tor_[ra]] += b;
-        if (ra != rb) {
-          weight[torup_[ra]] += b;
-          if (has_core_) weight[core_] += b;
-          weight[tordown_[rb]] += b;
-          if (tor_[rb] != static_cast<ResourceId>(-1)) weight[tor_[rb]] += b;
-        }
-        latency = std::max(latency, rack_lat_[ra * racks + rb]);
-      }
+  PtaskUsage out;
+  for (const Flow& f : task.flows) {
+    const double b = f.bytes;
+    if (b <= 0.0) continue;
+    const auto src = static_cast<std::size_t>(task.host_of_rank[f.src_rank]);
+    const auto dst = static_cast<std::size_t>(task.host_of_rank[f.dst_rank]);
+    if (src == dst) continue;  // local copy, no network usage
+    charge(up_[src], b);
+    charge(down_[dst], b);
+    // Charge every link on the route: ToR fabric(s) when shared, and for
+    // cross-rack transfers the uplink, core and downlink.
+    const auto ra = static_cast<std::size_t>(rack_of_[src]);
+    const auto rb = static_cast<std::size_t>(rack_of_[dst]);
+    if (tor_[ra] != static_cast<ResourceId>(-1)) charge(tor_[ra], b);
+    if (ra != rb) {
+      charge(torup_[ra], b);
+      if (has_core_) charge(core_, b);
+      charge(tordown_[rb], b);
+      if (tor_[rb] != static_cast<ResourceId>(-1)) charge(tor_[rb], b);
     }
+    // L07 charges the route latency once; with distinct routes we charge
+    // the slowest route used — the one the last byte may traverse.
+    out.latency = std::max(out.latency, rack_lat_[ra * racks + rb]);
   }
-  std::vector<Use> uses;
-  uses.reserve(weight.size());
-  for (const auto& [res, w] : weight) uses.push_back(Use{res, w});
-  // L07 charges the route latency once; with distinct routes we charge the
-  // slowest route used — the one the last byte may traverse.
-  return {std::move(uses), latency};
+  std::sort(touched_.begin(), touched_.end());
+  out.uses.reserve(touched_.size());
+  for (ResourceId r : touched_) {
+    out.uses.push_back(Use{r, weight_[r]});
+    weight_[r] = 0.0;
+  }
+  touched_.clear();
+  return out;
 }
 
 ActivityId ClusterSim::submit_ptask(const Ptask& task,
                                     CompletionFn on_complete) {
-  auto [uses, latency] = build_uses(task);
+  auto [uses, latency] = usage(task);
   // Empty usage (zero flops, zero bytes) degenerates to an instant timer.
   const double amount = uses.empty() ? 0.0 : 1.0;
   return engine_.submit(std::move(uses), amount, latency,
                         std::move(on_complete), task.name);
 }
 
-double ClusterSim::solo_duration(const Ptask& task) const {
-  auto [uses, latency] = build_uses(task);
+double ClusterSim::solo_duration(const Ptask& task) {
+  const auto [uses, latency] = usage(task);
   double bottleneck = 0.0;
   for (const auto& u : uses) {
     bottleneck = std::max(bottleneck, u.weight / engine_.capacity(u.resource));

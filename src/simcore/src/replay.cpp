@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,34 @@
 namespace mtsched::simcore {
 
 namespace {
+
+/// Flat adjacency lists (CSR): row r holds items[off[r] .. off[r + 1]).
+struct Csr {
+  std::vector<std::size_t> off;
+  std::vector<std::size_t> items;
+
+  std::span<const std::size_t> row(std::size_t r) const {
+    return {items.data() + off[r], off[r + 1] - off[r]};
+  }
+};
+
+/// Builds an n-row Csr from the (row, item) pairs `visit(emit)` emits
+/// (it is called twice and must emit the same pairs both times); each row
+/// keeps its items in emission order.
+template <typename Visit>
+Csr make_csr(std::size_t n, const Visit& visit) {
+  Csr c;
+  c.off.assign(n + 1, 0);
+  visit([&](std::size_t r, std::size_t) { ++c.off[r + 1]; });
+  for (std::size_t r = 0; r < n; ++r) c.off[r + 1] += c.off[r];
+  c.items.resize(c.off[n]);
+  // Fill through off[r] as a cursor, which leaves off[r] at the old
+  // off[r + 1]; shift back afterwards.
+  visit([&](std::size_t r, std::size_t item) { c.items[c.off[r]++] = item; });
+  for (std::size_t r = n; r > 0; --r) c.off[r] = c.off[r - 1];
+  c.off[0] = 0;
+  return c;
+}
 
 /// Lifecycle of one task; phases only move forward.
 enum class Phase : std::uint8_t { Waiting, StartingUp, Up, Executing, Done };
@@ -26,26 +55,31 @@ class Replay {
         cluster_(cluster),
         policy_(policy),
         phase_(g.num_tasks(), Phase::Waiting),
-        edges_left_(g.num_tasks(), 0),
-        out_edges_(g.num_tasks()),
-        in_edges_(g.num_tasks()),
-        order_succs_(g.num_tasks()) {
+        edges_left_(g.num_tasks(), 0) {
+    const auto& edges = g.edges();
     trace_.tasks.resize(g.num_tasks());
-    trace_.edges.resize(g.num_edges());
-    for (std::size_t i = 0; i < g.num_edges(); ++i) {
-      const auto& e = g.edges()[i];
-      trace_.edges[i].src = e.src;
-      trace_.edges[i].dst = e.dst;
-      ++edges_left_[e.dst];
-      out_edges_[e.src].push_back(i);
-      in_edges_[e.dst].push_back(i);
+    trace_.edges.resize(edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      trace_.edges[i].src = edges[i].src;
+      trace_.edges[i].dst = edges[i].dst;
+      ++edges_left_[edges[i].dst];
     }
+    out_edges_ = make_csr(g.num_tasks(), [&](const auto& emit) {
+      for (std::size_t i = 0; i < edges.size(); ++i) emit(edges[i].src, i);
+    });
+    in_edges_ = make_csr(g.num_tasks(), [&](const auto& emit) {
+      for (std::size_t i = 0; i < edges.size(); ++i) emit(edges[i].dst, i);
+    });
     const auto opreds = sched::order_predecessors(g, s);
     order_preds_left_.resize(g.num_tasks());
     for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
       order_preds_left_[t] = static_cast<int>(opreds[t].size());
-      for (dag::TaskId p : opreds[t]) order_succs_[p].push_back(t);
     }
+    order_succs_ = make_csr(g.num_tasks(), [&](const auto& emit) {
+      for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
+        for (dag::TaskId p : opreds[t]) emit(p, t);
+      }
+    });
   }
 
   sched::RunTrace run() {
@@ -71,7 +105,7 @@ class Replay {
   void on_up(dag::TaskId t) {
     phase_[t] = Phase::Up;
     if (policy_.transfer_waits_for_consumer) {
-      for (std::size_t e : in_edges_[t]) maybe_request(e);
+      for (std::size_t e : in_edges_.row(t)) maybe_request(e);
     }
     maybe_execute(t);
   }
@@ -88,11 +122,11 @@ class Replay {
     trace_.tasks[t].finish = when;
     trace_.makespan = std::max(trace_.makespan, when);
     // Processor-order successors may now seize the released processors.
-    for (dag::TaskId u : order_succs_[t]) {
+    for (std::size_t u : order_succs_.row(t)) {
       --order_preds_left_[u];
-      maybe_spawn(u);
+      maybe_spawn(static_cast<dag::TaskId>(u));
     }
-    for (std::size_t e : out_edges_[t]) maybe_request(e);
+    for (std::size_t e : out_edges_.row(t)) maybe_request(e);
   }
 
   /// Requests a redistribution once its producer is done (and, when the
@@ -117,7 +151,7 @@ class Replay {
         g_.task(e.src).matrix_dim, static_cast<int>(src.size()),
         static_cast<int>(dst.size()));
     const auto pt = make_redistribution_ptask(
-        src, dst, plan.bytes,
+        src, dst, plan,
         "redist_" + std::to_string(e.src) + "_" + std::to_string(e.dst));
     cluster_.submit_ptask(pt, [this, edge](double done_at) {
       trace_.edges[edge].done = done_at;
@@ -136,9 +170,9 @@ class Replay {
   std::vector<Phase> phase_;
   std::vector<int> order_preds_left_;  // processor-order gating
   std::vector<int> edges_left_;        // inbound redistributions not done
-  std::vector<std::vector<std::size_t>> out_edges_;
-  std::vector<std::vector<std::size_t>> in_edges_;
-  std::vector<std::vector<dag::TaskId>> order_succs_;
+  Csr out_edges_;    // task -> out-edge indices, ascending
+  Csr in_edges_;     // task -> in-edge indices, ascending
+  Csr order_succs_;  // task -> processor-order successors, ascending id
 };
 
 }  // namespace

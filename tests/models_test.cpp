@@ -47,18 +47,17 @@ TEST(Analytical, FlopsDividedEvenly) {
 TEST(Analytical, RingCommunicationPattern) {
   const AnalyticalModel m(mtsched::platform::bayreuth32());
   const auto cost = m.task_sim_cost(mm_task(), 3);
-  ASSERT_EQ(cost.bytes_rank_pair.rows(), 3u);
   const double expected = 2.0 * (2000.0 * 2000.0 / 3.0) * 8.0;  // (p-1)n^2/p*8
-  EXPECT_DOUBLE_EQ(cost.bytes_rank_pair(0, 1), expected);
-  EXPECT_DOUBLE_EQ(cost.bytes_rank_pair(1, 2), expected);
-  EXPECT_DOUBLE_EQ(cost.bytes_rank_pair(2, 0), expected);
-  EXPECT_DOUBLE_EQ(cost.bytes_rank_pair(0, 2), 0.0);
+  using mtsched::simcore::Flow;
+  EXPECT_EQ(cost.flows, (std::vector<Flow>{{0, 1, expected},
+                                           {1, 2, expected},
+                                           {2, 0, expected}}));
 }
 
 TEST(Analytical, AdditionHasNoCommunication) {
   const AnalyticalModel m(mtsched::platform::bayreuth32());
   const auto cost = m.task_sim_cost(add_task(), 8);
-  EXPECT_TRUE(cost.bytes_rank_pair.empty());
+  EXPECT_TRUE(cost.flows.empty());
 }
 
 TEST(Analytical, SequentialTaskHasNoCommunication) {

@@ -9,11 +9,13 @@
 
 #include <climits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/platform/parser.hpp"
+#include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 
 namespace {
@@ -318,8 +320,7 @@ TEST(TopologySim, OneRackSimulationIsBitIdenticalToStar) {
   compute.flops = {200.0, 100.0};
   mtsched::simcore::Ptask transfer;
   transfer.host_of_rank = {1, 2};
-  transfer.bytes = mtsched::core::Matrix<double>(2, 2);
-  transfer.bytes(0, 1) = 30.0;
+  transfer.flows = {{0, 1, 30.0}};
   std::vector<double> done;
   cs.submit_ptask(compute, [&](double when) { done.push_back(when); });
   cs.submit_ptask(transfer, [&](double when) { done.push_back(when); });
@@ -338,8 +339,7 @@ TEST(TopologySim, CrossRackTransfersPayTheOversubscribedUplink) {
 
   mtsched::simcore::Ptask intra;
   intra.host_of_rank = {0, 1};
-  intra.bytes = mtsched::core::Matrix<double>(2, 2);
-  intra.bytes(0, 1) = 30.0;
+  intra.flows = {{0, 1, 30.0}};
   mtsched::simcore::Ptask cross = intra;
   cross.host_of_rank = {0, 2};
 
@@ -358,6 +358,81 @@ TEST(TopologySim, CrossRackTransfersPayTheOversubscribedUplink) {
   cs.submit_ptask(cross, [&](double when) { when_cross = when; });
   e.run();
   EXPECT_DOUBLE_EQ(when_cross, 7.0);
+}
+
+/// A block redistribution of a 12-column matrix from 3 to 4 ranks
+/// (columns 4|4|4 -> 3|3|3|3, 96 B per column) between two placements on
+/// hier4x8, whose racks register 27 resources each: per node cpu/up/down
+/// (ids 27r + 3k ...), then tor, torup and tordown; the shared core is 108.
+mtsched::simcore::Ptask hier_redistribution(const std::vector<int>& dst) {
+  return mtsched::simcore::make_redistribution_ptask(
+      {0, 1, 2}, dst, mtsched::redist::plan_block_redistribution(12, 3, 4));
+}
+
+using UseList = std::vector<std::pair<std::size_t, double>>;
+
+UseList use_list(const mtsched::simcore::PtaskUsage& u) {
+  UseList out;
+  for (const auto& use : u.uses) out.emplace_back(use.resource, use.weight);
+  return out;
+}
+
+TEST(TopologySim, IntraRackRedistributionUsesOnHier4x8) {
+  const auto spec = to_cluster(hierarchical_topology(4, 8, 4.0));
+  const RackSpec& rack = spec.topology().racks[0];
+  mtsched::simcore::Engine e;
+  mtsched::simcore::ClusterSim cs(e, spec);
+  const auto pt = hier_redistribution({3, 4, 5, 6});
+  const auto u = cs.usage(pt);
+  // Each source sends 384 B, each destination receives 288 B, and the
+  // whole 1152 B crosses rack 0's ToR fabric.
+  EXPECT_EQ(use_list(u), (UseList{{1, 384.0},
+                                  {4, 384.0},
+                                  {7, 384.0},
+                                  {11, 288.0},
+                                  {14, 288.0},
+                                  {17, 288.0},
+                                  {20, 288.0},
+                                  {24, 1152.0}}));
+  EXPECT_EQ(cs.tor(0), 24u);
+  EXPECT_EQ(u.latency, 2.0 * rack.link_latency + rack.tor_latency);
+  // The source node links bind.
+  EXPECT_EQ(cs.solo_duration(pt),
+            384.0 / rack.link_bandwidth + 2.0 * rack.link_latency +
+                rack.tor_latency);
+}
+
+TEST(TopologySim, CrossRackRedistributionUsesOnHier4x8) {
+  const auto spec = to_cluster(hierarchical_topology(4, 8, 4.0));
+  const RackSpec& rack = spec.topology().racks[0];
+  const CoreSpec& core = spec.topology().core;
+  mtsched::simcore::Engine e;
+  mtsched::simcore::ClusterSim cs(e, spec);
+  const auto pt = hier_redistribution({8, 9, 10, 11});
+  const auto u = cs.usage(pt);
+  // Rack 0's node uplinks, ToR and core uplink; the core; rack 1's core
+  // downlink, ToR and node downlinks.
+  EXPECT_EQ(use_list(u), (UseList{{1, 384.0},
+                                  {4, 384.0},
+                                  {7, 384.0},
+                                  {24, 1152.0},
+                                  {25, 1152.0},
+                                  {29, 288.0},
+                                  {32, 288.0},
+                                  {35, 288.0},
+                                  {38, 288.0},
+                                  {51, 1152.0},
+                                  {53, 1152.0},
+                                  {108, 1152.0}}));
+  EXPECT_EQ(cs.rack_uplink(0), 25u);
+  EXPECT_EQ(cs.rack_downlink(1), 53u);
+  EXPECT_EQ(cs.core_switch(), 108u);
+  const double latency = rack.link_latency + rack.tor_latency + core.latency +
+                         rack.tor_latency + rack.link_latency;
+  EXPECT_EQ(u.latency, latency);
+  // The 4:1 oversubscribed rack uplink (8 links / 4) binds.
+  EXPECT_EQ(cs.solo_duration(pt),
+            1152.0 / rack.effective_uplink_bandwidth() + latency);
 }
 
 TEST(TopologySim, HierarchicalWiringExposesRackResources) {

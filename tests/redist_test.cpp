@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/units.hpp"
@@ -62,22 +63,19 @@ TEST(IntervalOverlap, Cases) {
 
 TEST(Plan, IdentityRedistributionIsDiagonal) {
   const auto plan = plan_block_redistribution(100, 4, 4);
+  ASSERT_EQ(plan.num_messages(), 4);
   for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      if (i == j) {
-        EXPECT_GT(plan.bytes(i, j), 0.0);
-      } else {
-        EXPECT_DOUBLE_EQ(plan.bytes(i, j), 0.0);
-      }
-    }
+    const Message& m = plan.messages[static_cast<std::size_t>(i)];
+    EXPECT_EQ(m.src, i);
+    EXPECT_EQ(m.dst, i);
+    EXPECT_EQ(m.bytes, 25.0 * 100.0 * 8.0);
   }
-  EXPECT_EQ(plan.num_messages(), 4);
 }
 
 TEST(Plan, OneToMany) {
   const auto plan = plan_block_redistribution(100, 1, 4);
-  EXPECT_EQ(plan.p_src(), 1);
-  EXPECT_EQ(plan.p_dst(), 4);
+  EXPECT_EQ(plan.p_src, 1);
+  EXPECT_EQ(plan.p_dst, 4);
   EXPECT_EQ(plan.num_messages(), 4);
   EXPECT_DOUBLE_EQ(plan.total_bytes(), mtsched::core::matrix_bytes(100));
 }
@@ -93,11 +91,25 @@ TEST(Plan, RowAndColumnTotalsMatchLayouts) {
   const auto plan = plan_block_redistribution(n, ps, pd);
   const BlockLayout1D src(n, ps), dst(n, pd);
   for (int i = 0; i < ps; ++i) {
-    EXPECT_DOUBLE_EQ(plan.bytes.row_total(i), src.bytes_of(i));
+    EXPECT_DOUBLE_EQ(plan.row_total(i), src.bytes_of(i));
   }
   for (int j = 0; j < pd; ++j) {
-    EXPECT_DOUBLE_EQ(plan.bytes.col_total(j), dst.bytes_of(j));
+    EXPECT_DOUBLE_EQ(plan.col_total(j), dst.bytes_of(j));
   }
+  EXPECT_THROW(plan.row_total(ps), InvalidArgument);
+  EXPECT_THROW(plan.col_total(-1), InvalidArgument);
+}
+
+TEST(Plan, UnevenLayoutsListEveryOverlapInOrder) {
+  // 12 columns: sources own 4|4|4, destinations 3|3|3|3.
+  const auto plan = plan_block_redistribution(12, 3, 4);
+  const double col = 12.0 * 8.0;
+  EXPECT_EQ(plan.messages, (std::vector<Message>{{0, 0, 3 * col},
+                                                 {0, 1, 1 * col},
+                                                 {1, 1, 2 * col},
+                                                 {1, 2, 2 * col},
+                                                 {2, 2, 1 * col},
+                                                 {2, 3, 3 * col}}));
 }
 
 TEST(OverlapColumns, RequiresSameDimension) {
@@ -117,6 +129,40 @@ TEST_P(PlanConservation, ConservesAndBoundsMessages) {
   EXPECT_NEAR(plan.total_bytes(), mtsched::core::matrix_bytes(n), 1e-6);
   EXPECT_LE(plan.num_messages(), ps + pd - 1);
   EXPECT_GE(plan.num_messages(), std::max(ps, pd));
+}
+
+/// The dense O(p_src * p_dst) reference: every overlap_columns pair, its
+/// nonzeros in row-major order.
+std::vector<Message> dense_reference(int n, int ps, int pd) {
+  const BlockLayout1D src(n, ps), dst(n, pd);
+  const double col_bytes = static_cast<double>(n) * mtsched::core::kElemBytes;
+  std::vector<Message> out;
+  for (int i = 0; i < ps; ++i) {
+    for (int j = 0; j < pd; ++j) {
+      const int cols = overlap_columns(src, dst, i, j);
+      if (cols > 0) {
+        out.push_back({i, j, static_cast<double>(cols) * col_bytes});
+      }
+    }
+  }
+  return out;
+}
+
+TEST_P(PlanConservation, MatchesDenseReferenceExactly) {
+  const auto [n, ps, pd] = GetParam();
+  const auto plan = plan_block_redistribution(n, ps, pd);
+  EXPECT_EQ(plan.p_src, ps);
+  EXPECT_EQ(plan.p_dst, pd);
+  const auto ref = dense_reference(n, ps, pd);
+  ASSERT_EQ(plan.messages.size(), ref.size());
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    EXPECT_EQ(plan.messages[k].src, ref[k].src) << k;
+    EXPECT_EQ(plan.messages[k].dst, ref[k].dst) << k;
+    EXPECT_EQ(plan.messages[k].bytes, ref[k].bytes) << k;
+  }
+  const BlockLayout1D src(n, ps), dst(n, pd);
+  for (int i = 0; i < ps; ++i) EXPECT_EQ(plan.row_total(i), src.bytes_of(i));
+  for (int j = 0; j < pd; ++j) EXPECT_EQ(plan.col_total(j), dst.bytes_of(j));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,7 +9,6 @@ namespace {
 
 using namespace mtsched::simcore;
 using mtsched::core::InvalidArgument;
-using mtsched::core::Matrix;
 
 mtsched::platform::ClusterSpec tiny(bool shared_switch = true) {
   mtsched::platform::RackSpec rack;
@@ -59,8 +58,7 @@ TEST(Ptask, CommOnlyIncludesLatencyOnce) {
   ClusterSim cs(e, tiny());
   Ptask t;
   t.host_of_rank = {0, 1};
-  t.bytes = Matrix<double>(2, 2);
-  t.bytes(0, 1) = 30.0;  // 30 B over 10 B/s links -> 3 s + 1 s latency
+  t.flows = {{0, 1, 30.0}};  // 30 B over 10 B/s links -> 3 s + 1 s latency
   EXPECT_DOUBLE_EQ(cs.solo_duration(t), 4.0);
   double done = -1.0;
   cs.submit_ptask(t, [&](double when) { done = when; });
@@ -75,8 +73,7 @@ TEST(Ptask, ComputationAndCommunicationOverlap) {
   Ptask t;
   t.host_of_rank = {0, 1};
   t.flops = {500.0, 0.0};  // 5 s of compute on node 0
-  t.bytes = Matrix<double>(2, 2);
-  t.bytes(0, 1) = 20.0;  // 2 s of transfer
+  t.flows = {{0, 1, 20.0}};  // 2 s of transfer
   EXPECT_DOUBLE_EQ(cs.solo_duration(t), 5.0 + 1.0);  // compute + latency
 }
 
@@ -85,8 +82,7 @@ TEST(Ptask, LocalCopiesUseNoNetwork) {
   ClusterSim cs(e, tiny());
   Ptask t;
   t.host_of_rank = {2, 2};  // both ranks on node 2
-  t.bytes = Matrix<double>(2, 2);
-  t.bytes(0, 1) = 1e9;  // huge, but local
+  t.flows = {{0, 1, 1e9}};  // huge, but local
   EXPECT_DOUBLE_EQ(cs.solo_duration(t), 0.0);
 }
 
@@ -99,8 +95,7 @@ TEST(Ptask, BackboneLimitsAggregateTraffic) {
   for (int i = 0; i < 2; ++i) {
     Ptask t;
     t.host_of_rank = {i * 2, i * 2 + 1};
-    t.bytes = Matrix<double>(2, 2);
-    t.bytes(0, 1) = 30.0;
+    t.flows = {{0, 1, 30.0}};
     cs.submit_ptask(t, [&](double when) { done.push_back(when); });
   }
   e.run();
@@ -118,8 +113,7 @@ TEST(Ptask, LinkContentionBetweenTransfersFromOneNode) {
   for (int dst : {1, 2}) {
     Ptask t;
     t.host_of_rank = {0, dst};
-    t.bytes = Matrix<double>(2, 2);
-    t.bytes(0, 1) = 20.0;
+    t.flows = {{0, 1, 20.0}};
     cs.submit_ptask(t, [&](double when) { done.push_back(when); });
   }
   e.run();
@@ -142,26 +136,53 @@ TEST(Ptask, ValidationErrors) {
   t.flops = {1.0, -1.0};  // negative
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
   t.flops.clear();
-  t.bytes = Matrix<double>(3, 3);  // wrong shape
+  t.flows = {{0, 2, 1.0}};  // destination rank out of range
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
+  t.flows = {{2, 0, 1.0}};  // source rank out of range
+  EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
+  t.flows = {{0, 1, 1.0}, {1, 0, -1.0}};  // negative bytes
+  EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
+  EXPECT_THROW(cs.solo_duration(t), InvalidArgument);
+  // A rejected ptask leaves no trace: the next one is charged afresh.
+  t.flows = {{0, 1, 30.0}};
+  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 4.0);
+}
+
+TEST(Ptask, FlowsOnOneResourceSumInListOrder) {
+  Engine e;
+  ClusterSim cs(e, tiny());
+  Ptask t;
+  t.host_of_rank = {0, 1, 2, 0};
+  t.flops = {100.0, 0.0, 0.0, 50.0};  // ranks 0 and 3 share node 0's cpu
+  t.flows = {{0, 1, 10.0}, {0, 2, 0.0}, {3, 2, 5.0}, {0, 3, 7.0}};
+  const PtaskUsage u = cs.usage(t);
+  // cpu0 150; up0 10 + 5 (rank 3 is on node 0; the 0 -> 3 flow is local);
+  // down1 10; down2 5; fabric 15. Ascending ids, zero-byte flow skipped.
+  ASSERT_EQ(u.uses.size(), 5u);
+  const std::vector<std::pair<ResourceId, double>> want = {
+      {cs.cpu(0), 150.0},     {cs.uplink(0), 15.0}, {cs.downlink(1), 10.0},
+      {cs.downlink(2), 5.0}, {cs.tor(0), 15.0}};
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(u.uses[k].resource, want[k].first) << k;
+    EXPECT_EQ(u.uses[k].weight, want[k].second) << k;
+  }
+  EXPECT_EQ(u.latency, 1.0);
 }
 
 TEST(RedistributionPtask, MapsByteMatrixAcrossPlacements) {
-  Matrix<double> bytes(2, 3);
-  bytes(0, 0) = 5.0;
-  bytes(1, 2) = 7.0;
-  const auto t = make_redistribution_ptask({0, 1}, {2, 3, 1}, bytes, "r");
-  ASSERT_EQ(t.host_of_rank.size(), 5u);
-  EXPECT_DOUBLE_EQ(t.bytes(0, 2), 5.0);  // src rank 0 -> dst rank 0 (node 2)
-  EXPECT_DOUBLE_EQ(t.bytes(1, 4), 7.0);  // src rank 1 -> dst rank 2 (node 1)
-  EXPECT_DOUBLE_EQ(t.bytes.total(), 12.0);
+  mtsched::redist::RedistPlan plan{2, 3, {{0, 0, 5.0}, {1, 2, 7.0}}};
+  const auto t = make_redistribution_ptask({0, 1}, {2, 3, 1}, plan, "r");
+  EXPECT_EQ(t.host_of_rank, (std::vector<int>{0, 1, 2, 3, 1}));
+  // src rank 0 -> dst rank 0 (node 2); src rank 1 -> dst rank 2 (node 1).
+  EXPECT_EQ(t.flows, (std::vector<Flow>{{0, 2, 5.0}, {1, 4, 7.0}}));
   EXPECT_TRUE(t.flops.empty());
+  EXPECT_EQ(t.name, "r");
 }
 
 TEST(RedistributionPtask, ShapeMismatchThrows) {
-  Matrix<double> bytes(2, 2);
-  EXPECT_THROW(make_redistribution_ptask({0}, {1, 2}, bytes),
-               InvalidArgument);
+  const auto plan = mtsched::redist::plan_block_redistribution(10, 2, 2);
+  EXPECT_THROW(make_redistribution_ptask({0}, {1, 2}, plan), InvalidArgument);
+  EXPECT_THROW(make_redistribution_ptask({0, 1}, {2}, plan), InvalidArgument);
 }
 
 TEST(Ptask, ZeroUsageCompletesInstantly) {
