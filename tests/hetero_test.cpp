@@ -2,8 +2,15 @@
 // execution semantics and the virtual-cluster scheduling layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/generator.hpp"
+#include "mtsched/exp/lab.hpp"
 #include "mtsched/machine/java_cluster.hpp"
 #include "mtsched/models/analytical.hpp"
 #include "mtsched/platform/cluster.hpp"
@@ -144,6 +151,133 @@ TEST(HeteroMapper, RejectsOversizedVirtualAllocations) {
   g.add_task(dag::TaskKernel::MatMul, 2000);
   EXPECT_THROW(mapper.map(g, {99}, cost), InvalidArgument);
   EXPECT_THROW(mapper.map(g, {1, 1}, cost), InvalidArgument);
+}
+
+/// Naive hetero-mapping reference: rescans the priority list for the next
+/// ready task, re-sorts the preference list per placement and asks the
+/// SchedCost scalars for every task time and redistribution estimate. The
+/// production mapper (ready queue, cached cost curves) must match it
+/// placement-for-placement, bit-for-bit.
+sched::Schedule reference_hetero_map(const ClusterSpec& spec,
+                                     const dag::Dag& g,
+                                     const std::vector<int>& valloc,
+                                     const sched::SchedCost& cost) {
+  const VirtualCluster vc(spec);
+  const int P = spec.num_nodes;
+  const std::size_t n = g.num_tasks();
+  std::vector<double> tau(n), bl(n, 0.0);
+  for (dag::TaskId t = 0; t < n; ++t) {
+    tau[t] = cost.task_time(g.task(t), valloc[t]);
+  }
+  const auto topo = g.topological_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const dag::TaskId t = *it;
+    bl[t] = tau[t];
+    for (dag::TaskId s : g.successors(t)) {
+      bl[t] = std::max(bl[t], tau[t] + bl[s]);
+    }
+  }
+  std::vector<dag::TaskId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](dag::TaskId a, dag::TaskId b) {
+                     if (bl[a] != bl[b]) return bl[a] > bl[b];
+                     return a < b;
+                   });
+  std::vector<bool> placed(n, false);
+  sched::Schedule s;
+  s.placements.resize(n);
+  s.proc_order.assign(static_cast<std::size_t>(P), {});
+  std::vector<double> proc_ready(static_cast<std::size_t>(P), 0.0);
+  for (std::size_t done = 0; done < n; ++done) {
+    dag::TaskId chosen = dag::kInvalidTask;
+    for (dag::TaskId cand : order) {
+      if (placed[cand]) continue;
+      const auto& preds = g.predecessors(cand);
+      if (std::all_of(preds.begin(), preds.end(),
+                      [&](dag::TaskId q) { return placed[q]; })) {
+        chosen = cand;
+        break;
+      }
+    }
+    std::vector<int> pref(static_cast<std::size_t>(P));
+    std::iota(pref.begin(), pref.end(), 0);
+    std::stable_sort(pref.begin(), pref.end(), [&](int a, int b) {
+      const double ra = proc_ready[static_cast<std::size_t>(a)];
+      const double rb = proc_ready[static_cast<std::size_t>(b)];
+      if (ra != rb) return ra < rb;
+      return spec.flops_of(a) > spec.flops_of(b);
+    });
+    auto procs = vc.translate(valloc[chosen], pref);
+    std::sort(procs.begin(), procs.end());
+    double data_ready = 0.0;
+    for (dag::TaskId q : g.predecessors(chosen)) {
+      const auto& qp = s.placements[q];
+      data_ready = std::max(
+          data_ready,
+          qp.est_finish +
+              cost.redist_time(g.task(q), static_cast<int>(qp.procs.size()),
+                               static_cast<int>(procs.size())));
+    }
+    double avail = 0.0;
+    for (int pr : procs) {
+      avail = std::max(avail, proc_ready[static_cast<std::size_t>(pr)]);
+    }
+    const double start = std::max(data_ready, avail);
+    const double k_eff = static_cast<double>(procs.size()) /
+                         exec_slowdown(spec, procs);
+    const int p_eff = std::clamp(static_cast<int>(std::lround(k_eff)), 1,
+                                 vc.virtual_procs());
+    const double finish = start + cost.task_time(g.task(chosen), p_eff);
+    auto& pl = s.placements[chosen];
+    pl.procs = procs;
+    pl.est_start = start;
+    pl.est_finish = finish;
+    for (int pr : procs) {
+      proc_ready[static_cast<std::size_t>(pr)] = finish;
+      s.proc_order[static_cast<std::size_t>(pr)].push_back(chosen);
+    }
+    placed[chosen] = true;
+    s.est_makespan = std::max(s.est_makespan, finish);
+  }
+  return s;
+}
+
+TEST(HeteroMapper, Table1SuiteSliceMatchesScalarReference) {
+  static const exp::Lab lab;
+  const auto spec = heterogeneous_cluster(32, 100e6, 400e6, 5);
+  const sched::VirtualCluster vc(spec);
+  // The lab's profile tables cover p = 1..32.
+  ASSERT_LE(vc.virtual_procs(), 32);
+  const models::AnalyticalModel analytical(spec);
+  const models::SchedCostAdapter analytical_cost(analytical);
+  const models::SchedCostAdapter profile_cost(
+      lab.model(models::ModelSpec::parse("profile")));
+  const sched::HeteroListMapper mapper(spec);
+  const auto suite = dag::generate_table1_suite();
+  for (const auto* cost : {&analytical_cost, &profile_cost}) {
+    for (std::size_t i = 0; i < suite.size(); i += 9) {
+      const auto& g = suite[i].graph;
+      const auto valloc =
+          sched::HcpaAllocator{}.allocate(g, *cost, vc.virtual_procs());
+      const auto fast = mapper.map(g, valloc, *cost);
+      const auto ref = reference_hetero_map(spec, g, valloc, *cost);
+      const std::string what =
+          (cost == &analytical_cost ? "analytical " : "profile ") +
+          suite[i].name;
+      ASSERT_EQ(fast.placements.size(), ref.placements.size()) << what;
+      for (std::size_t t = 0; t < ref.placements.size(); ++t) {
+        EXPECT_EQ(fast.placements[t].procs, ref.placements[t].procs)
+            << what << " task " << t;
+        EXPECT_EQ(fast.placements[t].est_start, ref.placements[t].est_start)
+            << what << " task " << t;
+        EXPECT_EQ(fast.placements[t].est_finish, ref.placements[t].est_finish)
+            << what << " task " << t;
+      }
+      EXPECT_EQ(fast.proc_order, ref.proc_order) << what;
+      EXPECT_EQ(fast.est_makespan, ref.est_makespan) << what;
+    }
+  }
 }
 
 TEST(HeteroEmulator, ExecutionScaledBySlowestNode) {

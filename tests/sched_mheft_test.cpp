@@ -1,8 +1,16 @@
 // Tests for the M-HEFT one-phase scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/generator.hpp"
+#include "mtsched/exp/lab.hpp"
+#include "mtsched/models/cost_model.hpp"
 #include "mtsched/sched/mheft.hpp"
 
 namespace {
@@ -128,5 +136,117 @@ TEST_P(MHeftSuite, SchedulesValidate) {
 
 INSTANTIATE_TEST_SUITE_P(Table1, MHeftSuite,
                          ::testing::Range<std::size_t>(0, 54, 6));
+
+/// Naive M-HEFT reference: rescans the priority list for the next ready
+/// task, re-ranks the processors by (availability, id) per placement and
+/// asks the SchedCost scalars for every (task, p) and (producer, p_src, p)
+/// it needs. The production scheduler (ready queue, incremental ranking,
+/// cached cost curves) must match it placement-for-placement,
+/// bit-for-bit.
+Schedule reference_mheft(const Dag& g, const SchedCost& cost, int P) {
+  const std::size_t n = g.num_tasks();
+  std::vector<double> bl(n, 0.0);
+  const auto topo = g.topological_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const TaskId t = *it;
+    const double tau = cost.task_time(g.task(t), 1);
+    bl[t] = tau;
+    for (TaskId s : g.successors(t)) bl[t] = std::max(bl[t], tau + bl[s]);
+  }
+  std::vector<TaskId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    if (bl[a] != bl[b]) return bl[a] > bl[b];
+    return a < b;
+  });
+  std::vector<bool> placed(n, false);
+  Schedule s;
+  s.placements.resize(n);
+  s.proc_order.assign(static_cast<std::size_t>(P), {});
+  std::vector<double> proc_ready(static_cast<std::size_t>(P), 0.0);
+  for (std::size_t done = 0; done < n; ++done) {
+    TaskId chosen = kInvalidTask;
+    for (TaskId cand : order) {
+      if (placed[cand]) continue;
+      const auto& preds = g.predecessors(cand);
+      if (std::all_of(preds.begin(), preds.end(),
+                      [&](TaskId q) { return placed[q]; })) {
+        chosen = cand;
+        break;
+      }
+    }
+    std::vector<int> ranked(static_cast<std::size_t>(P));
+    std::iota(ranked.begin(), ranked.end(), 0);
+    std::stable_sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+      return proc_ready[static_cast<std::size_t>(a)] <
+             proc_ready[static_cast<std::size_t>(b)];
+    });
+    double best_finish = std::numeric_limits<double>::infinity();
+    double best_start = 0.0;
+    int best_p = 1;
+    for (int p = 1; p <= P; ++p) {
+      double data_ready = 0.0;
+      for (TaskId q : g.predecessors(chosen)) {
+        const auto& qp = s.placements[q];
+        data_ready = std::max(
+            data_ready,
+            qp.est_finish + cost.redist_time(g.task(q),
+                                             static_cast<int>(qp.procs.size()),
+                                             p));
+      }
+      double avail = 0.0;
+      for (int i = 0; i < p; ++i) {
+        avail = std::max(avail,
+                         proc_ready[static_cast<std::size_t>(ranked[i])]);
+      }
+      const double start = std::max(data_ready, avail);
+      const double finish = start + cost.task_time(g.task(chosen), p);
+      if (finish < best_finish - 1e-12) {
+        best_finish = finish;
+        best_start = start;
+        best_p = p;
+      }
+    }
+    auto& pl = s.placements[chosen];
+    pl.procs.assign(ranked.begin(), ranked.begin() + best_p);
+    std::sort(pl.procs.begin(), pl.procs.end());
+    pl.est_start = best_start;
+    pl.est_finish = best_finish;
+    for (int pr : pl.procs) {
+      proc_ready[static_cast<std::size_t>(pr)] = best_finish;
+      s.proc_order[static_cast<std::size_t>(pr)].push_back(chosen);
+    }
+    placed[chosen] = true;
+    s.est_makespan = std::max(s.est_makespan, best_finish);
+  }
+  return s;
+}
+
+TEST(MHeftReference, Table1SuiteSliceMatchesScalarReference) {
+  static const exp::Lab lab;
+  const auto suite = generate_table1_suite();
+  const int P = lab.spec().num_nodes;
+  for (const char* kind : {"analytical", "profile"}) {
+    const models::SchedCostAdapter cost(
+        lab.model(models::ModelSpec::parse(kind)));
+    for (std::size_t i = 0; i < suite.size(); i += 9) {
+      const auto& g = suite[i].graph;
+      const auto fast = MHeftScheduler(cost, P).schedule(g);
+      const auto ref = reference_mheft(g, cost, P);
+      const std::string what = std::string(kind) + " " + suite[i].name;
+      ASSERT_EQ(fast.placements.size(), ref.placements.size()) << what;
+      for (std::size_t t = 0; t < ref.placements.size(); ++t) {
+        EXPECT_EQ(fast.placements[t].procs, ref.placements[t].procs)
+            << what << " task " << t;
+        EXPECT_EQ(fast.placements[t].est_start, ref.placements[t].est_start)
+            << what << " task " << t;
+        EXPECT_EQ(fast.placements[t].est_finish, ref.placements[t].est_finish)
+            << what << " task " << t;
+      }
+      EXPECT_EQ(fast.proc_order, ref.proc_order) << what;
+      EXPECT_EQ(fast.est_makespan, ref.est_makespan) << what;
+    }
+  }
+}
 
 }  // namespace
