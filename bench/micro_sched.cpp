@@ -13,6 +13,7 @@
 #include "mtsched/models/empirical.hpp"
 #include "mtsched/models/profile.hpp"
 #include "mtsched/sched/allocation.hpp"
+#include "mtsched/sched/hetero.hpp"
 #include "mtsched/sched/mapping.hpp"
 
 namespace {
@@ -41,7 +42,8 @@ void BM_Allocation(benchmark::State& state, const std::string& algo_name) {
 }
 // The n=2000 points guard the constant factor of the CPA skeleton's
 // growth step: one sequential top/bottom-level sweep in topological
-// position order, cached per-task gains and memoized task-time curves.
+// position order, cached per-task gains and task times read from the
+// cost table's per-shape rows.
 // Exact allocation is quadratic by construction — there are n/3 to n/2
 // growth steps, and each moves about 3/4 of all levels — so the step
 // must stay one cheap O(n) pass rather than several. The n=50000 tier
@@ -80,7 +82,8 @@ void BM_Mapping(benchmark::State& state, sched::MappingStrategy strategy) {
 // The n=1000 points are the scaling guard for the ready-queue list
 // mapper: the list-priority selection must stay O(T log T) rather than
 // the naive rescan's O(T^2), and per-predecessor redistribution
-// estimates must be computed once per placement.
+// estimates must be computed once per placement, each read from the
+// cost table's per-(shape, p_src, p_dst) cells.
 BENCHMARK_CAPTURE(BM_Mapping, earliest, sched::MappingStrategy::EarliestStart)
     ->Arg(200)
     ->Arg(1000);
@@ -88,6 +91,25 @@ BENCHMARK_CAPTURE(BM_Mapping, redist_aware,
                   sched::MappingStrategy::RedistributionAware)
     ->Arg(200)
     ->Arg(1000);
+
+void BM_HeteroMapping(benchmark::State& state) {
+  const auto inst = big_dag(static_cast<int>(state.range(0)), 3);
+  const auto spec = platform::heterogeneous_cluster(32, 150e6, 350e6, 5);
+  const models::AnalyticalModel model(spec);
+  const models::SchedCostAdapter cost(model);
+  const sched::HeteroListMapper mapper(spec);
+  const auto valloc = sched::HcpaAllocator{}.allocate(
+      inst.graph, cost, sched::VirtualCluster(spec).virtual_procs());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mapper.map(inst.graph, valloc, cost));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+// The heterogeneous mapping path: virtual-cluster translation, the
+// speed-aware preference sort and cost-table task and redistribution
+// estimates per placement. The HCPA virtual allocation is set up once
+// outside the timed loop (BM_Allocation times it).
+BENCHMARK(BM_HeteroMapping)->Arg(200)->Arg(1000);
 
 // One model of each kind, with tables/fits covering p = 1..32 so every
 // curve fetch resolves.
@@ -129,9 +151,10 @@ std::unique_ptr<models::CostModel> make_curve_model(const std::string& kind) {
 }
 
 // One iteration = one task-time curve plus one redistribution curve over
-// p = 1..32, fetched through the batched SchedCost entry points the
-// mapping phase uses. Guards the single-virtual-call dispatch plus the
-// flat (kernel, n) index lookup against regressing to a per-p map find.
+// p = 1..32, fetched through the batched SchedCost entry points the cost
+// table fills its task rows (and MHEFT's redistribution sweeps) from.
+// Guards the single-virtual-call dispatch plus the flat (kernel, n) index
+// lookup against regressing to a per-p map find.
 void BM_CostCurve(benchmark::State& state, const std::string& kind) {
   const auto model = make_curve_model(kind);
   const models::SchedCostAdapter cost(*model);

@@ -15,6 +15,10 @@
 
 namespace mtsched::sched {
 
+/// Every estimate below may read a task only through its shape, the
+/// (kernel, matrix_dim) pair: two tasks of one shape get bit-identical
+/// answers. CostCurveTable memoizes on that key and serves one task's
+/// answers to every same-shaped task, across DAGs too.
 class SchedCost {
  public:
   virtual ~SchedCost() = default;
@@ -29,10 +33,7 @@ class SchedCost {
 
   /// Estimated time to redistribute `producer`'s output matrix from p_src
   /// to p_dst processors (payload plus protocol overhead, as far as the
-  /// model knows about either). The estimate may read the producer only
-  /// through its kernel and matrix_dim (the shape of its output matrix):
-  /// the schedulers memoize redistribution estimates on that key and
-  /// reuse them across same-shaped producers.
+  /// model knows about either).
   virtual double redist_time(const dag::Task& producer, int p_src,
                              int p_dst) const = 0;
 
@@ -53,8 +54,8 @@ class SchedCost {
   /// Batched task-time curve: fills out[p - 1] with task_time(t, p) for
   /// p = 1..out.size() in one virtual call. Every entry must be
   /// bit-identical to the scalar task_time — overriding models may only
-  /// batch the lookup, never change the arithmetic. The p-sweeps of the
-  /// allocation phase (TaskTimeMemo) and of MHEFT consume this.
+  /// batch the lookup, never change the arithmetic. CostCurveTable fills
+  /// each shape's task row with one such call.
   virtual void task_time_curve(const dag::Task& t,
                                std::span<double> out) const {
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -73,24 +74,34 @@ class SchedCost {
   }
 };
 
-/// Shared cost-curve table over a base SchedCost: every distinct
-/// (kernel, matrix_dim) task-time curve, (kernel, matrix_dim, p_src)
-/// redistribution curve and startup/overhead point is resolved against
-/// the base model once and then served from the table, no matter how many
-/// tasks — across how many DAGs — share the shape. This is what makes
-/// batch scheduling (exp::Session::run_batch) cheap: a Table-I-style
-/// suite has thousands of tasks but only a handful of shapes, so the
-/// second and later DAGs never touch the underlying model.
+/// The one memo of scheduler estimates: a shape-indexed table over a base
+/// SchedCost for processor counts 1..P. Each distinct (kernel, matrix_dim)
+/// task row is filled whole with one task_time_curve call; redistribution
+/// entries are filled per (shape, p_src, p_dst) cell on first scalar use
+/// (a prefix curve call fills a p_dst sweep at once); startup and
+/// overhead values are filled per p. Every value is resolved against the
+/// base model once and then served from the table, no matter how many
+/// tasks — across how many DAGs — share the shape.
 ///
-/// Correctness rests on the SchedCost shape-purity contract (estimates
-/// may read a task only through kernel + matrix_dim) plus the curve
-/// bit-identity contract, so served values are bit-identical to direct
-/// base-model calls. Not thread-safe: one table per batch-serving thread.
+/// Two uses: a shared table (exp::Session::run_batch) answers the
+/// SchedCost interface for many DAGs, so the second and later DAGs of a
+/// Table-I-style suite never touch the model; and every scheduler builds
+/// one local table bound to its DAG, whose dense task -> shape index
+/// turns the TaskId queries below into array loads. A local table
+/// stacked on a shared one only copies the shared rows and cells.
+///
+/// Correctness rests on the SchedCost shape-purity and curve
+/// bit-identity contracts, so served values are bit-identical to direct
+/// base-model calls. Every entry point rejects p outside [1, P] with
+/// core::InvalidArgument. Not thread-safe: one table per thread.
 class CostCurveTable final : public SchedCost {
  public:
-  /// `base` must outlive the table; `P` bounds the processor counts the
-  /// batch will ever query (curves are cached at that length).
+  /// `base` must outlive the table; `P` bounds every processor count the
+  /// table will be asked about.
   CostCurveTable(const SchedCost& base, int P);
+  /// A table bound to `g` (which must outlive it): interns the shape of
+  /// every task and fills their task rows up front.
+  CostCurveTable(const SchedCost& base, int P, const dag::Dag& g);
 
   double exec_time(const dag::Task& t, int p) const override;
   double startup_time(int p) const override;
@@ -102,29 +113,47 @@ class CostCurveTable final : public SchedCost {
   void redist_time_curve(const dag::Task& producer, int p_src,
                          std::span<double> out) const override;
 
+  // Queries by task id of the bound DAG.
+
+  /// task_time(t, 1..P).
+  std::span<const double> task_row(dag::TaskId t) const;
+  /// task_time(t, p).
+  double tau(dag::TaskId t, int p) const;
+  /// redist_time(q, p_src, p_dst), filled on first use.
+  double redist(dag::TaskId q, int p_src, int p_dst) const;
+  /// redist_time(q, p_src, 1..len), filled with one redist_time_curve
+  /// call unless every entry is already known. The span stays valid
+  /// until a query interns a new shape.
+  std::span<const double> redist_curve(dag::TaskId q, int p_src,
+                                       std::size_t len) const;
+
   /// Distinct (kernel, matrix_dim) shapes seen so far.
   std::size_t num_shapes() const { return shape_of_.size(); }
-  /// Base-model curve resolutions performed (cache misses).
+  /// Base-model curve calls performed (cache misses).
   std::uint64_t curve_fills() const { return fills_; }
 
  private:
-  std::size_t shape_index(const dag::Task& t) const;
-  std::span<const double> task_row(const dag::Task& t) const;
-  std::span<const double> redist_row(const dag::Task& producer,
-                                     int p_src) const;
+  std::uint32_t intern(const dag::Task& t) const;
+  const double* task_row_of(std::uint32_t shape, const dag::Task& t) const;
+  double& redist_cell(std::uint32_t shape, int p_src, int p_dst) const;
+  double redist_of(std::uint32_t shape, const dag::Task& producer, int p_src,
+                   int p_dst) const;
+  std::span<const double> redist_prefix(std::uint32_t shape,
+                                        const dag::Task& producer, int p_src,
+                                        std::size_t len) const;
+  void check_p(int p) const;
 
   const SchedCost& base_;
   std::size_t procs_;
+  const dag::Dag* dag_ = nullptr;
+  std::vector<std::uint32_t> shape_of_task_;  ///< bound DAG's task -> shape
   /// (kernel, dim) packed to a 64-bit key -> dense shape index.
-  mutable std::unordered_map<std::uint64_t, std::size_t> shape_of_;
-  mutable std::vector<std::vector<double>> task_rows_;   ///< per shape, P wide
-  mutable std::vector<std::vector<double>> redist_rows_; ///< shape * P rows
-  mutable std::vector<std::uint8_t> task_filled_;
-  mutable std::vector<std::uint8_t> redist_filled_;
-  mutable std::vector<double> startup_;       ///< per p, lazily filled
-  mutable std::vector<std::uint8_t> startup_filled_;
-  mutable std::vector<double> overhead_;      ///< P * P, lazily filled
-  mutable std::vector<std::uint8_t> overhead_filled_;
+  mutable std::unordered_map<std::uint64_t, std::uint32_t> shape_of_;
+  // Flat arrays; NaN marks an entry not yet filled.
+  mutable std::vector<double> task_rows_;  ///< shape * P + p - 1
+  mutable std::vector<double> redist_;     ///< (shape * P + p_src - 1) * P + p_dst - 1
+  mutable std::vector<double> startup_;    ///< p - 1
+  mutable std::vector<double> overhead_;   ///< (p_src - 1) * P + p_dst - 1
   mutable std::uint64_t fills_ = 0;
 };
 

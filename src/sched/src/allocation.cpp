@@ -1,3 +1,9 @@
+// CPA-family allocation (CPA, HCPA, MCPA) and the serial / maximally
+// parallel baselines. The growth loop re-queries the same (task, p)
+// points every iteration — CPA's gains, HCPA's efficiency envelope — so
+// task times come from one CostCurveTable bound to the DAG: each distinct
+// (kernel, matrix_dim) row is fetched with one task_time_curve call and
+// every later query is an array load.
 #include "mtsched/sched/allocation.hpp"
 
 #include <algorithm>
@@ -27,48 +33,6 @@ std::span<double> task_times(const dag::Dag& g, const SchedCost& cost,
   }
   return tau;
 }
-
-/// Memoized cost.task_time(t, p) curve. CPA's candidate scan re-queries
-/// the same critical-path points every growth iteration and HCPA's
-/// efficiency envelope re-evaluates the same (t, p) pairs; cost models
-/// are pure functions of (task, p), so the first query for a task fills
-/// its whole p = 1..P row with one batched task_time_curve call and
-/// every later query is an array load. Curve entries are bit-identical
-/// to the scalar task_time by the SchedCost contract.
-class TaskTimeMemo {
- public:
-  TaskTimeMemo(const dag::Dag& g, const SchedCost& cost, int P,
-               core::Arena& arena)
-      : g_(g),
-        cost_(cost),
-        stride_(static_cast<std::size_t>(P)),
-        memo_(arena.make_span<double>(g.num_tasks() * stride_)),
-        filled_(arena.make_span<std::uint8_t>(g.num_tasks())) {}
-
-  /// tau(t, p) for p in [1, P].
-  double operator()(dag::TaskId t, int p) const {
-    return row(t)[static_cast<std::size_t>(p - 1)];
-  }
-
-  /// The whole tau(t, 1..P) curve.
-  std::span<const double> row(dag::TaskId t) const {
-    double* r = memo_.data() + t * stride_;
-    if (!filled_[t]) {
-      cost_.task_time_curve(g_.task(t), {r, stride_});
-      filled_[t] = 1;
-    }
-    return {r, stride_};
-  }
-
- private:
-  const dag::Dag& g_;
-  const SchedCost& cost_;
-  std::size_t stride_;
-  // Spans into the caller's arena scope; the shallow-const span lets the
-  // lazy row fill stay behind a const interface without `mutable`.
-  std::span<double> memo_;
-  std::span<std::uint8_t> filled_;
-};
 
 /// Top/bottom levels with zero edge weights (classic CPA uses computation
 /// times only during allocation), stored by topological position.
@@ -196,7 +160,7 @@ using GrowGate = std::function<bool(dag::TaskId, int /*new_p*/)>;
 using OnGrow = std::function<void(dag::TaskId)>;
 
 std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
-                              const TaskTimeMemo& tt, core::Arena& arena,
+                              const CostCurveTable& tt, core::Arena& arena,
                               const GrowGate& may_grow,
                               const OnGrow& on_grow = {}) {
   MTSCHED_REQUIRE(P >= 1, "cluster must have at least one processor");
@@ -205,19 +169,19 @@ std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
   std::vector<int> alloc(n, 1);
   auto tau = arena.make_span<double>(n);
   for (dag::TaskId t = 0; t < n; ++t) {
-    tau[t] = tt(t, 1);
+    tau[t] = tt.tau(t, 1);
     MTSCHED_INVARIANT(tau[t] > 0.0, "task time must be positive");
   }
   LevelTracker lv(g, tau, arena);
   // gain[t] of one more processor depends only on alloc[t], so it is
   // refreshed only when t grows. A task already at P gets -inf, which
-  // never beats the running best (and tt(t, P + 1) is never read).
+  // never beats the running best (and tau(t, P + 1) is never read).
   auto gain = arena.make_span<double>(n);
   const auto refresh_gain = [&](dag::TaskId t) {
     const int np = alloc[t] + 1;
     gain[t] = np > P ? -std::numeric_limits<double>::infinity()
                      : tau[t] / static_cast<double>(alloc[t]) -
-                           tt(t, np) / static_cast<double>(np);
+                           tt.tau(t, np) / static_cast<double>(np);
   };
   for (dag::TaskId t = 0; t < n; ++t) refresh_gain(t);
   // Average-area terms alloc[t] * tau(t, alloc[t]); only the grown task's
@@ -270,7 +234,7 @@ std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
     }
     if (best == dag::kInvalidTask) break;  // nothing can usefully grow
     alloc[best] += 1;
-    tau[best] = tt(best, alloc[best]);
+    tau[best] = tt.tau(best, alloc[best]);
     const double new_term = static_cast<double>(alloc[best]) * tau[best];
     area_run += new_term - area_term[best];
     area_term[best] = new_term;
@@ -302,8 +266,8 @@ std::vector<int> CpaAllocator::allocate(const dag::Dag& g,
                            "allocate:" + name(),
                            {{"tasks", std::to_string(g.num_tasks())},
                             {"P", std::to_string(P)}});
+  const CostCurveTable tt(cost, P, g);
   core::ArenaScope scratch(core::scratch_arena());
-  const TaskTimeMemo tt(g, cost, P, scratch.arena());
   return cpa_skeleton(g, P, tt, scratch.arena(),
                       [](dag::TaskId, int) { return true; });
 }
@@ -335,8 +299,8 @@ std::vector<int> HcpaAllocator::allocate(const dag::Dag& g,
   const int cap = std::max(
       1, static_cast<int>(std::ceil(static_cast<double>(P) /
                                     static_cast<double>(omega))));
+  const CostCurveTable tt(cost, P, g);
   core::ArenaScope scratch(core::scratch_arena());
-  const TaskTimeMemo tt(g, cost, P, scratch.arena());
   const double min_eff = min_efficiency_;
   return cpa_skeleton(g, P, tt, scratch.arena(), [&](dag::TaskId t, int np) {
     if (np > cap) return false;
@@ -344,7 +308,7 @@ std::vector<int> HcpaAllocator::allocate(const dag::Dag& g,
     // single inefficient point (e.g. a p = 8 cache outlier in a profiled
     // cost curve) does not wall off all larger allocations.
     const auto eff = [&](int p) {
-      return tt(t, 1) / (static_cast<double>(p) * tt(t, p));
+      return tt.tau(t, 1) / (static_cast<double>(p) * tt.tau(t, p));
     };
     if (eff(np) >= min_eff) return true;
     return np < P && eff(np + 1) >= min_eff;
@@ -365,8 +329,8 @@ std::vector<int> McpaAllocator::allocate(const dag::Dag& g,
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
     ++level_total[static_cast<std::size_t>(level[t])];
   }
+  const CostCurveTable tt(cost, P, g);
   core::ArenaScope scratch(core::scratch_arena());
-  const TaskTimeMemo tt(g, cost, P, scratch.arena());
   return cpa_skeleton(
       g, P, tt, scratch.arena(),
       [&](dag::TaskId t, int) {

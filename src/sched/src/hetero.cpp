@@ -55,16 +55,19 @@ Schedule HeteroListMapper::map(const dag::Dag& g,
                     "virtual allocations must be in [1, virtual_procs]");
   }
 
+  // Task times are asked for up to virtual_procs() processors,
+  // redistributions between physical set sizes up to P.
+  const CostCurveTable table(cost, std::max(P, vc_.virtual_procs()), g);
+
   // Priorities: bottom levels with virtual-cluster times.
   core::ArenaScope scratch(core::scratch_arena());
   auto tau = scratch.arena().make_span<double>(g.num_tasks());
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    tau[t] = cost.task_time(g.task(t), virtual_alloc[t]);
+    tau[t] = table.tau(t, virtual_alloc[t]);
   }
   const auto bl = detail::bottom_levels(g, tau, scratch.arena());
   const auto priority = detail::priority_order(bl, scratch.arena());
   detail::ReadyQueue ready(g, priority, scratch.arena());
-  const detail::RedistMemo redist_memo(g, cost, P);
 
   Schedule s;
   s.placements.resize(g.num_tasks());
@@ -100,8 +103,8 @@ Schedule HeteroListMapper::map(const dag::Dag& g,
       const auto& qp = s.placements[q];
       data_ready = std::max(
           data_ready,
-          qp.est_finish + redist_memo(q, static_cast<int>(qp.procs.size()),
-                                      static_cast<int>(procs.size())));
+          qp.est_finish + table.redist(q, static_cast<int>(qp.procs.size()),
+                                       static_cast<int>(procs.size())));
     }
     double avail = 0.0;
     for (int pr : procs) {
@@ -114,7 +117,7 @@ Schedule HeteroListMapper::map(const dag::Dag& g,
                          platform::exec_slowdown(spec, procs);
     const int p_eff = std::clamp(
         static_cast<int>(std::lround(k_eff)), 1, vc_.virtual_procs());
-    const double finish = start + cost.task_time(g.task(chosen), p_eff);
+    const double finish = start + table.tau(chosen, p_eff);
 
     auto& pl = s.placements[chosen];
     pl.procs = procs;

@@ -8,21 +8,20 @@
 // the next task comes from a min-heap keyed by list rank, which pops
 // exactly the task the rescan would have picked, in O(log W) for W
 // concurrently ready tasks.
+//
+// Cost estimates are not memoized here: each scheduler reads them from a
+// CostCurveTable bound to its DAG (mtsched/sched/cost.hpp).
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "mtsched/core/arena.hpp"
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/dag.hpp"
-#include "mtsched/sched/cost.hpp"
 
 namespace mtsched::sched::detail {
 
@@ -121,97 +120,6 @@ class ReadyQueue {
   // Min-heap over ranks (std::*_heap with greater<>), identical pop order
   // to the std::priority_queue it replaces.
   core::ArenaVector<std::size_t> heap_;
-};
-
-/// Memoized cost.redist_time values. A redistribution estimate may read
-/// the producer only through (kernel, matrix_dim) — the SchedCost
-/// contract — so estimates are shared across same-shaped producers and
-/// every (shape, p_src, p_dst) triple is evaluated at most once per
-/// mapping run. The refined models' estimates build a full block
-/// redistribution plan per evaluation, which made repeated scalar calls
-/// the dominant cost of the mapping phase.
-class RedistMemo {
- public:
-  RedistMemo(const dag::Dag& g, const SchedCost& cost, int P)
-      : g_(g), cost_(cost), procs_(static_cast<std::size_t>(P)) {
-    // Dense task -> shape-key index, so the per-call lookup is one array
-    // load. Graphs carry a handful of distinct matrix dims, so a linear
-    // scan over the first-seen dims beats sorting every (kernel, dim)
-    // pair; a degenerate graph past the cap falls back to the sorted
-    // path.
-    constexpr std::size_t kMaxLinearDims = 64;
-    key_of_.resize(g.num_tasks());
-    std::vector<int> dims;
-    bool overflow = false;
-    for (const auto& t : g.tasks()) {
-      std::size_t di = 0;
-      while (di < dims.size() && dims[di] != t.matrix_dim) ++di;
-      if (di == dims.size()) {
-        if (dims.size() == kMaxLinearDims) {
-          overflow = true;
-          break;
-        }
-        dims.push_back(t.matrix_dim);
-      }
-      key_of_[t.id] =
-          di * dag::kNumKernels + static_cast<std::size_t>(t.kernel);
-    }
-    std::size_t num_shapes = dims.size() * dag::kNumKernels;
-    if (overflow) {
-      std::vector<std::pair<dag::TaskKernel, int>> shapes;
-      shapes.reserve(g.num_tasks());
-      for (const auto& t : g.tasks()) {
-        shapes.emplace_back(t.kernel, t.matrix_dim);
-      }
-      std::sort(shapes.begin(), shapes.end());
-      shapes.erase(std::unique(shapes.begin(), shapes.end()), shapes.end());
-      for (const auto& t : g.tasks()) {
-        key_of_[t.id] = static_cast<std::size_t>(
-            std::lower_bound(shapes.begin(), shapes.end(),
-                             std::make_pair(t.kernel, t.matrix_dim)) -
-            shapes.begin());
-      }
-      num_shapes = shapes.size();
-    }
-    memo_.assign(num_shapes * procs_ * procs_,
-                 std::numeric_limits<double>::quiet_NaN());
-    row_filled_.assign(num_shapes * procs_, 0);
-  }
-
-  /// redist_time(producer, p_src, p_dst), evaluated on first use.
-  double operator()(dag::TaskId producer, int p_src, int p_dst) const {
-    double& slot = memo_[(key_of_[producer] * procs_ +
-                          static_cast<std::size_t>(p_src - 1)) *
-                             procs_ +
-                         static_cast<std::size_t>(p_dst - 1)];
-    if (std::isnan(slot)) {
-      slot = cost_.redist_time(g_.task(producer), p_src, p_dst);
-    }
-    return slot;
-  }
-
-  /// The p_dst = 1..len prefix of the curve, fetched with one batched
-  /// redist_time_curve call on first use (entries are bit-identical to
-  /// the scalar calls by the SchedCost contract).
-  std::span<const double> curve(dag::TaskId producer, int p_src,
-                                std::size_t len) const {
-    const std::size_t row = key_of_[producer] * procs_ +
-                            static_cast<std::size_t>(p_src - 1);
-    double* r = memo_.data() + row * procs_;
-    if (row_filled_[row] < len) {
-      cost_.redist_time_curve(g_.task(producer), p_src, {r, len});
-      row_filled_[row] = len;
-    }
-    return {r, len};
-  }
-
- private:
-  const dag::Dag& g_;
-  const SchedCost& cost_;
-  std::size_t procs_;
-  std::vector<std::size_t> key_of_;
-  mutable std::vector<double> memo_;
-  mutable std::vector<std::size_t> row_filled_;
 };
 
 }  // namespace mtsched::sched::detail

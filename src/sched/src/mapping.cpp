@@ -94,10 +94,11 @@ Schedule ListMapper::map(const dag::Dag& g, const std::vector<int>& alloc,
                           sigma_ > 0.0 &&
                           static_cast<std::size_t>(P) <= rack_of_.size();
 
+  const CostCurveTable table(cost, P, g);
   core::ArenaScope scratch(core::scratch_arena());
   auto tau = scratch.arena().make_span<double>(g.num_tasks());
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    tau[t] = cost.task_time(g.task(t), alloc[t]);
+    tau[t] = table.tau(t, alloc[t]);
   }
   // List order: decreasing bottom level, ties by id; only dependency-ready
   // tasks are eligible, tracked by the ready queue (which pops exactly the
@@ -105,7 +106,6 @@ Schedule ListMapper::map(const dag::Dag& g, const std::vector<int>& alloc,
   const auto bl = detail::bottom_levels(g, tau, scratch.arena());
   const auto order = detail::priority_order(bl, scratch.arena());
   detail::ReadyQueue ready(g, order, scratch.arena());
-  const detail::RedistMemo redist_memo(g, cost, P);
 
   Schedule s;
   s.placements.resize(g.num_tasks());
@@ -188,11 +188,11 @@ Schedule ListMapper::map(const dag::Dag& g, const std::vector<int>& alloc,
       const auto& qp = s.placements[q];
       const int p_q = static_cast<int>(qp.procs.size());
       producers_done = std::max(producers_done, qp.est_finish);
-      const double redist = redist_memo(q, p_q, p_t);
+      const double redist = table.redist(q, p_q, p_t);
       redist_base.push_back(redist);
       mean_redist += redist;
       if (redist_aware) {
-        redist_ovh.push_back(cost.redist_overhead_time(p_q, p_t));
+        redist_ovh.push_back(table.redist_overhead_time(p_q, p_t));
         if (use_masks) {
           holders |= placed_mask[q];
           if (rack_aware) {

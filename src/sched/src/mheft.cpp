@@ -30,28 +30,26 @@ Schedule MHeftScheduler::schedule(const dag::Dag& g) const {
   const int p_cap = max_alloc_ == 0 ? P : max_alloc_;
   const auto cap = static_cast<std::size_t>(p_cap);
 
+  const CostCurveTable table(cost_, P, g);
+
   // Bottom levels with sequential times for priorities (HEFT's upward
   // rank, specialized to a homogeneous cluster).
   core::ArenaScope scratch(core::scratch_arena());
   auto tau1 = scratch.arena().make_span<double>(g.num_tasks());
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    tau1[t] = cost_.task_time(g.task(t), 1);
+    tau1[t] = table.tau(t, 1);
   }
   const auto bl = detail::bottom_levels(g, tau1, scratch.arena());
   const auto priority = detail::priority_order(bl, scratch.arena());
   detail::ReadyQueue ready(g, priority, scratch.arena());
-  const detail::RedistMemo redist_memo(g, cost_, P);
 
   Schedule s;
   s.placements.resize(g.num_tasks());
   s.proc_order.assign(static_cast<std::size_t>(P), {});
   std::vector<double> proc_ready(static_cast<std::size_t>(P), 0.0);
 
-  // Per-placement scratch, sized once. The candidate loop sweeps p, so the
-  // task-time and per-predecessor redistribution curves are fetched with
-  // one batched (and memoized, for redistribution) cost-model call each
-  // instead of one virtual call per p.
-  std::vector<double> task_curve(cap);
+  // The candidate loop sweeps p, so it reads the task's row and one
+  // p_dst = 1..cap redistribution curve per predecessor from the table.
   std::vector<std::span<const double>> redist_curves;  // row per predecessor
 
   // Processors ordered by (availability, id); the prefix of size p is the
@@ -71,11 +69,11 @@ Schedule MHeftScheduler::schedule(const dag::Dag& g) const {
     const dag::TaskId chosen = ready.pop();
     const auto& preds = g.predecessors(chosen);
 
-    cost_.task_time_curve(g.task(chosen), {task_curve.data(), cap});
+    const auto task_curve = table.task_row(chosen);
     redist_curves.resize(preds.size());
     for (std::size_t qi = 0; qi < preds.size(); ++qi) {
       const auto& qp = s.placements[preds[qi]];
-      redist_curves[qi] = redist_memo.curve(
+      redist_curves[qi] = table.redist_curve(
           preds[qi], static_cast<int>(qp.procs.size()), cap);
     }
 

@@ -116,6 +116,33 @@ TEST_F(CostCurveTableTest, RejectsOversizedQueries) {
   std::vector<double> too_big(static_cast<std::size_t>(P_) + 1);
   EXPECT_THROW(table_.task_time_curve(g.task(0), too_big),
                core::InvalidArgument);
+  EXPECT_THROW(table_.redist_time_curve(g.task(0), 1, too_big),
+               core::InvalidArgument);
+  // The analytical model answers startup and overhead for any p, so the
+  // table's own range check is what must reject these.
+  const models::SchedCostAdapter analytical(
+      lab().model(models::ModelSpec::parse("analytical")));
+  const sched::CostCurveTable table(analytical, P_, g);
+  const auto& t = g.task(0);
+  std::vector<double> one(1);
+  for (int bad : {0, P_ + 1}) {
+    EXPECT_THROW(table.exec_time(t, bad), core::InvalidArgument) << bad;
+    EXPECT_THROW(table.startup_time(bad), core::InvalidArgument) << bad;
+    EXPECT_THROW(table.redist_time(t, bad, 1), core::InvalidArgument) << bad;
+    EXPECT_THROW(table.redist_time(t, 1, bad), core::InvalidArgument) << bad;
+    EXPECT_THROW(table.redist_overhead_time(bad, 1), core::InvalidArgument)
+        << bad;
+    EXPECT_THROW(table.redist_overhead_time(1, bad), core::InvalidArgument)
+        << bad;
+    EXPECT_THROW(table.redist_time_curve(t, bad, one), core::InvalidArgument)
+        << bad;
+    EXPECT_THROW(table.tau(0, bad), core::InvalidArgument) << bad;
+    EXPECT_THROW(table.redist(0, bad, 1), core::InvalidArgument) << bad;
+    EXPECT_THROW(table.redist(0, 1, bad), core::InvalidArgument) << bad;
+    EXPECT_THROW(table.redist_curve(0, bad, 1), core::InvalidArgument) << bad;
+  }
+  EXPECT_THROW(table.redist_curve(0, 1, static_cast<std::size_t>(P_) + 1),
+               core::InvalidArgument);
 }
 
 // --- Session::run_batch --------------------------------------------------

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/generator.hpp"
@@ -383,6 +386,44 @@ TEST(CpaFamilyReference, Table1SuiteSliceMatchesNaiveReference) {
                              suite[i].name);
     expect_matches_reference(suite[i].graph, BumpyCost{},
                              suite[i].name + " bumpy");
+  }
+}
+
+/// Forwards to a base cost and counts the task_time_curve calls per
+/// (kernel, matrix_dim) shape.
+class CurveCountingCost final : public SchedCost {
+ public:
+  explicit CurveCountingCost(const SchedCost& base) : base_(base) {}
+  double exec_time(const Task& t, int p) const override {
+    return base_.exec_time(t, p);
+  }
+  double startup_time(int p) const override { return base_.startup_time(p); }
+  double redist_time(const Task& t, int p_src, int p_dst) const override {
+    return base_.redist_time(t, p_src, p_dst);
+  }
+  void task_time_curve(const Task& t, std::span<double> out) const override {
+    ++curve_calls[{t.kernel, t.matrix_dim}];
+    base_.task_time_curve(t, out);
+  }
+
+  mutable std::map<std::pair<TaskKernel, int>, int> curve_calls;
+
+ private:
+  const SchedCost& base_;
+};
+
+TEST(CostTable, AllocatorsFetchOneTaskCurvePerShape) {
+  // 40 tasks, two shapes: MatAdd and MatMul at one matrix dimension.
+  const auto g =
+      generate_random_dag({.num_tasks = 40, .width = 4, .seed = 3}).graph;
+  const IdealCost base(/*startup=*/0.2);
+  for (const char* algo : {"CPA", "HCPA", "MCPA"}) {
+    const CurveCountingCost cost(base);
+    make_allocator(algo)->allocate(g, cost, 32);
+    ASSERT_EQ(cost.curve_calls.size(), 2u) << algo;
+    for (const auto& [shape, calls] : cost.curve_calls) {
+      EXPECT_EQ(calls, 1) << algo << " dim " << shape.second;
+    }
   }
 }
 

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <numeric>
+#include <set>
+#include <span>
+#include <tuple>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/generator.hpp"
@@ -614,6 +618,65 @@ TEST(MapperRackAware, RackMetadataFollowsTopology) {
   EXPECT_EQ(mapper.rack_of(31), 1);
   EXPECT_THROW(mapper.rack_of(32), InvalidArgument);
   EXPECT_THROW(mapper.rack_of(-1), InvalidArgument);
+}
+
+/// Forwards to VariedCost and counts the base redistribution calls per
+/// (kernel, matrix_dim, p_src, p_dst) and the redist_time_curve calls.
+class RedistCountingCost final : public SchedCost {
+ public:
+  using Cell = std::tuple<TaskKernel, int, int, int>;
+  double exec_time(const Task& t, int p) const override {
+    return base_.exec_time(t, p);
+  }
+  double startup_time(int p) const override { return base_.startup_time(p); }
+  double redist_time(const Task& t, int p_src, int p_dst) const override {
+    ++redist_calls[{t.kernel, t.matrix_dim, p_src, p_dst}];
+    return base_.redist_time(t, p_src, p_dst);
+  }
+  double redist_overhead_time(int p_src, int p_dst) const override {
+    return base_.redist_overhead_time(p_src, p_dst);
+  }
+  void redist_time_curve(const Task& t, int p_src,
+                         std::span<double> out) const override {
+    ++curve_calls;
+    base_.redist_time_curve(t, p_src, out);
+  }
+
+  mutable std::map<Cell, int> redist_calls;
+  mutable int curve_calls = 0;
+
+ private:
+  VariedCost base_;
+};
+
+TEST(CostTable, MapperEvaluatesEachEdgeRedistCellOnce) {
+  static const auto hier = mtsched::platform::to_cluster(
+      mtsched::platform::hierarchical_topology(4, 8, 16.0));
+  const int P = hier.num_nodes;
+  const auto inst = generate_random_dag(
+      {.num_tasks = 80, .width = 6, .add_ratio = 0.4, .seed = 21});
+  const auto& g = inst.graph;
+  const auto alloc = HcpaAllocator{}.allocate(g, VariedCost{}, P);
+  for (auto strategy :
+       {MappingStrategy::EarliestStart, MappingStrategy::RedistributionAware,
+        MappingStrategy::RackAware}) {
+    const RedistCountingCost cost;
+    const auto s = ListMapper(strategy, hier).map(g, alloc, cost, P);
+    std::set<RedistCountingCost::Cell> edge_cells;
+    for (const auto& e : g.edges()) {
+      const auto& q = g.task(e.src);
+      edge_cells.insert(
+          {q.kernel, q.matrix_dim,
+           static_cast<int>(s.placements[e.src].procs.size()), alloc[e.dst]});
+    }
+    const char* what = mapping_name(strategy);
+    EXPECT_EQ(cost.curve_calls, 0) << what;
+    EXPECT_FALSE(cost.redist_calls.empty()) << what;
+    for (const auto& [cell, calls] : cost.redist_calls) {
+      EXPECT_EQ(calls, 1) << what;
+      EXPECT_TRUE(edge_cells.count(cell)) << what;
+    }
+  }
 }
 
 }  // namespace
