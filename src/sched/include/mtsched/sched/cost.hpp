@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mtsched/core/error.hpp"
 #include "mtsched/dag/dag.hpp"
 
 namespace mtsched::sched {
@@ -113,17 +114,24 @@ class CostCurveTable final : public SchedCost {
   void redist_time_curve(const dag::Task& producer, int p_src,
                          std::span<double> out) const override;
 
-  // Queries by task id of the bound DAG.
+  // Queries by task id of the bound DAG. Returned spans stay valid until
+  // a query interns a new shape.
 
   /// task_time(t, 1..P).
-  std::span<const double> task_row(dag::TaskId t) const;
-  /// task_time(t, p).
-  double tau(dag::TaskId t, int p) const;
+  std::span<const double> task_row(dag::TaskId t) const {
+    return {task_rows_.data() + shape_of_task_[t] * procs_, procs_};
+  }
+  /// task_time(t, p). Inline: the allocators' growth loops call it per
+  /// candidate.
+  double tau(dag::TaskId t, int p) const {
+    check_p(p);
+    return task_rows_[shape_of_task_[t] * procs_ +
+                      static_cast<std::size_t>(p - 1)];
+  }
   /// redist_time(q, p_src, p_dst), filled on first use.
   double redist(dag::TaskId q, int p_src, int p_dst) const;
   /// redist_time(q, p_src, 1..len), filled with one redist_time_curve
-  /// call unless every entry is already known. The span stays valid
-  /// until a query interns a new shape.
+  /// call unless every entry is already known.
   std::span<const double> redist_curve(dag::TaskId q, int p_src,
                                        std::size_t len) const;
 
@@ -141,7 +149,10 @@ class CostCurveTable final : public SchedCost {
   std::span<const double> redist_prefix(std::uint32_t shape,
                                         const dag::Task& producer, int p_src,
                                         std::size_t len) const;
-  void check_p(int p) const;
+  void check_p(int p) const {
+    MTSCHED_REQUIRE(p >= 1 && static_cast<std::size_t>(p) <= procs_,
+                    "processor count outside the cost table's [1, P]");
+  }
 
   const SchedCost& base_;
   std::size_t procs_;
@@ -149,11 +160,12 @@ class CostCurveTable final : public SchedCost {
   std::vector<std::uint32_t> shape_of_task_;  ///< bound DAG's task -> shape
   /// (kernel, dim) packed to a 64-bit key -> dense shape index.
   mutable std::unordered_map<std::uint64_t, std::uint32_t> shape_of_;
-  // Flat arrays; NaN marks an entry not yet filled.
-  mutable std::vector<double> task_rows_;  ///< shape * P + p - 1
-  mutable std::vector<double> redist_;     ///< (shape * P + p_src - 1) * P + p_dst - 1
-  mutable std::vector<double> startup_;    ///< p - 1
-  mutable std::vector<double> overhead_;   ///< (p_src - 1) * P + p_dst - 1
+  // Flat arrays, indexed [shape][p - 1], [shape][p_src - 1][p_dst - 1],
+  // [p - 1] and [p_src - 1][p_dst - 1]; NaN marks an entry not yet filled.
+  mutable std::vector<double> task_rows_;
+  mutable std::vector<double> redist_;
+  mutable std::vector<double> startup_;
+  mutable std::vector<double> overhead_;
   mutable std::uint64_t fills_ = 0;
 };
 

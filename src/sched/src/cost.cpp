@@ -43,11 +43,6 @@ CostCurveTable::CostCurveTable(const SchedCost& base, int P,
   }
 }
 
-void CostCurveTable::check_p(int p) const {
-  MTSCHED_REQUIRE(p >= 1 && static_cast<std::size_t>(p) <= procs_,
-                  "processor count outside the cost table's [1, P]");
-}
-
 std::uint32_t CostCurveTable::intern(const dag::Task& t) const {
   const auto [it, fresh] = shape_of_.try_emplace(
       shape_key(t), static_cast<std::uint32_t>(shape_of_.size()));
@@ -141,16 +136,6 @@ void CostCurveTable::redist_time_curve(const dag::Task& producer, int p_src,
   const auto row = redist_prefix(intern(producer), producer, p_src,
                                  out.size());
   std::copy(row.begin(), row.end(), out.begin());
-}
-
-std::span<const double> CostCurveTable::task_row(dag::TaskId t) const {
-  return {task_rows_.data() + shape_of_task_[t] * procs_, procs_};
-}
-
-double CostCurveTable::tau(dag::TaskId t, int p) const {
-  check_p(p);
-  return task_rows_[shape_of_task_[t] * procs_ +
-                    static_cast<std::size_t>(p - 1)];
 }
 
 double CostCurveTable::redist(dag::TaskId q, int p_src, int p_dst) const {

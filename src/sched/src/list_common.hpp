@@ -9,8 +9,9 @@
 // exactly the task the rescan would have picked, in O(log W) for W
 // concurrently ready tasks.
 //
-// Cost estimates are not memoized here: each scheduler reads them from a
-// CostCurveTable bound to its DAG (mtsched/sched/cost.hpp).
+// This header holds only that list machinery. Each scheduler reads its
+// cost estimates from a CostCurveTable bound to its DAG
+// (mtsched/sched/cost.hpp).
 #pragma once
 
 #include <algorithm>
