@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <span>
 
@@ -154,15 +153,16 @@ double average_area(const dag::Dag& g, const SchedCost& cost,
   return area / static_cast<double>(P);
 }
 
-/// Growth gate customization point for the three algorithms. `may_grow`
-/// must be a pure predicate; `on_grow` is invoked once per actual growth.
-using GrowGate = std::function<bool(dag::TaskId, int /*new_p*/)>;
-using OnGrow = std::function<void(dag::TaskId)>;
-
+/// The three algorithms differ only in their growth gate:
+/// `may_grow(t, new_p)` must be a pure predicate, and `on_grow(t)` is
+/// invoked once per actual growth. Both are template parameters, so the
+/// candidate scan, which asks the gate for many tasks per growth step,
+/// calls them directly.
+template <typename GrowGate, typename OnGrow>
 std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
                               const CostCurveTable& tt, core::Arena& arena,
                               const GrowGate& may_grow,
-                              const OnGrow& on_grow = {}) {
+                              const OnGrow& on_grow) {
   MTSCHED_REQUIRE(P >= 1, "cluster must have at least one processor");
   MTSCHED_REQUIRE(g.num_tasks() > 0, "cannot allocate an empty DAG");
   const std::size_t n = g.num_tasks();
@@ -240,7 +240,7 @@ std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
     area_term[best] = new_term;
     refresh_gain(best);
     lv.set_time(best, tau[best]);
-    if (on_grow) on_grow(best);
+    on_grow(best);
   }
   return alloc;
 }
@@ -268,8 +268,9 @@ std::vector<int> CpaAllocator::allocate(const dag::Dag& g,
                             {"P", std::to_string(P)}});
   const CostCurveTable tt(cost, P, g);
   core::ArenaScope scratch(core::scratch_arena());
-  return cpa_skeleton(g, P, tt, scratch.arena(),
-                      [](dag::TaskId, int) { return true; });
+  return cpa_skeleton(
+      g, P, tt, scratch.arena(), [](dag::TaskId, int) { return true; },
+      [](dag::TaskId) {});
 }
 
 HcpaAllocator::HcpaAllocator(double min_efficiency)
@@ -312,7 +313,7 @@ std::vector<int> HcpaAllocator::allocate(const dag::Dag& g,
     };
     if (eff(np) >= min_eff) return true;
     return np < P && eff(np + 1) >= min_eff;
-  });
+  }, [](dag::TaskId) {});
 }
 
 std::vector<int> McpaAllocator::allocate(const dag::Dag& g,
