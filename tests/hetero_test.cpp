@@ -245,39 +245,58 @@ sched::Schedule reference_hetero_map(const ClusterSpec& spec,
 
 TEST(HeteroMapper, Table1SuiteSliceMatchesScalarReference) {
   static const exp::Lab lab;
-  const auto spec = heterogeneous_cluster(32, 100e6, 400e6, 5);
-  const sched::VirtualCluster vc(spec);
-  // The lab's profile tables cover p = 1..32.
-  ASSERT_LE(vc.virtual_procs(), 32);
-  const models::AnalyticalModel analytical(spec);
-  const models::SchedCostAdapter analytical_cost(analytical);
+  // The second platform takes its slowest node as the reference speed,
+  // so it has more virtual processors than physical nodes.
+  auto slow_ref = heterogeneous_cluster(8, 100e6, 400e6, 5);
+  slow_ref.node.flops = slow_ref.min_flops();
+  ASSERT_GT(VirtualCluster(slow_ref).virtual_procs(), slow_ref.num_nodes);
+  // The lab's models answer for p = 1..32.
+  const models::SchedCostAdapter analytical_cost(
+      lab.model(models::ModelSpec::parse("analytical")));
   const models::SchedCostAdapter profile_cost(
       lab.model(models::ModelSpec::parse("profile")));
-  const sched::HeteroListMapper mapper(spec);
   const auto suite = dag::generate_table1_suite();
-  for (const auto* cost : {&analytical_cost, &profile_cost}) {
-    for (std::size_t i = 0; i < suite.size(); i += 9) {
-      const auto& g = suite[i].graph;
-      const auto valloc =
-          sched::HcpaAllocator{}.allocate(g, *cost, vc.virtual_procs());
-      const auto fast = mapper.map(g, valloc, *cost);
-      const auto ref = reference_hetero_map(spec, g, valloc, *cost);
-      const std::string what =
-          (cost == &analytical_cost ? "analytical " : "profile ") +
-          suite[i].name;
-      ASSERT_EQ(fast.placements.size(), ref.placements.size()) << what;
-      for (std::size_t t = 0; t < ref.placements.size(); ++t) {
-        EXPECT_EQ(fast.placements[t].procs, ref.placements[t].procs)
-            << what << " task " << t;
-        EXPECT_EQ(fast.placements[t].est_start, ref.placements[t].est_start)
-            << what << " task " << t;
-        EXPECT_EQ(fast.placements[t].est_finish, ref.placements[t].est_finish)
-            << what << " task " << t;
+  for (const auto& spec :
+       {heterogeneous_cluster(32, 100e6, 400e6, 5), slow_ref}) {
+    const sched::VirtualCluster vc(spec);
+    ASSERT_LE(vc.virtual_procs(), 32);
+    const sched::HeteroListMapper mapper(spec);
+    for (const auto* cost : {&analytical_cost, &profile_cost}) {
+      for (std::size_t i = 0; i < suite.size(); i += 9) {
+        const auto& g = suite[i].graph;
+        const auto valloc =
+            sched::HcpaAllocator{}.allocate(g, *cost, vc.virtual_procs());
+        const auto fast = mapper.map(g, valloc, *cost);
+        const auto ref = reference_hetero_map(spec, g, valloc, *cost);
+        const std::string what =
+            spec.name +
+            (cost == &analytical_cost ? " analytical " : " profile ") +
+            suite[i].name;
+        ASSERT_EQ(fast.placements.size(), ref.placements.size()) << what;
+        for (std::size_t t = 0; t < ref.placements.size(); ++t) {
+          EXPECT_EQ(fast.placements[t].procs, ref.placements[t].procs)
+              << what << " task " << t;
+          EXPECT_EQ(fast.placements[t].est_start, ref.placements[t].est_start)
+              << what << " task " << t;
+          EXPECT_EQ(fast.placements[t].est_finish,
+                    ref.placements[t].est_finish)
+              << what << " task " << t;
+        }
+        EXPECT_EQ(fast.proc_order, ref.proc_order) << what;
+        EXPECT_EQ(fast.est_makespan, ref.est_makespan) << what;
       }
-      EXPECT_EQ(fast.proc_order, ref.proc_order) << what;
-      EXPECT_EQ(fast.est_makespan, ref.est_makespan) << what;
     }
   }
+  // A virtual allocation above the physical node count: the mapper must
+  // price the task at that many virtual processors.
+  dag::Dag one;
+  one.add_task(dag::TaskKernel::MatMul, 2000);
+  const std::vector<int> wide = {VirtualCluster(slow_ref).virtual_procs()};
+  const auto fast =
+      sched::HeteroListMapper(slow_ref).map(one, wide, profile_cost);
+  const auto ref = reference_hetero_map(slow_ref, one, wide, profile_cost);
+  EXPECT_EQ(fast.placements[0].procs, ref.placements[0].procs);
+  EXPECT_EQ(fast.placements[0].est_finish, ref.placements[0].est_finish);
 }
 
 TEST(HeteroEmulator, ExecutionScaledBySlowestNode) {
