@@ -1,16 +1,23 @@
-// Microbenchmarks of the simulation kernel: the max-min fairness solver
-// and end-to-end fluid-engine throughput. These guard the scalability
-// claim that makes flow-level simulation attractive in the first place
-// (minutes of simulation for hours of cluster time).
+// Microbenchmarks of the simulation kernel: the max-min fairness solver,
+// end-to-end fluid-engine throughput and compiled schedule replays. These
+// guard the scalability claim that makes flow-level simulation attractive
+// in the first place (minutes of simulation for hours of cluster time).
 #include <benchmark/benchmark.h>
 
 #include "micro_util.hpp"
 #include "mtsched/core/rng.hpp"
+#include "mtsched/dag/generator.hpp"
+#include "mtsched/machine/java_cluster.hpp"
+#include "mtsched/models/analytical.hpp"
+#include "mtsched/models/cost_model.hpp"
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/redist/plan.hpp"
+#include "mtsched/sched/allocation.hpp"
+#include "mtsched/sched/mapping.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/simcore/engine.hpp"
 #include "mtsched/simcore/maxmin.hpp"
+#include "mtsched/tgrid/emulator.hpp"
 
 namespace {
 
@@ -151,6 +158,34 @@ void BM_EngineActiveScaling(benchmark::State& state) {
 // calendar and lazy event lookahead must hold their per-event cost at a
 // working set that dwarfs the caches.
 BENCHMARK(BM_EngineActiveScaling)->Arg(1000)->Arg(4000)->Arg(100000);
+
+// The campaign's execute path: one HCPA schedule of an n-task DAG on
+// bayreuth32, compiled once, then one emulated experiment seed per
+// iteration. A compiled replay's run resets its engine and replays with
+// no heap allocation, so the per-task cost must stay flat across sizes.
+void BM_ReplaySeeds(benchmark::State& state) {
+  const auto spec = platform::bayreuth32();
+  const machine::JavaClusterModel machine;
+  const tgrid::TGridEmulator rig(machine, spec);
+  const models::AnalyticalModel model(spec);
+  const models::SchedCostAdapter cost(model);
+  dag::DagGenParams params;
+  params.num_tasks = static_cast<int>(state.range(0));
+  params.width = 4;
+  params.seed = 5;
+  const dag::Dag g = dag::generate_random_dag(params).graph;
+  const auto sizes =
+      sched::make_allocator("HCPA")->allocate(g, cost, spec.num_nodes);
+  const auto s = sched::ListMapper().map(g, sizes, cost, spec.num_nodes);
+  tgrid::TGridEmulator::Replay replay(rig, g, s);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(replay.run(++seed).makespan);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(g.num_tasks()));
+}
+BENCHMARK(BM_ReplaySeeds)->Arg(10)->Arg(100)->Arg(1000);
 
 }  // namespace
 

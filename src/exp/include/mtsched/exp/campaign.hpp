@@ -3,27 +3,29 @@
 //
 // A campaign is a declarative sweep: DAG suites x scheduling algorithms x
 // simulator cost models x matrix dimensions x experiment seeds. The runner
-// expands the spec into independent jobs — one (suite, dag, model,
-// exp seed, algorithm) cell each — executes them on a core::ThreadPool,
-// and collects one RunRecord per job in *spec expansion order*, which
-// makes the output independent of thread scheduling.
+// expands the spec into one RunRecord per (suite, dag, model, exp seed,
+// algorithm), groups the records into cells — the records of one (suite,
+// dag, model, algorithm), which differ only in the experiment seed — and
+// executes one core::ThreadPool task per cell. Records come back in *spec
+// expansion order*, which makes the output independent of thread
+// scheduling.
 //
 // Determinism is a hard contract: a campaign run with N threads produces
 // results byte-identical to the same campaign with one thread. Two
 // mechanisms guarantee it:
-//   * every job derives its own experiment seed from (campaign exp seed,
-//     algorithm slot, dag seed) exactly as exp::CaseStudy does — no shared
-//     RNG, no run-order dependence;
-//   * records are written into preallocated slots indexed by job id, so
-//     completion order never shows.
+//   * every record derives its own experiment seed from (campaign exp
+//     seed, algorithm slot, dag seed) exactly as exp::CaseStudy does — no
+//     shared RNG, no run-order dependence;
+//   * records are pre-labelled at expansion and written into their slots
+//     by index, so completion order never shows.
 //
-// Schedule computation is memoized: the schedule and simulated makespan of
-// a (suite, dag, model, algorithm) cell do not depend on the experiment
-// seed, so sweeps over many seeds (robustness studies) compute each
-// schedule once and only re-run the emulated cluster execution. The cache
-// is the session layer's sharded exp::ScheduleCache shared across worker
-// threads; hit/miss counts are deterministic because keys are expansion
-// cells and each cell sees exactly one miss.
+// A cell's schedule and simulated makespan do not depend on the
+// experiment seed, so the cell task computes them once, compiles the
+// emulated replay once (tgrid::TGridEmulator::Replay) and then runs every
+// experiment seed of the cell on it, allocation-free. The metrics keep
+// the memo-cache vocabulary: each cell counts one cache miss (the
+// schedule it computed) and one hit per further experiment seed, so the
+// totals are exactly what the expansion dictates.
 #pragma once
 
 #include <cstdint>
@@ -137,9 +139,9 @@ struct RunRecord {
 /// `cache_misses` are deterministic; the wall-clock fields measure this
 /// particular run.
 struct CampaignMetrics {
-  std::size_t jobs = 0;
-  std::size_t cache_hits = 0;    ///< schedule reuses across jobs
-  std::size_t cache_misses = 0;  ///< schedules actually computed
+  std::size_t jobs = 0;           ///< records
+  std::size_t cache_hits = 0;    ///< records that reused their cell's schedule
+  std::size_t cache_misses = 0;  ///< schedules actually computed (cells)
   int threads = 1;
   double expand_seconds = 0.0;   ///< spec -> job list
   double run_seconds = 0.0;      ///< wall clock of the parallel stage
@@ -183,13 +185,15 @@ class Campaign {
   ///
   /// `sink` is the campaign's observation channel (may be null):
   ///   * sink->track() lanes are created at expansion time, one per
-  ///     memoized schedule cell ("schedule <dag>/<model>/<algo>") and one
-  ///     per job ("job <dag>/<model>/<algo>/s<seed>"), so the trace is
+  ///     cell ("schedule <dag>/<model>/<algo>") and one per record
+  ///     ("job <dag>/<model>/<algo>/s<seed>"), so the trace is
   ///     deterministic across thread counts and run orders;
   ///   * sink->metrics() receives campaign.{jobs_done,cache_hits,
-  ///     cache_misses} counters, campaign.{schedule,execute}_seconds
+  ///     cache_misses} counters, campaign.schedule_seconds (one
+  ///     observation per cell) and campaign.execute_seconds (one per
+  ///     record; a cell's replay compile counts toward its first record)
   ///     histograms, and whatever the lower layers report;
-  ///   * sink->progress() pulses after every finished job.
+  ///   * sink->progress() pulses after every finished record.
   CampaignResult run(const CampaignSpec& spec,
                      obs::Sink* sink = nullptr) const;
 

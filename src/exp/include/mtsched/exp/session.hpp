@@ -97,8 +97,7 @@ struct ScheduleMemo {
 /// Sharded memoization table for ScheduleMemo cells.
 ///
 /// Keys are caller-composed strings (the session uses
-/// "<dag-hash>/<model>/<algorithm>/<mapping>", the campaign its expansion
-/// cell). Each key hashes to one shard with its own mutex; the first
+/// "<dag-hash>/<model>/<algorithm>/<mapping>"). Each key hashes to one shard with its own mutex; the first
 /// caller of a key computes the memo behind a shared_future while the
 /// shard lock is *released*, so concurrent misses on other keys proceed
 /// in parallel and compatible requests batch onto one computation.

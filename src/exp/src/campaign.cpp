@@ -12,7 +12,6 @@
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/core/thread_pool.hpp"
-#include "mtsched/exp/session.hpp"
 #include "mtsched/sched/allocation.hpp"
 #include "mtsched/sim/simulator.hpp"
 
@@ -202,28 +201,32 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
     }
   }
 
-  // Expansion: one job per (suite, dag, model, exp seed, algorithm) cell,
-  // dims filter applied. Records are fully pre-labelled here; jobs only
-  // fill in the computed fields.
-  struct Job {
+  // Expansion: one record per (suite, dag, model, exp seed, algorithm),
+  // dims filter applied, grouped into cells — the records sharing a
+  // (suite, dag, model, algorithm), which differ only in the experiment
+  // seed. Records are fully pre-labelled here; cell jobs only fill in the
+  // computed fields.
+  struct Run {
+    std::uint64_t run_seed = 0;
+    std::size_t record_idx = 0;
+    obs::Track track;  ///< emulated execution events of this record
+  };
+  struct Cell {
     const dag::GeneratedDag* dag = nullptr;
     const models::CostModel* model = nullptr;
     const ScheduleFn* schedule = nullptr;
-    std::uint64_t run_seed = 0;
-    std::size_t memo_key = 0;
-    std::size_t record_idx = 0;
-    obs::Track track;       ///< emulated execution events of this job
-    obs::Track memo_track;  ///< schedule+sim events of this job's cell
+    obs::Track track;       ///< schedule+sim events of this cell
+    std::vector<Run> runs;  ///< expansion order
   };
 
   // Trace lanes are created here, during the (serial, deterministic)
   // expansion: the lane set and its order depend only on the spec, never
-  // on which worker later wins a memoized computation.
+  // on which worker later runs a cell.
   obs::MetricsRegistry* mreg = sink != nullptr ? sink->metrics() : nullptr;
-  std::unordered_map<std::size_t, obs::Track> memo_tracks;
 
   CampaignResult result;
-  std::vector<Job> jobs;
+  std::vector<Cell> cells;
+  std::unordered_map<std::size_t, std::size_t> cell_of_key;
   const std::size_t n_models = spec.models.size();
   const std::size_t n_algos = algos->size();
   std::size_t suite_base = 0;  // global dag index offset of the suite
@@ -254,25 +257,33 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
                           : core::hash_mix(exp_seed,
                                            static_cast<std::uint64_t>(slot),
                                            inst.params.seed);
-            Job job;
-            job.dag = &inst;
-            job.model = spec.models[mi].model;
-            job.schedule = &algo.schedule;
-            job.run_seed = rec.run_seed;
-            job.memo_key =
+            const std::size_t key =
                 ((suite_base + di) * n_models + mi) * n_algos + ai;
-            job.record_idx = result.records.size();
+            const auto [it, inserted] =
+                cell_of_key.try_emplace(key, cells.size());
+            const std::string label =
+                sink != nullptr
+                    ? inst.name + "/" + rec.model + "/" + rec.algorithm
+                    : std::string();
+            if (inserted) {
+              Cell cell;
+              cell.dag = &inst;
+              cell.model = spec.models[mi].model;
+              cell.schedule = &algo.schedule;
+              if (sink != nullptr) {
+                cell.track = sink->track("schedule " + label);
+              }
+              cells.push_back(std::move(cell));
+            }
+            Run run;
+            run.run_seed = rec.run_seed;
+            run.record_idx = result.records.size();
             if (sink != nullptr) {
-              const std::string cell =
-                  inst.name + "/" + rec.model + "/" + rec.algorithm;
-              auto [mt, inserted] = memo_tracks.try_emplace(job.memo_key);
-              if (inserted) mt->second = sink->track("schedule " + cell);
-              job.memo_track = mt->second;
-              job.track = sink->track("job " + cell + "/s" +
+              run.track = sink->track("job " + label + "/s" +
                                       std::to_string(exp_seed));
             }
+            cells[it->second].runs.push_back(run);
             result.records.push_back(std::move(rec));
-            jobs.push_back(job);
           }
         }
       }
@@ -280,7 +291,7 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
     suite_base += suite.dags.size();
   }
 
-  result.metrics.jobs = jobs.size();
+  result.metrics.jobs = result.records.size();
   result.metrics.threads = spec.threads == 0
                                ? core::ThreadPool::recommended_threads()
                                : std::max(1, spec.threads);
@@ -299,71 +310,64 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
   obs::Histogram* exec_hist =
       mreg != nullptr ? &mreg->histogram("campaign.execute_seconds") : nullptr;
 
-  // Parallel stage. The memo cache is the session layer's sharded
-  // ScheduleCache: the first job of a (suite, dag, model, algorithm)
-  // cell computes the schedule and the simulated makespan behind a
-  // shared_future; later jobs (other experiment seeds) reuse it and only
-  // run the emulator. Keys are per expansion cell, so hit/miss totals
-  // stay exactly what the expansion dictates regardless of sharding.
+  // Parallel stage: one pool task per cell. It computes the schedule and
+  // the simulated makespan once (the cell's cache miss), compiles the
+  // emulated replay once, then runs every experiment seed of the cell on
+  // it (the cache hits). Hit/miss totals are what the expansion dictates:
+  // one miss per cell, one hit per further record.
   const auto run_start = Clock::now();
   std::mutex state_mutex;  // metric accumulation, progress
-  ScheduleCache cache;
   std::size_t jobs_done = 0;
 
-  const auto run_job = [&](std::size_t i) {
-    const Job& job = jobs[i];
-    double schedule_seconds = 0.0;
-    bool hit = false;
-    // A schedule failure rethrows out of get_or_compute into every job
-    // of the cell, exactly like the former future-based cache.
-    const auto memo = cache.get_or_compute(
-        std::to_string(job.memo_key),
-        [&]() {
-          const auto t0 = Clock::now();
-          // Whichever job wins the race emits the same allocation/mapping/
-          // simulation events onto the same per-cell lane — the trace does
-          // not betray who computed it (hit/miss lives in metrics only).
-          const obs::ScopedContext obs_ctx(job.memo_track, mreg);
-          ScheduleMemo m;
-          m.schedule = (*job.schedule)(job.dag->graph, *job.model, P);
-          m.makespan_sim =
-              sim::Simulator(*job.model).makespan(job.dag->graph, m.schedule);
-          schedule_seconds = seconds_since(t0);
-          if (sched_hist != nullptr) sched_hist->observe(schedule_seconds);
-          return m;
-        },
-        &hit);
-    if (hit) {
-      if (hits_ctr != nullptr) hits_ctr->add();
-    } else {
-      if (misses_ctr != nullptr) misses_ctr->add();
+  const auto run_cell = [&](std::size_t ci) {
+    const Cell& cell = cells[ci];
+    const auto t0 = Clock::now();
+    sched::Schedule schedule;
+    double makespan_sim = 0.0;
+    {
+      const obs::ScopedContext obs_ctx(cell.track, mreg);
+      schedule = (*cell.schedule)(cell.dag->graph, *cell.model, P);
+      makespan_sim =
+          sim::Simulator(*cell.model).makespan(cell.dag->graph, schedule);
     }
+    const double schedule_seconds = seconds_since(t0);
+    if (sched_hist != nullptr) sched_hist->observe(schedule_seconds);
+    const std::vector<int> allocation = schedule.allocation();
 
     const auto t1 = Clock::now();
-    double makespan_exp = 0.0;
-    {
-      const obs::ScopedContext obs_ctx(job.track, mreg);
-      makespan_exp = rig_.makespan(job.dag->graph, memo->schedule, job.run_seed);
-    }
-    const double execute_seconds = seconds_since(t1);
-    if (exec_hist != nullptr) exec_hist->observe(execute_seconds);
+    tgrid::TGridEmulator::Replay replay(rig_, cell.dag->graph, schedule);
+    const double compile_seconds = seconds_since(t1);
+    for (std::size_t k = 0; k < cell.runs.size(); ++k) {
+      const Run& run = cell.runs[k];
+      const auto t2 = Clock::now();
+      double makespan_exp = 0.0;
+      {
+        const obs::ScopedContext obs_ctx(run.track, mreg);
+        makespan_exp = replay.run(run.run_seed).makespan;
+      }
+      // The compile is part of the cell's first execution.
+      const double execute_seconds =
+          seconds_since(t2) + (k == 0 ? compile_seconds : 0.0);
+      if (exec_hist != nullptr) exec_hist->observe(execute_seconds);
 
-    RunRecord& rec = result.records[job.record_idx];
-    rec.allocation = memo->schedule.allocation();
-    rec.makespan_sim = memo->makespan_sim;
-    rec.makespan_exp = makespan_exp;
+      RunRecord& rec = result.records[run.record_idx];
+      rec.allocation = allocation;
+      rec.makespan_sim = makespan_sim;
+      rec.makespan_exp = makespan_exp;
 
-    if (jobs_ctr != nullptr) jobs_ctr->add();
-    {
+      const bool hit = k > 0;
+      obs::Counter* cache_ctr = hit ? hits_ctr : misses_ctr;
+      if (cache_ctr != nullptr) cache_ctr->add();
+      if (jobs_ctr != nullptr) jobs_ctr->add();
       std::unique_lock lock(state_mutex);
       ++(hit ? result.metrics.cache_hits : result.metrics.cache_misses);
-      result.metrics.schedule_seconds += schedule_seconds;
+      if (!hit) result.metrics.schedule_seconds += schedule_seconds;
       result.metrics.execute_seconds += execute_seconds;
       ++jobs_done;
       if (sink != nullptr) {
         obs::Progress pulse;
         pulse.done = jobs_done;
-        pulse.total = jobs.size();
+        pulse.total = result.records.size();
         pulse.elapsed_seconds = seconds_since(run_start);
         sink->progress(pulse);
       }
@@ -371,7 +375,7 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
   };
 
   core::ThreadPool pool(result.metrics.threads);
-  core::parallel_for(pool, jobs.size(), run_job);
+  core::parallel_for(pool, cells.size(), run_cell);
 
   result.metrics.run_seconds = seconds_since(run_start);
   return result;

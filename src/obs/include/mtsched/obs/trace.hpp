@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -122,6 +123,14 @@ class Span {
   Span(Track track, const char* category, std::string name, Args args = {})
       : track_(track), category_(category), name_(std::move(name)) {
     track_.begin(category_, name_, std::move(args));
+  }
+  /// Lazy arguments: `make_args()` builds them only when the track is
+  /// live, so a disabled span on a hot path formats nothing.
+  template <std::invocable MakeArgs>
+  Span(Track track, const char* category, std::string name,
+       MakeArgs&& make_args)
+      : track_(track), category_(category), name_(std::move(name)) {
+    track_.begin(category_, name_, track_ ? make_args() : Args{});
   }
   ~Span() { track_.end(category_, std::move(name_)); }
 

@@ -10,6 +10,7 @@
 // executed as well as the processors used for each task").
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "mtsched/dag/dag.hpp"
@@ -50,11 +51,20 @@ void validate_schedule(const dag::Dag& g, const Schedule& s, int num_procs);
 /// throws if the combination has a cycle (deadlock).
 std::vector<dag::TaskId> replay_order(const dag::Dag& g, const Schedule& s);
 
+/// Flat per-task lists (CSR): task t's list is items[off[t] .. off[t + 1]).
+struct TaskLists {
+  std::vector<std::size_t> off;  ///< size num_tasks + 1
+  std::vector<dag::TaskId> items;
+
+  std::span<const dag::TaskId> operator[](dag::TaskId t) const {
+    return {items.data() + off[t], off[t + 1] - off[t]};
+  }
+};
+
 /// For every task, the distinct tasks that immediately precede it on at
-/// least one of its processors (its "order predecessors"). A task may
-/// seize its processors once all of these have finished; replay engines
-/// count these plus inbound data dependencies.
-std::vector<std::vector<dag::TaskId>> order_predecessors(const dag::Dag& g,
-                                                         const Schedule& s);
+/// least one of its processors (its "order predecessors"), ascending. A
+/// task may seize its processors once all of these have finished; replay
+/// engines count these plus inbound data dependencies.
+TaskLists order_predecessors(const dag::Dag& g, const Schedule& s);
 
 }  // namespace mtsched::sched

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 #include <string>
 
 #include "mtsched/core/error.hpp"
@@ -23,17 +22,6 @@ std::vector<int> Schedule::allocation() const {
 
 namespace {
 constexpr double kTimeTol = 1e-9;
-
-std::vector<std::pair<dag::TaskId, dag::TaskId>> proc_order_edges(
-    const Schedule& s) {
-  std::vector<std::pair<dag::TaskId, dag::TaskId>> edges;
-  for (const auto& order : s.proc_order) {
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      edges.emplace_back(order[i - 1], order[i]);
-    }
-  }
-  return edges;
-}
 }  // namespace
 
 void validate_schedule(const dag::Dag& g, const Schedule& s, int num_procs) {
@@ -42,12 +30,14 @@ void validate_schedule(const dag::Dag& g, const Schedule& s, int num_procs) {
   MTSCHED_REQUIRE(s.proc_order.size() == static_cast<std::size_t>(num_procs),
                   "schedule must carry one order per processor");
 
-  // Placement sanity and the processor -> tasks cross-check. Tasks are
-  // visited in increasing id, so every on_proc list comes out sorted and
-  // duplicate-free and the cross-check is a plain vector comparison — no
-  // node-based sets on this path, it runs after every mapping call.
-  std::vector<std::vector<dag::TaskId>> on_proc(
-      static_cast<std::size_t>(num_procs));
+  // Placement sanity, counting the tasks placed on each processor; the
+  // processor -> tasks relation is then one flat CSR, on_proc. Tasks are
+  // visited in increasing id, so every row comes out sorted and
+  // duplicate-free and the cross-check against an order is a plain range
+  // comparison — no per-processor containers on this path, it runs after
+  // every mapping call and in every replay compile.
+  const auto P = static_cast<std::size_t>(num_procs);
+  std::vector<std::size_t> off(P + 1, 0);
   std::vector<int> scratch;
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
     const auto& pl = s.placements[t];
@@ -70,10 +60,20 @@ void validate_schedule(const dag::Dag& g, const Schedule& s, int num_procs) {
       MTSCHED_REQUIRE(pr >= 0 && pr < num_procs,
                       "task " + std::to_string(t) +
                           " placed on out-of-range processor");
-      on_proc[static_cast<std::size_t>(pr)].push_back(t);
+      ++off[static_cast<std::size_t>(pr) + 1];
     }
     MTSCHED_REQUIRE(pl.est_finish >= pl.est_start - kTimeTol,
                     "task " + std::to_string(t) + " finishes before it starts");
+  }
+  for (std::size_t pr = 0; pr < P; ++pr) off[pr + 1] += off[pr];
+  std::vector<dag::TaskId> on_proc(off[P]);
+  // Fill through off[pr] as a cursor, which leaves off[pr] at the old
+  // off[pr + 1]: the row of pr is then on_proc[off[pr - 1] .. off[pr]),
+  // starting at 0 for pr = 0.
+  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
+    for (int pr : s.placements[t].procs) {
+      on_proc[off[static_cast<std::size_t>(pr)]++] = t;
+    }
   }
   std::vector<dag::TaskId> in_order;
   for (int pr = 0; pr < num_procs; ++pr) {
@@ -83,7 +83,13 @@ void validate_schedule(const dag::Dag& g, const Schedule& s, int num_procs) {
     MTSCHED_REQUIRE(
         std::adjacent_find(in_order.begin(), in_order.end()) == in_order.end(),
         "processor order lists a task twice");
-    MTSCHED_REQUIRE(in_order == on_proc[static_cast<std::size_t>(pr)],
+    const auto row = static_cast<std::size_t>(pr);
+    const auto row_begin = on_proc.begin() + static_cast<std::ptrdiff_t>(
+                                                 row == 0 ? 0 : off[row - 1]);
+    const auto row_end =
+        on_proc.begin() + static_cast<std::ptrdiff_t>(off[row]);
+    MTSCHED_REQUIRE(std::equal(in_order.begin(), in_order.end(), row_begin,
+                               row_end),
                     "processor " + std::to_string(pr) +
                         " order disagrees with task placements");
     // No overlap between consecutive tasks on this processor.
@@ -133,8 +139,10 @@ std::vector<dag::TaskId> replay_order(const dag::Dag& g, const Schedule& s) {
     }
   }
 
+  std::vector<dag::TaskId> heap;
+  heap.reserve(n);
   std::priority_queue<dag::TaskId, std::vector<dag::TaskId>, std::greater<>>
-      ready;
+      ready(std::greater<>{}, std::move(heap));
   for (dag::TaskId t = 0; t < n; ++t)
     if (indeg[t] == 0) ready.push(t);
   std::vector<dag::TaskId> order;
@@ -152,14 +160,39 @@ std::vector<dag::TaskId> replay_order(const dag::Dag& g, const Schedule& s) {
   return order;
 }
 
-std::vector<std::vector<dag::TaskId>> order_predecessors(const dag::Dag& g,
-                                                         const Schedule& s) {
-  std::vector<std::set<dag::TaskId>> sets(g.num_tasks());
-  for (const auto& [a, b] : proc_order_edges(s)) sets[b].insert(a);
-  std::vector<std::vector<dag::TaskId>> out(g.num_tasks());
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    out[t].assign(sets[t].begin(), sets[t].end());
+TaskLists order_predecessors(const dag::Dag& g, const Schedule& s) {
+  // One counting pass over the consecutive pairs of every processor order,
+  // one fill, then each row sorted and de-duplicated in place.
+  const std::size_t n = g.num_tasks();
+  TaskLists out;
+  out.off.assign(n + 1, 0);
+  for (const auto& order : s.proc_order) {
+    for (std::size_t i = 1; i < order.size(); ++i) ++out.off[order[i] + 1];
   }
+  for (std::size_t t = 0; t < n; ++t) out.off[t + 1] += out.off[t];
+  out.items.resize(out.off[n]);
+  std::vector<std::size_t> fill(out.off.begin(), out.off.end() - 1);
+  for (const auto& order : s.proc_order) {
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      out.items[fill[order[i]]++] = order[i - 1];
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto first =
+        out.items.begin() + static_cast<std::ptrdiff_t>(out.off[t]);
+    const auto last =
+        out.items.begin() + static_cast<std::ptrdiff_t>(out.off[t + 1]);
+    std::sort(first, last);
+    const auto uniq = std::unique(first, last);
+    out.off[t] = kept;
+    kept = static_cast<std::size_t>(
+        std::move(first, uniq,
+                  out.items.begin() + static_cast<std::ptrdiff_t>(kept)) -
+        out.items.begin());
+  }
+  out.off[n] = kept;
+  out.items.resize(kept);
   return out;
 }
 

@@ -1,8 +1,9 @@
 // The simulator front-end: replays a schedule on the discrete-event engine
 // under a given cost model and reports the simulated makespan and trace.
 //
-// Replay semantics (simcore::replay's lifecycle, shared with the execution
-// framework; this front end supplies only the cost model's phase costs):
+// Replay semantics (simcore::CompiledReplay's lifecycle, shared with the
+// execution framework; each run() compiles the schedule and replays it
+// once, and this front end supplies only the cost model's phase costs):
 //   * a task seizes its processors when all tasks preceding it in any of
 //     its processors' orders have finished;
 //   * a redistribution starts when its producer finishes: the model's

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "mtsched/core/error.hpp"
-#include "mtsched/simcore/cluster_sim.hpp"
-#include "mtsched/simcore/engine.hpp"
 #include "mtsched/simcore/replay.hpp"
 
 namespace mtsched::sim {
@@ -16,24 +14,25 @@ Simulator::Simulator(const models::CostModel& model, obs::Track trace)
 sched::RunTrace Simulator::run(const dag::Dag& g,
                                const sched::Schedule& s) const {
   const auto& spec = model_.spec();
-  sched::validate_schedule(g, s, spec.num_nodes);
+  simcore::CompiledReplay replay(g, s, spec);
 
   const obs::Track trk = trace_ ? trace_ : obs::current_track();
-  const obs::Span obs_span(trk, "sim", "simulate:" + model_.name(),
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"P", std::to_string(spec.num_nodes)}});
+  const obs::Span obs_span(trk, "sim", "simulate:" + model_.name(), [&] {
+    return obs::Args{{"tasks", std::to_string(g.num_tasks())},
+                     {"P", std::to_string(spec.num_nodes)}};
+  });
+  // The engine takes its trace from the ambient context when the run
+  // resets it.
+  const obs::ScopedContext obs_ctx(trk, obs::current_metrics());
 
-  simcore::Engine engine;
-  engine.set_trace(trk);
-  simcore::ClusterSim cluster(engine, spec);
-
+  simcore::Engine& engine = replay.engine();
   simcore::ReplayPolicy policy;
   policy.startup = [&](dag::TaskId t, simcore::CompletionFn done) {
     const int p = static_cast<int>(s.placement(t).procs.size());
     const double startup = model_.task_sim_cost(g.task(t), p).startup_seconds;
     if (startup > 0.0) {
       engine.submit_timer(startup, std::move(done),
-                          "startup_" + g.task(t).name);
+                          simcore::replay_tag(simcore::kStartupTag, t));
     } else {
       done(engine.now());
     }
@@ -50,16 +49,17 @@ sched::RunTrace Simulator::run(const dag::Dag& g,
       // automatically.)
       const double scaled =
           cost.fixed_seconds * platform::exec_slowdown(spec, pl.procs);
-      engine.submit_timer(scaled, std::move(done), g.task(t).name);
+      engine.submit_timer(scaled, std::move(done),
+                          simcore::replay_tag(simcore::kTaskTag, t));
     } else {
       simcore::Ptask pt;
-      pt.name = g.task(t).name;
       pt.host_of_rank = pl.procs;
       pt.flops = std::move(cost.flops_per_rank);
       pt.flows = std::move(cost.flows);
       MTSCHED_INVARIANT(cost.fixed_seconds == 0.0,
                         "resource-driven task costs must have no fixed part");
-      cluster.submit_ptask(pt, std::move(done));
+      replay.cluster().submit_ptask(pt, std::move(done),
+                                    simcore::replay_tag(simcore::kTaskTag, t));
     }
   };
   policy.overhead = [&](std::size_t edge, simcore::CompletionFn done) {
@@ -68,13 +68,14 @@ sched::RunTrace Simulator::run(const dag::Dag& g,
         static_cast<int>(s.placement(e.src).procs.size()),
         static_cast<int>(s.placement(e.dst).procs.size()));
     if (overhead > 0.0) {
-      engine.submit_timer(overhead, std::move(done), "redist_overhead");
+      engine.submit_timer(overhead, std::move(done),
+                          simcore::replay_tag(simcore::kOverheadTag));
     } else {
       done(engine.now());
     }
   };
 
-  auto trace = simcore::replay(g, s, cluster, policy);
+  sched::RunTrace trace = std::move(replay.run(policy));
   trk.counter("sim", "makespan_seconds", trace.makespan);
   return trace;
 }

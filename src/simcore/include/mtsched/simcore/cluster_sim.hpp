@@ -26,7 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "mtsched/platform/cluster.hpp"
@@ -56,7 +56,6 @@ struct Ptask {
   /// copies that use no network resource. A resource's weight sums its
   /// flows' bytes in list order.
   std::vector<Flow> flows;
-  std::string name;
 };
 
 /// Redistribution ptasks cross two placements: ranks 0..p_src-1 on the
@@ -66,8 +65,7 @@ struct Ptask {
 /// placements.
 Ptask make_redistribution_ptask(const std::vector<int>& src_nodes,
                                 const std::vector<int>& dst_nodes,
-                                const redist::RedistPlan& plan,
-                                std::string name = {});
+                                const redist::RedistPlan& plan);
 
 /// What a ptask charges: its usage weights, by ascending resource id, and
 /// the route latency paid once before the fluid phase.
@@ -104,11 +102,23 @@ class ClusterSim {
   /// computation and communication has finished. Returns the activity id.
   /// Throws core::InvalidArgument on malformed ptasks (bad node ids, size
   /// mismatches, negative entries, flow ranks out of range).
-  ActivityId submit_ptask(const Ptask& task, CompletionFn on_complete);
+  ActivityId submit_ptask(const Ptask& task, CompletionFn on_complete,
+                          Tag tag = {});
 
   /// Aggregates a ptask into its usage weights and latency (what
   /// submit_ptask hands the engine). Same validation as submit_ptask.
   PtaskUsage usage(const Ptask& task);
+
+  /// What the block redistribution of an n-by-n matrix from `src_nodes`
+  /// to `dst_nodes` charges: appends its uses to `pool`, by ascending
+  /// resource id, and returns its latency. One walk over both layouts'
+  /// column intervals, equal to
+  ///   usage(make_redistribution_ptask(src, dst,
+  ///         redist::plan_block_redistribution(n, src.size(), dst.size())))
+  /// bit for bit, without building the plan or the ptask.
+  double redistribution_usage(int n, std::span<const int> src_nodes,
+                              std::span<const int> dst_nodes,
+                              std::vector<Use>& pool);
 
   /// The duration the ptask would take if it ran alone on the cluster
   /// (bottleneck formula + latency). Useful for cost estimation.
@@ -116,6 +126,13 @@ class ClusterSim {
 
  private:
   void charge(ResourceId r, double w);
+  /// Charges `bytes` sent from node `src` to node `dst` to every link of
+  /// the route (nothing for a local copy); returns the route latency, 0
+  /// for a local copy.
+  double charge_flow(int src, int dst, double bytes);
+  /// Appends the charged weights to `out` by ascending resource id and
+  /// clears the scratch.
+  void flush(std::vector<Use>& out);
 
   Engine& engine_;
   platform::ClusterSpec spec_;

@@ -29,10 +29,17 @@
 //     (remaining work, rate, usage-list extent): the fused step pass
 //     streams them linearly, and the max-min solve consumes the usage
 //     lists as one CSR view (see maxmin.hpp).
-//   * Cold per-activity state (name, callback, usage lists) is slot-slab
-//     indexed and only touched at submit/transition/completion; usage
-//     lists are bump-allocated from the engine's per-run core::Arena, so
-//     a run performs no steady-state heap allocation.
+//   * Cold per-activity state (tag, callback, usage list) is slot-slab
+//     indexed and only touched at submit/transition/completion; a copied
+//     usage list is bump-allocated from the engine's core::Arena, a
+//     borrowed one (submit_borrowed) is referenced where it lives.
+//   * Names are lazy: resources carry a (kind, index) ResourceTag and
+//     activities a (kind, index) Tag; strings are formatted only when a
+//     trace track is attached (activities, through the namer) or when
+//     resource_name() is asked.
+// reset() rewinds the clock and drops every activity but keeps the
+// resources and every buffer's capacity, so an engine replayed again and
+// again (CompiledReplay) runs with no steady-state heap allocation.
 // Expiries, transitions and completions from the two classes are merged
 // back into ascending-id order before callbacks and trace emission, so
 // every observable sequence — event times, rates, resource usage, traces
@@ -41,6 +48,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +66,23 @@ using ActivityId = std::uint64_t;
 /// Called when an activity completes; receives the completion time.
 using CompletionFn = std::function<void(double now)>;
 
+/// Names a resource without storing a string: `kind` (static storage),
+/// followed by `index` in decimal when it is >= 0 ("cpu" 3 -> "cpu3").
+struct ResourceTag {
+  ResourceTag(const char* k = nullptr, int i = -1) : kind(k), index(i) {}
+  const char* kind;
+  int index;
+};
+
+/// Names an activity in traces. The engine only stores it; the namer
+/// (Engine::set_namer) turns it into a string, and only when a trace track
+/// is attached. Kind 0 is an unnamed activity ("activity#<id>").
+struct Tag {
+  std::uint32_t kind = 0;
+  std::uint32_t index = 0;
+};
+using Namer = std::function<std::string(Tag)>;
+
 class Engine {
  public:
   /// Captures the calling thread's ambient obs context: activity
@@ -71,23 +97,45 @@ class Engine {
   /// Redirects trace events to `t` (pass {} to silence them).
   void set_trace(obs::Track t) { trace_ = t; }
 
+  /// Formats activity tags into trace names (see Tag).
+  void set_namer(Namer namer) { namer_ = std::move(namer); }
+
+  /// Returns to time zero with no activity and zeroed usage totals, as if
+  /// freshly constructed with the same resources, and re-captures the
+  /// calling thread's obs context. Keeps every buffer's capacity.
+  void reset();
+
   /// Registers a resource with the given positive capacity.
-  ResourceId add_resource(double capacity, std::string name = {});
+  ResourceId add_resource(double capacity, ResourceTag tag = {});
 
   std::size_t num_resources() const { return capacities_.size(); }
   double capacity(ResourceId r) const;
-  const std::string& resource_name(ResourceId r) const;
+  /// The tag's name; "res<id>" for an untagged resource.
+  std::string resource_name(ResourceId r) const;
 
   /// Submits an activity. `uses` lists resource usage weights (all > 0),
   /// `amount` is the work in the same units as the weights' numerators
   /// (the L07 convention: amount = 1, weights = absolute totals), `delay`
-  /// is the latency phase duration. Either may be zero.
-  ActivityId submit(std::vector<Use> uses, double amount, double delay,
-                    CompletionFn on_complete, std::string name = {});
+  /// is the latency phase duration. Either may be zero. The uses are
+  /// copied into the engine's pool.
+  ActivityId submit(std::span<const Use> uses, double amount, double delay,
+                    CompletionFn on_complete, Tag tag = {});
+  ActivityId submit(std::initializer_list<Use> uses, double amount,
+                    double delay, CompletionFn on_complete, Tag tag = {}) {
+    return submit(std::span<const Use>(uses.begin(), uses.size()), amount,
+                  delay, std::move(on_complete), tag);
+  }
+
+  /// Like submit, but the engine refers to `uses` instead of copying them:
+  /// they must stay valid and unchanged until the activity completes or
+  /// the engine is reset (CompiledReplay's precomputed transfer usage).
+  ActivityId submit_borrowed(std::span<const Use> uses, double amount,
+                             double delay, CompletionFn on_complete,
+                             Tag tag = {});
 
   /// Convenience: a pure timer firing after `duration` seconds.
   ActivityId submit_timer(double duration, CompletionFn on_complete,
-                          std::string name = {});
+                          Tag tag = {});
 
   /// Runs until no activity remains. Throws core::InternalError if the
   /// event count exceeds `max_events` (runaway guard).
@@ -123,8 +171,12 @@ class Engine {
   /// Drops the consumed prefix of the delay calendar (amortized O(1)).
   void compact_delay();
   void trace_state(std::uint32_t slot, const char* state);
+  /// Points the trace and metric counters at the calling thread's ambient
+  /// obs context.
+  void capture_context();
 
   obs::Track trace_;
+  Namer namer_;
   obs::Counter* events_counter_ = nullptr;
   obs::Counter* reshares_counter_ = nullptr;
   double now_ = 0.0;
@@ -132,24 +184,21 @@ class Engine {
   std::uint64_t events_ = 0;
   std::vector<double> capacities_;
   std::vector<double> usage_;
-  std::vector<std::string> resource_names_;
+  std::vector<ResourceTag> resource_tags_;
 
-  /// Per-run bump arena backing the usage-list pool and the solver's CSR
-  /// build; rewound wholesale when the engine dies with its run.
+  /// Bump arena backing copied usage lists and the solver's CSR build;
+  /// rewound by reset().
   core::Arena arena_;
 
   // --- cold per-activity state, slot-slab indexed ------------------------
   std::vector<ActivityId> slot_id_;
-  std::vector<std::string> slot_name_;
+  std::vector<Tag> slot_tag_;
   std::vector<CompletionFn> slot_cb_;
-  std::vector<std::uint32_t> slot_uses_off_;  ///< into use_res_/use_weight_
+  std::vector<const Use*> slot_uses_;  ///< arena copy or borrowed list
   std::vector<std::uint32_t> slot_uses_len_;
   std::vector<double> slot_amount_;  ///< remaining work while in latency phase
   std::vector<std::uint32_t> free_slots_;
 
-  // Usage-list pool (append-only per run, arena-backed).
-  core::ArenaVector<std::uint32_t> use_res_{arena_};
-  core::ArenaVector<double> use_weight_{arena_};
 
   // --- latency class: parallel arrays sorted by remaining delay ----------
   std::vector<double> d_rem_;

@@ -7,8 +7,8 @@
 //     task preceding it in any of its processors' orders has finished;
 //   * when a task finishes, each of its output redistributions is
 //     requested: the protocol overhead elapses first, then the payload is
-//     transferred through the cluster as a communication-only ptask (the
-//     block redistribution plan), contention included;
+//     transferred through the cluster as a communication-only activity
+//     charged like the block redistribution ptask, contention included;
 //   * a task executes once its startup is over and all inbound
 //     redistributions are done;
 //   * every stamp of the RunTrace, and the makespan (the completion time
@@ -16,20 +16,50 @@
 // The front end supplies a ReplayPolicy: one hook per phase cost, each
 // submitting its own activity, plus the one sequencing difference.
 //
+// A replay is compiled once and run any number of times. Compiling
+// (CompiledReplay's constructor) does everything that does not depend on
+// the phase costs: it validates the schedule, builds the processor-order
+// and edge adjacency, computes every redistribution's resource usage and
+// latency into one flat pool, and wires an engine with the cluster's
+// resources. run() resets that engine and replays; a warmed-up run makes
+// no heap allocation, so the experiment seeds of one schedule (the paper
+// re-runs each schedule several times, Section VII-A) only pay for the
+// events themselves. Running once is the same object, compiled and run.
+//
 // Release order is fixed, so replays are deterministic: processor-order
 // successors are released by ascending task id, output and input
 // redistributions by DAG edge index.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "mtsched/dag/dag.hpp"
+#include "mtsched/platform/cluster.hpp"
 #include "mtsched/sched/schedule.hpp"
 #include "mtsched/sched/trace.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
+#include "mtsched/simcore/engine.hpp"
 
 namespace mtsched::simcore {
+
+/// Tag kinds of replay activities. A compiled replay's engine formats
+/// them from the DAG, and only when a trace track is attached.
+enum ReplayTag : std::uint32_t {
+  kStartupTag = 1,  ///< "startup_<task name>"; index: task
+  kExecTag,         ///< "exec_<task name>"; index: task
+  kTaskTag,         ///< "<task name>"; index: task
+  kOverheadTag,     ///< "redist_overhead"
+  kTransferTag,     ///< "redist_<src>_<dst>"; index: edge
+  kSubnetJobTag,    ///< "subnet_manager_job"
+};
+
+inline Tag replay_tag(ReplayTag kind, std::size_t index = 0) {
+  return Tag{kind, static_cast<std::uint32_t>(index)};
+}
 
 /// The phase costs of one replay. Each hook starts its phase for one task
 /// or edge and calls `done` exactly once, with the completion time, when
@@ -49,9 +79,76 @@ struct ReplayPolicy {
   bool transfer_waits_for_consumer = false;
 };
 
-/// Replays a validated schedule on `cluster`, running its engine until it
-/// drains. Throws core::InternalError if some task never finished.
-sched::RunTrace replay(const dag::Dag& g, const sched::Schedule& s,
-                       ClusterSim& cluster, const ReplayPolicy& policy);
+/// One schedule compiled for replay on one platform. Not thread-safe:
+/// each thread compiles its own.
+class CompiledReplay {
+ public:
+  /// Validates `s` against `g` and `spec` (sched::validate_schedule,
+  /// throws core::InvalidArgument) and does the seed-independent work.
+  /// `g` and `s` must outlive the object.
+  CompiledReplay(const dag::Dag& g, const sched::Schedule& s,
+                 const platform::ClusterSpec& spec);
+  CompiledReplay(const CompiledReplay&) = delete;
+  CompiledReplay& operator=(const CompiledReplay&) = delete;
+
+  /// The engine and cluster the hooks submit to. The engine is reset at
+  /// the start of every run().
+  Engine& engine() { return engine_; }
+  ClusterSim& cluster() { return cluster_; }
+  const dag::Dag& dag() const { return g_; }
+  const sched::Schedule& schedule() const { return s_; }
+
+  /// Replays once with `policy`'s phase costs: resets the engine (which
+  /// takes the calling thread's obs context), runs it until it drains and
+  /// returns the trace, valid until the next run(); a caller that is done
+  /// with the replay may move it out. Throws core::InternalError if some
+  /// task never finished.
+  sched::RunTrace& run(const ReplayPolicy& policy);
+
+ private:
+  /// Flat adjacency lists (CSR): row r holds items[off[r] .. off[r + 1]).
+  struct Csr {
+    std::vector<std::size_t> off;
+    std::vector<std::size_t> items;
+
+    std::size_t size(std::size_t r) const { return off[r + 1] - off[r]; }
+  };
+  template <typename Visit>
+  static Csr make_csr(std::size_t n, const Visit& visit);
+
+  /// Lifecycle of one task; phases only move forward.
+  enum class Phase : std::uint8_t { Waiting, StartingUp, Up, Executing, Done };
+
+  std::string name(Tag tag) const;
+  double now() const { return engine_.now(); }
+  void maybe_spawn(dag::TaskId t);
+  void on_up(dag::TaskId t);
+  void maybe_execute(dag::TaskId t);
+  void on_done(dag::TaskId t, double when);
+  void maybe_request(std::size_t edge);
+  void transfer(std::size_t edge, double when);
+  void transfer_done(std::size_t edge, double when);
+
+  const dag::Dag& g_;
+  const sched::Schedule& s_;
+  Engine engine_;
+  ClusterSim cluster_;
+
+  // Compiled once.
+  Csr out_edges_;    ///< task -> out-edge indices, ascending
+  Csr in_edges_;     ///< task -> in-edge indices, ascending
+  Csr order_succs_;  ///< task -> processor-order successors, ascending id
+  std::vector<int> order_preds_;            ///< distinct order predecessors
+  std::vector<std::size_t> edge_uses_off_;  ///< edge -> its uses in edge_uses_
+  std::vector<Use> edge_uses_;              ///< every transfer's usage weights
+  std::vector<double> edge_latency_;
+
+  // Per run.
+  const ReplayPolicy* policy_ = nullptr;
+  sched::RunTrace trace_;
+  std::vector<Phase> phase_;
+  std::vector<int> order_preds_left_;  ///< processor-order gating
+  std::vector<int> edges_left_;        ///< inbound redistributions not done
+};
 
 }  // namespace mtsched::simcore

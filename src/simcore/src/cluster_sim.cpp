@@ -4,20 +4,20 @@
 #include <cstdint>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/units.hpp"
 #include "mtsched/platform/topology.hpp"
+#include "mtsched/redist/layout.hpp"
 
 namespace mtsched::simcore {
 
 Ptask make_redistribution_ptask(const std::vector<int>& src_nodes,
                                 const std::vector<int>& dst_nodes,
-                                const redist::RedistPlan& plan,
-                                std::string name) {
+                                const redist::RedistPlan& plan) {
   MTSCHED_REQUIRE(static_cast<std::size_t>(plan.p_src) == src_nodes.size(),
                   "plan source ranks must match source node count");
   MTSCHED_REQUIRE(static_cast<std::size_t>(plan.p_dst) == dst_nodes.size(),
                   "plan destination ranks must match destination node count");
   Ptask t;
-  t.name = std::move(name);
   t.host_of_rank = src_nodes;
   t.host_of_rank.insert(t.host_of_rank.end(), dst_nodes.begin(),
                         dst_nodes.end());
@@ -44,21 +44,21 @@ ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
   for (std::size_t r = 0; r < racks; ++r) {
     const platform::RackSpec& rk = topo.racks[r];
     for (int k = 0; k < rk.nodes; ++k, ++node) {
-      const std::string tag = std::to_string(node);
-      cpus_.push_back(engine_.add_resource(spec_.flops_of(node), "cpu" + tag));
-      up_.push_back(engine_.add_resource(rk.link_bandwidth, "up" + tag));
-      down_.push_back(engine_.add_resource(rk.link_bandwidth, "down" + tag));
+      cpus_.push_back(
+          engine_.add_resource(spec_.flops_of(node), {"cpu", node}));
+      up_.push_back(engine_.add_resource(rk.link_bandwidth, {"up", node}));
+      down_.push_back(engine_.add_resource(rk.link_bandwidth, {"down", node}));
       rack_of_.push_back(static_cast<int>(r));
     }
-    const std::string rtag = std::to_string(r);
+    const int rack = static_cast<int>(r);
     tor_.push_back(rk.shared_tor
-                       ? engine_.add_resource(rk.tor_bandwidth, "tor" + rtag)
+                       ? engine_.add_resource(rk.tor_bandwidth, {"tor", rack})
                        : static_cast<ResourceId>(-1));
     if (racks > 1) {
       torup_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth(),
-                                            "torup" + rtag));
+                                            {"torup", rack}));
       tordown_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth(),
-                                              "tordown" + rtag));
+                                              {"tordown", rack}));
     }
   }
   has_core_ = racks > 1 && topo.core.shared;
@@ -158,48 +158,92 @@ PtaskUsage ClusterSim::usage(const Ptask& task) {
              task.flops[r]);
     }
   }
-  const std::size_t racks = tor_.size();
   PtaskUsage out;
   for (const Flow& f : task.flows) {
-    const double b = f.bytes;
-    if (b <= 0.0) continue;
-    const auto src = static_cast<std::size_t>(task.host_of_rank[f.src_rank]);
-    const auto dst = static_cast<std::size_t>(task.host_of_rank[f.dst_rank]);
-    if (src == dst) continue;  // local copy, no network usage
-    charge(up_[src], b);
-    charge(down_[dst], b);
-    // Charge every link on the route: ToR fabric(s) when shared, and for
-    // cross-rack transfers the uplink, core and downlink.
-    const auto ra = static_cast<std::size_t>(rack_of_[src]);
-    const auto rb = static_cast<std::size_t>(rack_of_[dst]);
-    if (tor_[ra] != static_cast<ResourceId>(-1)) charge(tor_[ra], b);
-    if (ra != rb) {
-      charge(torup_[ra], b);
-      if (has_core_) charge(core_, b);
-      charge(tordown_[rb], b);
-      if (tor_[rb] != static_cast<ResourceId>(-1)) charge(tor_[rb], b);
-    }
-    // L07 charges the route latency once; with distinct routes we charge
-    // the slowest route used — the one the last byte may traverse.
-    out.latency = std::max(out.latency, rack_lat_[ra * racks + rb]);
+    if (f.bytes <= 0.0) continue;
+    out.latency = std::max(
+        out.latency, charge_flow(task.host_of_rank[f.src_rank],
+                                 task.host_of_rank[f.dst_rank], f.bytes));
   }
-  std::sort(touched_.begin(), touched_.end());
   out.uses.reserve(touched_.size());
-  for (ResourceId r : touched_) {
-    out.uses.push_back(Use{r, weight_[r]});
-    weight_[r] = 0.0;
-  }
-  touched_.clear();
+  flush(out.uses);
   return out;
 }
 
+double ClusterSim::charge_flow(int src_node, int dst_node, double b) {
+  if (src_node == dst_node) return 0.0;  // local copy, no network usage
+  const auto src = static_cast<std::size_t>(src_node);
+  const auto dst = static_cast<std::size_t>(dst_node);
+  charge(up_[src], b);
+  charge(down_[dst], b);
+  // Charge every link on the route: ToR fabric(s) when shared, and for
+  // cross-rack transfers the uplink, core and downlink.
+  const auto ra = static_cast<std::size_t>(rack_of_[src]);
+  const auto rb = static_cast<std::size_t>(rack_of_[dst]);
+  if (tor_[ra] != static_cast<ResourceId>(-1)) charge(tor_[ra], b);
+  if (ra != rb) {
+    charge(torup_[ra], b);
+    if (has_core_) charge(core_, b);
+    charge(tordown_[rb], b);
+    if (tor_[rb] != static_cast<ResourceId>(-1)) charge(tor_[rb], b);
+  }
+  // L07 charges the route latency once; with distinct routes the caller
+  // keeps the slowest route used — the one the last byte may traverse.
+  return rack_lat_[ra * tor_.size() + rb];
+}
+
+void ClusterSim::flush(std::vector<Use>& out) {
+  std::sort(touched_.begin(), touched_.end());
+  for (ResourceId r : touched_) {
+    out.push_back(Use{r, weight_[r]});
+    weight_[r] = 0.0;
+  }
+  touched_.clear();
+}
+
+double ClusterSim::redistribution_usage(int n, std::span<const int> src_nodes,
+                                        std::span<const int> dst_nodes,
+                                        std::vector<Use>& pool) {
+  for (const auto nodes : {src_nodes, dst_nodes}) {
+    MTSCHED_REQUIRE(!nodes.empty(), "redistribution needs ranks on both sides");
+    for (int h : nodes) {
+      MTSCHED_REQUIRE(h >= 0 && h < spec_.num_nodes, "ptask host out of range");
+    }
+  }
+  const int p_src = static_cast<int>(src_nodes.size());
+  const int p_dst = static_cast<int>(dst_nodes.size());
+  // The walk of redist::plan_block_redistribution, charging each message
+  // as it is found, in the same order, so the weights sum identically.
+  const redist::BlockLayout1D src(n, p_src);
+  const redist::BlockLayout1D dst(n, p_dst);
+  const double col_bytes = static_cast<double>(n) * core::kElemBytes;
+  double latency = 0.0;
+  int i = 0, j = 0;
+  auto a = src.columns_of(0);
+  auto b = dst.columns_of(0);
+  while (i < p_src && j < p_dst) {
+    const double bytes =
+        static_cast<double>(redist::interval_overlap(a, b)) * col_bytes;
+    if (bytes > 0.0) {
+      latency = std::max(latency,
+                         charge_flow(src_nodes[static_cast<std::size_t>(i)],
+                                     dst_nodes[static_cast<std::size_t>(j)],
+                                     bytes));
+    }
+    const int end = std::min(a.second, b.second);
+    if (a.second == end && ++i < p_src) a = src.columns_of(i);
+    if (b.second == end && ++j < p_dst) b = dst.columns_of(j);
+  }
+  flush(pool);
+  return latency;
+}
+
 ActivityId ClusterSim::submit_ptask(const Ptask& task,
-                                    CompletionFn on_complete) {
-  auto [uses, latency] = usage(task);
+                                    CompletionFn on_complete, Tag tag) {
+  const auto [uses, latency] = usage(task);
   // Empty usage (zero flops, zero bytes) degenerates to an instant timer.
   const double amount = uses.empty() ? 0.0 : 1.0;
-  return engine_.submit(std::move(uses), amount, latency,
-                        std::move(on_complete), task.name);
+  return engine_.submit(uses, amount, latency, std::move(on_complete), tag);
 }
 
 double ClusterSim::solo_duration(const Ptask& task) {

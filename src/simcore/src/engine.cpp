@@ -16,32 +16,74 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-12;
 }  // namespace
 
-Engine::Engine()
-    : trace_(obs::current_track()),
-      delay_min_(kInf),
-      work_min_(kInf),
-      submit_min_(kInf) {
+Engine::Engine() : delay_min_(kInf), work_min_(kInf), submit_min_(kInf) {
+  capture_context();
+}
+
+void Engine::capture_context() {
+  trace_ = obs::current_track();
+  events_counter_ = nullptr;
+  reshares_counter_ = nullptr;
   if (obs::MetricsRegistry* m = obs::current_metrics()) {
     events_counter_ = &m->counter("simcore.events");
     reshares_counter_ = &m->counter("simcore.reshares");
   }
 }
 
+void Engine::reset() {
+  capture_context();
+  now_ = 0.0;
+  next_id_ = 1;
+  events_ = 0;
+  std::fill(usage_.begin(), usage_.end(), 0.0);
+  slot_id_.clear();
+  slot_tag_.clear();
+  slot_cb_.clear();
+  slot_uses_.clear();
+  slot_uses_len_.clear();
+  slot_amount_.clear();
+  free_slots_.clear();
+  // No activity is left to read the copied usage lists: rewind the arena
+  // and start the solver's CSR buffers afresh on it.
+  arena_.reset();
+  csr_off_ = core::ArenaVector<std::uint32_t>(arena_);
+  csr_res_ = core::ArenaVector<std::uint32_t>(arena_);
+  csr_w_ = core::ArenaVector<double>(arena_);
+  csr_rates_ = core::ArenaVector<double>(arena_);
+  csr_map_ = core::ArenaVector<std::uint32_t>(arena_);
+  d_rem_.clear();
+  d_slot_.clear();
+  d_head_ = 0;
+  pend_rem_.clear();
+  pend_slot_.clear();
+  w_id_.clear();
+  w_rem_.clear();
+  w_rate_.clear();
+  w_slot_.clear();
+  w_len_.clear();
+  live_ = 0;
+  num_working_ = 0;
+  rates_dirty_ = false;
+  solve_dirty_ = false;
+  delay_min_ = kInf;
+  work_min_ = kInf;
+  submit_min_ = kInf;
+}
+
 void Engine::trace_state(std::uint32_t slot, const char* state) {
+  const Tag tag = slot_tag_[slot];
   trace_.instant("simcore",
-                 slot_name_[slot].empty()
+                 tag.kind == 0 || !namer_
                      ? "activity#" + std::to_string(slot_id_[slot])
-                     : slot_name_[slot],
+                     : namer_(tag),
                  {{"state", state}, {"vt", core::fmt_roundtrip(now_)}});
 }
 
-ResourceId Engine::add_resource(double capacity, std::string name) {
+ResourceId Engine::add_resource(double capacity, ResourceTag tag) {
   MTSCHED_REQUIRE(capacity > 0.0, "resource capacity must be positive");
   capacities_.push_back(capacity);
   usage_.push_back(0.0);
-  resource_names_.push_back(name.empty()
-                                ? "res" + std::to_string(capacities_.size() - 1)
-                                : std::move(name));
+  resource_tags_.push_back(tag);
   return capacities_.size() - 1;
 }
 
@@ -50,13 +92,25 @@ double Engine::capacity(ResourceId r) const {
   return capacities_[r];
 }
 
-const std::string& Engine::resource_name(ResourceId r) const {
-  MTSCHED_REQUIRE(r < resource_names_.size(), "unknown resource");
-  return resource_names_[r];
+std::string Engine::resource_name(ResourceId r) const {
+  MTSCHED_REQUIRE(r < resource_tags_.size(), "unknown resource");
+  const ResourceTag& tag = resource_tags_[r];
+  if (tag.kind == nullptr) return "res" + std::to_string(r);
+  std::string name = tag.kind;
+  if (tag.index >= 0) name += std::to_string(tag.index);
+  return name;
 }
 
-ActivityId Engine::submit(std::vector<Use> uses, double amount, double delay,
-                          CompletionFn on_complete, std::string name) {
+ActivityId Engine::submit(std::span<const Use> uses, double amount,
+                          double delay, CompletionFn on_complete, Tag tag) {
+  const std::span<Use> copy = arena_.make_span<Use>(uses.size());
+  std::copy(uses.begin(), uses.end(), copy.begin());
+  return submit_borrowed(copy, amount, delay, std::move(on_complete), tag);
+}
+
+ActivityId Engine::submit_borrowed(std::span<const Use> uses, double amount,
+                                   double delay, CompletionFn on_complete,
+                                   Tag tag) {
   MTSCHED_REQUIRE(amount >= 0.0, "work amount must be >= 0");
   MTSCHED_REQUIRE(delay >= 0.0, "delay must be >= 0");
   for (const auto& u : uses) {
@@ -70,22 +124,18 @@ ActivityId Engine::submit(std::vector<Use> uses, double amount, double delay,
   } else {
     slot = static_cast<std::uint32_t>(slot_id_.size());
     slot_id_.emplace_back();
-    slot_name_.emplace_back();
+    slot_tag_.emplace_back();
     slot_cb_.emplace_back();
-    slot_uses_off_.emplace_back();
+    slot_uses_.emplace_back();
     slot_uses_len_.emplace_back();
     slot_amount_.emplace_back();
   }
   const ActivityId id = next_id_++;
   slot_id_[slot] = id;
-  slot_name_[slot] = std::move(name);
+  slot_tag_[slot] = tag;
   slot_cb_[slot] = std::move(on_complete);
-  slot_uses_off_[slot] = static_cast<std::uint32_t>(use_res_.size());
+  slot_uses_[slot] = uses.data();
   slot_uses_len_[slot] = static_cast<std::uint32_t>(uses.size());
-  for (const auto& u : uses) {
-    use_res_.push_back(static_cast<std::uint32_t>(u.resource));
-    use_weight_.push_back(u.weight);
-  }
   slot_amount_[slot] = amount;
   ++live_;
   rates_dirty_ = true;
@@ -124,8 +174,9 @@ ActivityId Engine::submit(std::vector<Use> uses, double amount, double delay,
 }
 
 ActivityId Engine::submit_timer(double duration, CompletionFn on_complete,
-                                std::string name) {
-  return submit({}, 0.0, duration, std::move(on_complete), std::move(name));
+                                Tag tag) {
+  return submit(std::span<const Use>{}, 0.0, duration, std::move(on_complete),
+                tag);
 }
 
 void Engine::compact_delay() {
@@ -187,10 +238,10 @@ void Engine::reshare() {
     for (std::size_t i = 0; i < wn; ++i) {
       const std::uint32_t len = w_len_[i];
       if (len == 0) continue;
-      const std::uint32_t off = slot_uses_off_[w_slot_[i]];
+      const Use* uses = slot_uses_[w_slot_[i]];
       for (std::uint32_t k = 0; k < len; ++k) {
-        csr_res_.push_back(use_res_[off + k]);
-        csr_w_.push_back(use_weight_[off + k]);
+        csr_res_.push_back(static_cast<std::uint32_t>(uses[k].resource));
+        csr_w_.push_back(uses[k].weight);
       }
       csr_off_.push_back(static_cast<std::uint32_t>(csr_res_.size()));
       csr_map_.push_back(static_cast<std::uint32_t>(i));
@@ -295,9 +346,9 @@ bool Engine::step() {
       const double rate = w_rate_[i];
       if (len != 0 && !std::isinf(rate)) {
         w_rem_[i] -= rate * dt;
-        const std::uint32_t off = slot_uses_off_[w_slot_[i]];
+        const Use* uses = slot_uses_[w_slot_[i]];
         for (std::uint32_t k = 0; k < len; ++k) {
-          usage_[use_res_[off + k]] += use_weight_[off + k] * rate * dt;
+          usage_[uses[k].resource] += uses[k].weight * rate * dt;
         }
       }
       if (w_rem_[i] <= kEps || len == 0 || std::isinf(rate)) {
@@ -389,7 +440,6 @@ bool Engine::step() {
       // solve inputs; pure timers expire without disturbing the rates.
       if (slot_uses_len_[slot] != 0) solve_dirty_ = true;
       slot_cb_[slot] = nullptr;
-      slot_name_[slot] = std::string();  // release name storage
       free_slots_.push_back(slot);
       --num_working_;
       --live_;

@@ -1,13 +1,11 @@
 #include "mtsched/simcore/fifo.hpp"
 
-#include <memory>
-
 #include "mtsched/core/error.hpp"
 
 namespace mtsched::simcore {
 
-FifoServer::FifoServer(Engine& engine, std::string name)
-    : engine_(engine), name_(std::move(name)) {}
+FifoServer::FifoServer(Engine& engine, Tag job_tag)
+    : engine_(engine), job_tag_(job_tag) {}
 
 void FifoServer::enqueue(double service_time, CompletionFn done) {
   MTSCHED_REQUIRE(service_time >= 0.0, "service time must be >= 0");
@@ -15,25 +13,37 @@ void FifoServer::enqueue(double service_time, CompletionFn done) {
   if (!busy_) start_next(engine_.now());
 }
 
+void FifoServer::reset() {
+  queue_.clear();
+  head_ = 0;
+  in_service_ = nullptr;
+  busy_ = false;
+  served_ = 0;
+  total_wait_ = 0.0;
+}
+
 void FifoServer::start_next(double now) {
-  if (queue_.empty()) {
+  if (head_ == queue_.size()) {
+    queue_.clear();  // keeps the capacity
+    head_ = 0;
     busy_ = false;
     return;
   }
   busy_ = true;
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
+  Job& job = queue_[head_++];
   total_wait_ += now - job.arrival;
-  // Capture by value; `this` outlives the engine run in all our uses.
-  auto done = std::make_shared<CompletionFn>(std::move(job.done));
+  in_service_ = std::move(job.done);
   engine_.submit_timer(
-      job.service_time,
-      [this, done](double t) {
-        ++served_;
-        if (*done) (*done)(t);
-        start_next(t);
-      },
-      name_ + "_job");
+      job.service_time, [this](double t) { finish_service(t); }, job_tag_);
+}
+
+void FifoServer::finish_service(double now) {
+  ++served_;
+  // Moved out first: `done` may enqueue, which must not see it in service.
+  const CompletionFn done = std::move(in_service_);
+  in_service_ = nullptr;
+  if (done) done(now);
+  start_next(now);
 }
 
 }  // namespace mtsched::simcore

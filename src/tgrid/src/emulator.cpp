@@ -7,10 +7,6 @@
 #include "mtsched/core/rng.hpp"
 #include "mtsched/obs/trace.hpp"
 #include "mtsched/platform/topology.hpp"
-#include "mtsched/simcore/cluster_sim.hpp"
-#include "mtsched/simcore/engine.hpp"
-#include "mtsched/simcore/fifo.hpp"
-#include "mtsched/simcore/replay.hpp"
 
 namespace mtsched::tgrid {
 
@@ -35,55 +31,64 @@ TGridEmulator::TGridEmulator(const machine::MachineModel& machine,
                   "platform node count must match the machine model");
 }
 
-sched::RunTrace TGridEmulator::run(const dag::Dag& g, const sched::Schedule& s,
-                                   std::uint64_t seed) const {
-  sched::validate_schedule(g, s, spec_.num_nodes);
-
-  const obs::Span obs_span(obs::current_track(), "tgrid", "execute",
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"seed", std::to_string(seed)}});
-
-  simcore::Engine engine;
-  simcore::ClusterSim cluster(engine, spec_);
-  simcore::FifoServer subnet(engine, "subnet_manager");
-
-  simcore::ReplayPolicy policy;
+TGridEmulator::Replay::Replay(const TGridEmulator& rig, const dag::Dag& g,
+                              const sched::Schedule& s)
+    : rig_(rig),
+      core_(g, s, rig.spec_),
+      subnet_(core_.engine(), simcore::replay_tag(simcore::kSubnetJobTag)) {
   // The emulated cluster always spawns containers, even when the machine
   // claims a zero startup: the timer's completion is its own engine event.
-  policy.startup = [&](dag::TaskId t, simcore::CompletionFn done) {
-    const int p = static_cast<int>(s.placement(t).procs.size());
-    auto rng = entity_rng(seed, Stream::Startup, t);
-    engine.submit_timer(machine_.startup_sample(p, rng), std::move(done),
-                        "startup_" + g.task(t).name);
+  policy_.startup = [this](dag::TaskId t, simcore::CompletionFn done) {
+    const int p = static_cast<int>(core_.schedule().placement(t).procs.size());
+    auto rng = entity_rng(seed_, Stream::Startup, t);
+    core_.engine().submit_timer(rig_.machine_.startup_sample(p, rng),
+                                std::move(done),
+                                simcore::replay_tag(simcore::kStartupTag, t));
   };
-  policy.execute = [&](dag::TaskId t, simcore::CompletionFn done) {
-    const auto& task = g.task(t);
-    const auto& procs = s.placement(t).procs;
-    auto rng = entity_rng(seed, Stream::Exec, t);
+  policy_.execute = [this](dag::TaskId t, simcore::CompletionFn done) {
+    const auto& task = core_.dag().task(t);
+    const auto& procs = core_.schedule().placement(t).procs;
+    auto rng = entity_rng(seed_, Stream::Exec, t);
     // Heterogeneous sets run at the pace of their slowest member.
     const double exec =
-        machine_.exec_time_sample(task.kernel, task.matrix_dim,
-                                  static_cast<int>(procs.size()), rng) *
-        platform::exec_slowdown(spec_, procs);
-    engine.submit_timer(exec, std::move(done), "exec_" + task.name);
+        rig_.machine_.exec_time_sample(task.kernel, task.matrix_dim,
+                                       static_cast<int>(procs.size()), rng) *
+        platform::exec_slowdown(rig_.spec_, procs);
+    core_.engine().submit_timer(exec, std::move(done),
+                                simcore::replay_tag(simcore::kExecTag, t));
   };
   // Registrations with the single subnet manager serialize in FIFO order.
-  policy.overhead = [&](std::size_t edge, simcore::CompletionFn done) {
-    const auto& e = g.edges()[edge];
-    auto rng = entity_rng(seed, Stream::Redist, edge);
-    subnet.enqueue(machine_.redist_overhead_sample(
-                       static_cast<int>(s.placement(e.src).procs.size()),
-                       static_cast<int>(s.placement(e.dst).procs.size()), rng),
-                   std::move(done));
+  policy_.overhead = [this](std::size_t edge, simcore::CompletionFn done) {
+    const auto& e = core_.dag().edges()[edge];
+    const auto& sched = core_.schedule();
+    auto rng = entity_rng(seed_, Stream::Redist, edge);
+    subnet_.enqueue(
+        rig_.machine_.redist_overhead_sample(
+            static_cast<int>(sched.placement(e.src).procs.size()),
+            static_cast<int>(sched.placement(e.dst).procs.size()), rng),
+        std::move(done));
   };
-  policy.transfer_waits_for_consumer = true;
+  policy_.transfer_waits_for_consumer = true;
+}
 
-  return simcore::replay(g, s, cluster, policy);
+sched::RunTrace& TGridEmulator::Replay::run(std::uint64_t seed) {
+  const obs::Span obs_span(obs::current_track(), "tgrid", "execute", [&] {
+    return obs::Args{{"tasks", std::to_string(core_.dag().num_tasks())},
+                     {"seed", std::to_string(seed)}};
+  });
+  seed_ = seed;
+  subnet_.reset();
+  return core_.run(policy_);
+}
+
+sched::RunTrace TGridEmulator::run(const dag::Dag& g, const sched::Schedule& s,
+                                   std::uint64_t seed) const {
+  return std::move(Replay(*this, g, s).run(seed));
 }
 
 double TGridEmulator::makespan(const dag::Dag& g, const sched::Schedule& s,
                                std::uint64_t seed) const {
-  return run(g, s, seed).makespan;
+  return Replay(*this, g, s).run(seed).makespan;
 }
 
 double TGridEmulator::measure_startup(int p, std::uint64_t seed) const {

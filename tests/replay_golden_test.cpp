@@ -14,6 +14,9 @@
 // speeds); and an emulator run on a measurement table whose startup row is
 // all zeros.
 //
+// The ReplayReuse cases check that one compiled emulator replay, run for
+// several experiment seeds in turn, reproduces fresh replays exactly.
+//
 // To re-baseline after an intended behaviour change, delete the golden
 // file and run the test once: it writes the current output in its place
 // and fails, so the new file can be reviewed and committed.
@@ -198,6 +201,42 @@ TEST_F(ReplayGolden, EmulatorZeroStartupTable) {
   const tgrid::TGridEmulator rig(table, flat_->spec());
   const auto s = schedule(*flat_, CostModelKind::Profile);
   expect_golden("tgrid_zero_startup_table", rig.run(*dag_, s, 1));
+}
+
+/// One compiled replay reused across experiment seeds (a, b, a) must
+/// produce, run after run, exactly what a fresh replay of each seed does.
+class ReplayReuse : public ReplayGolden {
+ protected:
+  static void expect_reuse_matches_fresh(const tgrid::TGridEmulator& rig,
+                                         const sched::Schedule& s) {
+    tgrid::TGridEmulator::Replay replay(rig, *dag_, s);
+    for (const std::uint64_t seed : {1u, 9001u, 1u}) {
+      EXPECT_EQ(golden_text(replay.run(seed)),
+                golden_text(rig.run(*dag_, s, seed)))
+          << "seed " << seed;
+    }
+  }
+
+  static void expect_reuse_matches_fresh(const exp::Lab& lab) {
+    expect_reuse_matches_fresh(lab.rig(),
+                               schedule(lab, CostModelKind::Profile));
+  }
+};
+
+TEST_F(ReplayReuse, Bayreuth32) { expect_reuse_matches_fresh(*flat_); }
+
+TEST_F(ReplayReuse, Hier4x8) { expect_reuse_matches_fresh(*oversub_); }
+
+TEST_F(ReplayReuse, Hetero32) { expect_reuse_matches_fresh(*hetero_); }
+
+TEST_F(ReplayReuse, ZeroStartupTable) {
+  auto tables = machine::snapshot_tables(
+      flat_->machine(), {{dag::TaskKernel::MatMul, 2000},
+                         {dag::TaskKernel::MatAdd, 2000}});
+  tables.startup.assign(tables.startup.size(), 0.0);
+  const machine::TableMachineModel table(std::move(tables));
+  const tgrid::TGridEmulator rig(table, flat_->spec());
+  expect_reuse_matches_fresh(rig, schedule(*flat_, CostModelKind::Profile));
 }
 
 }  // namespace

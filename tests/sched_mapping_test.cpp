@@ -209,7 +209,8 @@ TEST(OrderPredecessors, DeduplicatesAcrossProcessors) {
   s.proc_order = {{0, 1}, {0, 1}};
   const auto preds = order_predecessors(g, s);
   EXPECT_TRUE(preds[0].empty());
-  EXPECT_EQ(preds[1], std::vector<TaskId>{0});
+  EXPECT_EQ(std::vector<TaskId>(preds[1].begin(), preds[1].end()),
+            std::vector<TaskId>{0});
 }
 
 TEST(Schedule, AllocationAccessor) {

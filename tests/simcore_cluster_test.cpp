@@ -1,8 +1,11 @@
 // Tests for cluster resource wiring and the L07-style parallel-task model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/platform/topology.hpp"
+#include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 
 namespace {
@@ -171,18 +174,73 @@ TEST(Ptask, FlowsOnOneResourceSumInListOrder) {
 
 TEST(RedistributionPtask, MapsByteMatrixAcrossPlacements) {
   mtsched::redist::RedistPlan plan{2, 3, {{0, 0, 5.0}, {1, 2, 7.0}}};
-  const auto t = make_redistribution_ptask({0, 1}, {2, 3, 1}, plan, "r");
+  const auto t = make_redistribution_ptask({0, 1}, {2, 3, 1}, plan);
   EXPECT_EQ(t.host_of_rank, (std::vector<int>{0, 1, 2, 3, 1}));
   // src rank 0 -> dst rank 0 (node 2); src rank 1 -> dst rank 2 (node 1).
   EXPECT_EQ(t.flows, (std::vector<Flow>{{0, 2, 5.0}, {1, 4, 7.0}}));
   EXPECT_TRUE(t.flops.empty());
-  EXPECT_EQ(t.name, "r");
 }
 
 TEST(RedistributionPtask, ShapeMismatchThrows) {
   const auto plan = mtsched::redist::plan_block_redistribution(10, 2, 2);
   EXPECT_THROW(make_redistribution_ptask({0}, {1, 2}, plan), InvalidArgument);
   EXPECT_THROW(make_redistribution_ptask({0, 1}, {2}, plan), InvalidArgument);
+}
+
+/// The fused redistribution charge equals the plan -> ptask -> usage path
+/// exactly (same weights, same order, same latency) for every pair of
+/// allocation sizes, with placements that share nodes (local copies).
+void expect_fused_charge_exact(const mtsched::platform::ClusterSpec& spec) {
+  Engine e;
+  ClusterSim cs(e, spec);
+  const int P = spec.num_nodes;
+  std::vector<Use> pool;
+  for (const int n : {2000, 3001}) {
+    for (int p_src = 1; p_src <= 32; ++p_src) {
+      for (int p_dst = 1; p_dst <= 32; ++p_dst) {
+        // Destination shifted by a few nodes from the source, and the
+        // same first nodes: both overlap the source's nodes.
+        for (const int shift : {0, 3, p_src / 2}) {
+          std::vector<int> src, dst;
+          for (int k = 0; k < p_src; ++k) src.push_back(k);
+          for (int k = 0; k < p_dst; ++k) dst.push_back((k + shift) % P);
+          const auto want = cs.usage(make_redistribution_ptask(
+              src, dst,
+              mtsched::redist::plan_block_redistribution(n, p_src, p_dst)));
+          pool.assign(1, Use{0, -1.0});  // appends after existing entries
+          const double latency = cs.redistribution_usage(n, src, dst, pool);
+          ASSERT_EQ(pool.size(), want.uses.size() + 1)
+              << n << " " << p_src << " " << p_dst << " " << shift;
+          for (std::size_t k = 0; k < want.uses.size(); ++k) {
+            EXPECT_EQ(pool[k + 1].resource, want.uses[k].resource);
+            EXPECT_EQ(pool[k + 1].weight, want.uses[k].weight);
+          }
+          EXPECT_EQ(latency, want.latency);
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedCharge, MatchesPtaskUsageOnStar) {
+  expect_fused_charge_exact(mtsched::platform::bayreuth32());
+}
+
+TEST(FusedCharge, MatchesPtaskUsageOnHier4x8) {
+  expect_fused_charge_exact(*mtsched::platform::named_platform("hier4x8"));
+}
+
+TEST(FusedCharge, AllLocalCopiesChargeNothing) {
+  Engine e;
+  ClusterSim cs(e, tiny());
+  std::vector<Use> pool;
+  EXPECT_EQ(cs.redistribution_usage(100, std::vector<int>{2, 1},
+                                    std::vector<int>{2, 1}, pool),
+            0.0);
+  EXPECT_TRUE(pool.empty());
+  EXPECT_THROW(cs.redistribution_usage(100, std::vector<int>{4},
+                                       std::vector<int>{0}, pool),
+               InvalidArgument);
 }
 
 TEST(Ptask, ZeroUsageCompletesInstantly) {

@@ -21,7 +21,7 @@ struct Chain {
     g.add_task(dag::TaskKernel::MatAdd, 100);
     g.add_task(dag::TaskKernel::MatAdd, 100);
     g.add_edge(0, 1);
-    s.placements = {{{0}, 0.0, 1.0}, {{1}, 0.0, 2.0}};
+    s.placements = {{{0}, 0.0, 1.0}, {{1}, 1.0, 2.0}};
     s.proc_order = {{0}, {1}};
   }
 };
@@ -45,10 +45,8 @@ simcore::ReplayPolicy timers(simcore::Engine& engine, bool wait) {
 
 TEST(Replay, TransferStartsAtProducerFinish) {
   Chain c;
-  simcore::Engine engine;
-  simcore::ClusterSim cluster(engine, c.spec);
-  const auto trace =
-      simcore::replay(c.g, c.s, cluster, timers(engine, /*wait=*/false));
+  simcore::CompiledReplay replay(c.g, c.s, c.spec);
+  const auto& trace = replay.run(timers(replay.engine(), /*wait=*/false));
   EXPECT_DOUBLE_EQ(trace.tasks[0].finish, 3.0);
   EXPECT_DOUBLE_EQ(trace.edges[0].request, 3.0);
   EXPECT_DOUBLE_EQ(trace.edges[0].transfer, 3.5);
@@ -58,10 +56,8 @@ TEST(Replay, TransferStartsAtProducerFinish) {
 
 TEST(Replay, TransferWaitsForConsumerStartup) {
   Chain c;
-  simcore::Engine engine;
-  simcore::ClusterSim cluster(engine, c.spec);
-  const auto trace =
-      simcore::replay(c.g, c.s, cluster, timers(engine, /*wait=*/true));
+  simcore::CompiledReplay replay(c.g, c.s, c.spec);
+  const auto& trace = replay.run(timers(replay.engine(), /*wait=*/true));
   EXPECT_DOUBLE_EQ(trace.edges[0].request, 5.0);
   EXPECT_DOUBLE_EQ(trace.edges[0].transfer, 5.5);
   EXPECT_DOUBLE_EQ(trace.tasks[1].exec_begin, trace.edges[0].done);
@@ -70,12 +66,10 @@ TEST(Replay, TransferWaitsForConsumerStartup) {
 
 TEST(Replay, TaskThatNeverFinishesIsAnInternalError) {
   Chain c;
-  simcore::Engine engine;
-  simcore::ClusterSim cluster(engine, c.spec);
-  auto policy = timers(engine, /*wait=*/false);
+  simcore::CompiledReplay replay(c.g, c.s, c.spec);
+  auto policy = timers(replay.engine(), /*wait=*/false);
   policy.execute = [](dag::TaskId, CompletionFn) {};
-  EXPECT_THROW(simcore::replay(c.g, c.s, cluster, policy),
-               core::InternalError);
+  EXPECT_THROW(replay.run(policy), core::InternalError);
 }
 
 }  // namespace
