@@ -30,6 +30,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -117,22 +118,32 @@ class Track {
   detail::Lane* lane_ = nullptr;
 };
 
-/// RAII span: begins on construction, ends on destruction.
+/// RAII span: begins on construction, ends on destruction. On a disabled
+/// track it stores and formats nothing.
 class Span {
  public:
-  Span(Track track, const char* category, std::string name, Args args = {})
-      : track_(track), category_(category), name_(std::move(name)) {
-    track_.begin(category_, name_, std::move(args));
+  Span(Track track, const char* category, std::string_view name,
+       Args args = {})
+      : track_(track), category_(category) {
+    if (track_) {
+      name_ = name;
+      track_.begin(category_, name_, std::move(args));
+    }
   }
   /// Lazy arguments: `make_args()` builds them only when the track is
   /// live, so a disabled span on a hot path formats nothing.
   template <std::invocable MakeArgs>
-  Span(Track track, const char* category, std::string name,
+  Span(Track track, const char* category, std::string_view name,
        MakeArgs&& make_args)
-      : track_(track), category_(category), name_(std::move(name)) {
-    track_.begin(category_, name_, track_ ? make_args() : Args{});
+      : track_(track), category_(category) {
+    if (track_) {
+      name_ = name;
+      track_.begin(category_, name_, make_args());
+    }
   }
-  ~Span() { track_.end(category_, std::move(name_)); }
+  ~Span() {
+    if (track_) track_.end(category_, std::move(name_));
+  }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

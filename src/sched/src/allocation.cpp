@@ -264,8 +264,11 @@ std::vector<int> CpaAllocator::allocate(const dag::Dag& g,
                                         const SchedCost& cost, int P) const {
   const obs::Span obs_span(obs::current_track(), "sched",
                            "allocate:" + name(),
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"P", std::to_string(P)}});
+                           [&] {
+                             return obs::Args{
+                                 {"tasks", std::to_string(g.num_tasks())},
+                                 {"P", std::to_string(P)}};
+                           });
   const CostCurveTable tt(cost, P, g);
   core::ArenaScope scratch(core::scratch_arena());
   return cpa_skeleton(
@@ -283,8 +286,11 @@ std::vector<int> HcpaAllocator::allocate(const dag::Dag& g,
                                          const SchedCost& cost, int P) const {
   const obs::Span obs_span(obs::current_track(), "sched",
                            "allocate:" + name(),
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"P", std::to_string(P)}});
+                           [&] {
+                             return obs::Args{
+                                 {"tasks", std::to_string(g.num_tasks())},
+                                 {"P", std::to_string(P)}};
+                           });
   // Self-constrained cap: no task may use more than ceil(P / omega)
   // processors, where omega is the DAG's maximum precedence-level width —
   // enough processors always remain for the task parallelism the DAG can
@@ -320,8 +326,11 @@ std::vector<int> McpaAllocator::allocate(const dag::Dag& g,
                                          const SchedCost& cost, int P) const {
   const obs::Span obs_span(obs::current_track(), "sched",
                            "allocate:" + name(),
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"P", std::to_string(P)}});
+                           [&] {
+                             return obs::Args{
+                                 {"tasks", std::to_string(g.num_tasks())},
+                                 {"P", std::to_string(P)}};
+                           });
   const auto& level = g.precedence_levels();
   const int num_levels = g.num_levels();
   // Running total allocation per precedence level (starts at one processor
@@ -348,8 +357,11 @@ std::vector<int> SerialAllocator::allocate(const dag::Dag& g,
   (void)cost;
   const obs::Span obs_span(obs::current_track(), "sched",
                            "allocate:" + name(),
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"P", std::to_string(P)}});
+                           [&] {
+                             return obs::Args{
+                                 {"tasks", std::to_string(g.num_tasks())},
+                                 {"P", std::to_string(P)}};
+                           });
   MTSCHED_REQUIRE(P >= 1, "cluster must have at least one processor");
   return std::vector<int>(g.num_tasks(), 1);
 }
@@ -360,8 +372,11 @@ std::vector<int> MaxParAllocator::allocate(const dag::Dag& g,
   (void)cost;
   const obs::Span obs_span(obs::current_track(), "sched",
                            "allocate:" + name(),
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"P", std::to_string(P)}});
+                           [&] {
+                             return obs::Args{
+                                 {"tasks", std::to_string(g.num_tasks())},
+                                 {"P", std::to_string(P)}};
+                           });
   MTSCHED_REQUIRE(P >= 1, "cluster must have at least one processor");
   return std::vector<int>(g.num_tasks(), P);
 }

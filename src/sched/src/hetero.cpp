@@ -46,8 +46,10 @@ Schedule HeteroListMapper::map(const dag::Dag& g,
   const auto& spec = vc_.spec();
   const int P = spec.num_nodes;
   const obs::Span obs_span(
-      obs::current_track(), "sched", "map:hetero",
-      {{"tasks", std::to_string(g.num_tasks())}, {"P", std::to_string(P)}});
+      obs::current_track(), "sched", "map:hetero", [&] {
+        return obs::Args{{"tasks", std::to_string(g.num_tasks())},
+                         {"P", std::to_string(P)}};
+      });
   MTSCHED_REQUIRE(virtual_alloc.size() == g.num_tasks(),
                   "allocation vector size mismatch");
   for (int a : virtual_alloc) {

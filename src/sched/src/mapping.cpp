@@ -79,7 +79,10 @@ Schedule ListMapper::map(const dag::Dag& g, const std::vector<int>& alloc,
           : (strategy_ == MappingStrategy::RedistributionAware
                  ? "map:redist_aware"
                  : "map:rack_aware"),
-      {{"tasks", std::to_string(g.num_tasks())}, {"P", std::to_string(P)}});
+      [&] {
+        return obs::Args{{"tasks", std::to_string(g.num_tasks())},
+                         {"P", std::to_string(P)}};
+      });
   MTSCHED_REQUIRE(P >= 1, "cluster must have at least one processor");
   MTSCHED_REQUIRE(alloc.size() == g.num_tasks(),
                   "allocation vector size mismatch");

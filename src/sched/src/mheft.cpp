@@ -22,9 +22,10 @@ MHeftScheduler::MHeftScheduler(const SchedCost& cost, int num_procs,
 
 Schedule MHeftScheduler::schedule(const dag::Dag& g) const {
   const obs::Span obs_span(
-      obs::current_track(), "sched", "schedule:MHEFT",
-      {{"tasks", std::to_string(g.num_tasks())},
-       {"P", std::to_string(num_procs_)}});
+      obs::current_track(), "sched", "schedule:MHEFT", [&] {
+        return obs::Args{{"tasks", std::to_string(g.num_tasks())},
+                         {"P", std::to_string(num_procs_)}};
+      });
   MTSCHED_REQUIRE(g.num_tasks() > 0, "cannot schedule an empty DAG");
   const int P = num_procs_;
   const int p_cap = max_alloc_ == 0 ? P : max_alloc_;
