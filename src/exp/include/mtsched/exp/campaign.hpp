@@ -20,9 +20,14 @@
 //     by index, so completion order never shows.
 //
 // A cell's schedule and simulated makespan do not depend on the
-// experiment seed, so the cell task computes them once, compiles the
-// emulated replay once (tgrid::TGridEmulator::Replay) and then runs every
-// experiment seed of the cell on it, allocation-free. The metrics keep
+// experiment seed, so the cell task computes the schedule once, compiles
+// the emulated replay once (tgrid::TGridEmulator::Replay), simulates on
+// that compile and then runs every experiment seed of the cell on it,
+// allocation-free. Whether a model lives on the rig's platform is decided
+// once per model at expansion; a model on another platform (a
+// speed-blind view of a heterogeneous rig, say) simulates on a compile of
+// its own. The compile counts toward the cell's first execute
+// observation, the simulation toward its schedule one. The metrics keep
 // the memo-cache vocabulary: each cell counts one cache miss (the
 // schedule it computed) and one hit per further experiment seed, so the
 // totals are exactly what the expansion dictates.

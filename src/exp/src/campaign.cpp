@@ -214,6 +214,7 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
   struct Cell {
     const dag::GeneratedDag* dag = nullptr;
     const models::CostModel* model = nullptr;
+    bool on_rig_platform = false;  ///< simulates on the emulator's compile
     const ScheduleFn* schedule = nullptr;
     obs::Track track;       ///< schedule+sim events of this cell
     std::vector<Run> runs;  ///< expansion order
@@ -223,6 +224,14 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
   // expansion: the lane set and its order depend only on the spec, never
   // on which worker later runs a cell.
   obs::MetricsRegistry* mreg = sink != nullptr ? sink->metrics() : nullptr;
+
+  // A model on the rig's own platform simulates a cell's schedule on the
+  // emulator's compiled replay; decided once per model.
+  std::vector<bool> on_rig_platform;
+  on_rig_platform.reserve(spec.models.size());
+  for (const auto& m : spec.models) {
+    on_rig_platform.push_back(m.model->spec() == rig_.spec());
+  }
 
   CampaignResult result;
   std::vector<Cell> cells;
@@ -269,6 +278,7 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
               Cell cell;
               cell.dag = &inst;
               cell.model = spec.models[mi].model;
+              cell.on_rig_platform = on_rig_platform[mi];
               cell.schedule = &algo.schedule;
               if (sink != nullptr) {
                 cell.track = sink->track("schedule " + label);
@@ -310,36 +320,46 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
   obs::Histogram* exec_hist =
       mreg != nullptr ? &mreg->histogram("campaign.execute_seconds") : nullptr;
 
-  // Parallel stage: one pool task per cell. It computes the schedule and
-  // the simulated makespan once (the cell's cache miss), compiles the
-  // emulated replay once, then runs every experiment seed of the cell on
-  // it (the cache hits). Hit/miss totals are what the expansion dictates:
-  // one miss per cell, one hit per further record.
+  // Parallel stage: one pool task per cell. It computes the schedule once
+  // (the cell's cache miss), compiles the emulated replay once, simulates
+  // on it (or on a compile of its own when the model lives on another
+  // platform), then runs every experiment seed of the cell on it (the
+  // cache hits). Hit/miss totals are what the expansion dictates: one
+  // miss per cell, one hit per further record.
   const auto run_start = Clock::now();
   std::mutex state_mutex;  // metric accumulation, progress
   std::size_t jobs_done = 0;
 
   const auto run_cell = [&](std::size_t ci) {
     const Cell& cell = cells[ci];
+    const dag::Dag& g = cell.dag->graph;
     const auto t0 = Clock::now();
     sched::Schedule schedule;
+    {
+      const obs::ScopedContext obs_ctx(cell.track, mreg);
+      schedule = (*cell.schedule)(g, *cell.model, P);
+    }
+    double schedule_seconds = seconds_since(t0);
+
+    const auto t1 = Clock::now();
+    tgrid::TGridEmulator::Replay replay(rig_, g, schedule);
+    const double compile_seconds = seconds_since(t1);
+
+    const auto t2 = Clock::now();
     double makespan_sim = 0.0;
     {
       const obs::ScopedContext obs_ctx(cell.track, mreg);
-      schedule = (*cell.schedule)(cell.dag->graph, *cell.model, P);
-      makespan_sim =
-          sim::Simulator(*cell.model).makespan(cell.dag->graph, schedule);
+      const sim::Simulator simulator(*cell.model);
+      makespan_sim = cell.on_rig_platform
+                         ? simulator.run(replay.core()).makespan
+                         : simulator.makespan(g, schedule);
     }
-    const double schedule_seconds = seconds_since(t0);
+    schedule_seconds += seconds_since(t2);
     if (sched_hist != nullptr) sched_hist->observe(schedule_seconds);
     const std::vector<int> allocation = schedule.allocation();
-
-    const auto t1 = Clock::now();
-    tgrid::TGridEmulator::Replay replay(rig_, cell.dag->graph, schedule);
-    const double compile_seconds = seconds_since(t1);
     for (std::size_t k = 0; k < cell.runs.size(); ++k) {
       const Run& run = cell.runs[k];
-      const auto t2 = Clock::now();
+      const auto t3 = Clock::now();
       double makespan_exp = 0.0;
       {
         const obs::ScopedContext obs_ctx(run.track, mreg);
@@ -347,7 +367,7 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
       }
       // The compile is part of the cell's first execution.
       const double execute_seconds =
-          seconds_since(t2) + (k == 0 ? compile_seconds : 0.0);
+          seconds_since(t3) + (k == 0 ? compile_seconds : 0.0);
       if (exec_hist != nullptr) exec_hist->observe(execute_seconds);
 
       RunRecord& rec = result.records[run.record_idx];

@@ -38,18 +38,19 @@ class MachineModel {
   virtual double exec_time_mean(dag::TaskKernel k, int n, int p) const = 0;
 
   /// One sampled execution (multiplicative run-to-run noise).
-  virtual double exec_time_sample(dag::TaskKernel k, int n, int p,
-                                  core::Rng& rng) const;
+  double exec_time_sample(dag::TaskKernel k, int n, int p,
+                          core::Rng& rng) const;
 
   /// Noise-free task startup overhead for an allocation of p processors.
   virtual double startup_mean(int p) const = 0;
-  virtual double startup_sample(int p, core::Rng& rng) const;
+  /// One sampled startup (multiplicative run-to-run noise).
+  double startup_sample(int p, core::Rng& rng) const;
 
   /// Noise-free redistribution protocol overhead (excludes payload
   /// transfer time, which the execution framework performs for real).
   virtual double redist_overhead_mean(int p_src, int p_dst) const = 0;
-  virtual double redist_overhead_sample(int p_src, int p_dst,
-                                        core::Rng& rng) const;
+  /// One sampled protocol overhead (multiplicative run-to-run noise).
+  double redist_overhead_sample(int p_src, int p_dst, core::Rng& rng) const;
 
   /// Nominal (calibrated) per-node flop rate used by analytical models.
   virtual double nominal_flops() const = 0;

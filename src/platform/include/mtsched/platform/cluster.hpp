@@ -56,6 +56,10 @@ struct ClusterSpec {
   /// node count matches the topology's.
   void validate() const;
 
+  /// Field by field, the topology by value: equal specs wire the same
+  /// resources and cost every task the same.
+  bool operator==(const ClusterSpec& other) const;
+
  private:
   friend ClusterSpec to_cluster(const Topology& topo);
   explicit ClusterSpec(std::shared_ptr<const Topology> topology);

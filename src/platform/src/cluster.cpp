@@ -56,6 +56,13 @@ void ClusterSpec::validate() const {
                   "topology node count must match num_nodes");
 }
 
+bool ClusterSpec::operator==(const ClusterSpec& other) const {
+  return name == other.name && num_nodes == other.num_nodes &&
+         node.flops == other.node.flops &&
+         node_speeds == other.node_speeds &&
+         (topology_ == other.topology_ || *topology_ == *other.topology_);
+}
+
 ClusterSpec bayreuth32(int num_nodes, double node_flops) {
   RackSpec rack;
   rack.nodes = num_nodes;

@@ -2,8 +2,10 @@
 // under a given cost model and reports the simulated makespan and trace.
 //
 // Replay semantics (simcore::CompiledReplay's lifecycle, shared with the
-// execution framework; each run() compiles the schedule and replays it
-// once, and this front end supplies only the cost model's phase costs):
+// execution framework; run(g, s) compiles the schedule and replays it
+// once, run(replay) replays a schedule compiled elsewhere on the same
+// platform, and this front end supplies only the cost model's phase
+// costs):
 //   * a task seizes its processors when all tasks preceding it in any of
 //     its processors' orders have finished;
 //   * a redistribution starts when its producer finishes: the model's
@@ -26,6 +28,7 @@
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/sched/schedule.hpp"
 #include "mtsched/sched/trace.hpp"
+#include "mtsched/simcore/replay.hpp"
 
 namespace mtsched::sim {
 
@@ -40,6 +43,14 @@ class Simulator {
 
   /// Simulates one schedule replay. Validates the schedule first.
   sched::RunTrace run(const dag::Dag& g, const sched::Schedule& s) const;
+
+  /// Simulates a schedule already compiled for the model's platform —
+  /// for instance an emulator replay's core, so that one compile serves
+  /// the simulation and every experiment seed. Resets the replay's
+  /// engine; the trace is the replay's, valid until its next run().
+  /// Throws core::InvalidArgument when the replay was compiled for a
+  /// platform other than model().spec().
+  sched::RunTrace& run(simcore::CompiledReplay& replay) const;
 
   /// Convenience: simulated makespan only.
   double makespan(const dag::Dag& g, const sched::Schedule& s) const;

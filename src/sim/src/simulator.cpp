@@ -13,11 +13,22 @@ Simulator::Simulator(const models::CostModel& model, obs::Track trace)
 
 sched::RunTrace Simulator::run(const dag::Dag& g,
                                const sched::Schedule& s) const {
+  simcore::CompiledReplay replay(g, s, model_.spec());
+  return std::move(run(replay));
+}
+
+sched::RunTrace& Simulator::run(simcore::CompiledReplay& replay) const {
   const auto& spec = model_.spec();
-  simcore::CompiledReplay replay(g, s, spec);
+  MTSCHED_REQUIRE(replay.cluster().spec() == spec,
+                  "the replay was compiled for another platform than the "
+                  "model's");
+  const dag::Dag& g = replay.dag();
+  const sched::Schedule& s = replay.schedule();
 
   const obs::Track trk = trace_ ? trace_ : obs::current_track();
-  const obs::Span obs_span(trk, "sim", "simulate:" + model_.name(), [&] {
+  std::string span_name;
+  if (trk) span_name = "simulate:" + model_.name();
+  const obs::Span obs_span(trk, "sim", span_name, [&] {
     return obs::Args{{"tasks", std::to_string(g.num_tasks())},
                      {"P", std::to_string(spec.num_nodes)}};
   });
@@ -75,7 +86,7 @@ sched::RunTrace Simulator::run(const dag::Dag& g,
     }
   };
 
-  sched::RunTrace trace = std::move(replay.run(policy));
+  sched::RunTrace& trace = replay.run(policy);
   trk.counter("sim", "makespan_seconds", trace.makespan);
   return trace;
 }

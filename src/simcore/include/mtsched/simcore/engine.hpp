@@ -25,10 +25,19 @@
 //     subtraction of the same dt is weakly monotonic), and the next
 //     latency event is simply the front survivor. No per-element
 //     branching, no compaction scan.
+//     A single new entry is inserted at its upper bound (equal
+//     remainders keep older activities first); several are sorted and
+//     merged in one backward pass.
 //   * The work class is a dense id-sorted set of parallel arrays
 //     (remaining work, rate, usage-list extent): the fused step pass
 //     streams them linearly, and the max-min solve consumes the usage
-//     lists as one CSR view (see maxmin.hpp).
+//     lists as one CSR view (see maxmin.hpp). When exactly one working
+//     activity has a usage list — most solves of a schedule replay — and
+//     its resource ids strictly ascend (as ClusterSim emits them), its
+//     rate is the minimum of capacity / weight over its uses: exactly
+//     what progressive filling computes in its first and only round over
+//     distinct resources, so the gather and the solver are skipped. Any
+//     other list goes through the solver.
 //   * Cold per-activity state (tag, callback, usage list) is slot-slab
 //     indexed and only touched at submit/transition/completion; a copied
 //     usage list is bump-allocated from the engine's core::Arena, a
@@ -165,8 +174,13 @@ class Engine {
   /// changed, re-solves the max-min rates (over the CSR usage view of the
   /// work class) and refreshes the work-phase event lookahead.
   void reshare();
+  /// The lone-flow shortcut of the solve (see the header comment): sets
+  /// the flow's rate and returns true when it applies, otherwise returns
+  /// false and touches nothing.
+  bool rate_lone_flow();
   /// Folds buffered latency-phase submissions into the sorted delay
-  /// calendar (backward merge; ties keep older activities first).
+  /// calendar (a single entry is inserted at its upper bound, several are
+  /// sorted and merged backward; ties keep older activities first).
   void merge_pending();
   /// Drops the consumed prefix of the delay calendar (amortized O(1)).
   void compact_delay();

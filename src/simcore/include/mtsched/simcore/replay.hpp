@@ -24,7 +24,12 @@
 // resources. run() resets that engine and replays; a warmed-up run makes
 // no heap allocation, so the experiment seeds of one schedule (the paper
 // re-runs each schedule several times, Section VII-A) only pay for the
-// events themselves. Running once is the same object, compiled and run.
+// events themselves. The policy is per run, so front ends may take turns
+// on one compile: a campaign cell simulates its schedule and runs every
+// experiment seed on the emulator's compiled replay when the cost model
+// lives on the rig's platform (the paper checks each schedule both ways,
+// Sections IV and VII-A). Running once is the same object, compiled and
+// run.
 //
 // Release order is fixed, so replays are deterministic: processor-order
 // successors are released by ascending task id, output and input

@@ -188,6 +188,18 @@ void Engine::compact_delay() {
 }
 
 void Engine::merge_pending() {
+  if (pend_rem_.size() == 1) {
+    // One entry: insert it at its upper bound among the live entries, so
+    // equal remainders keep older activities first.
+    const auto live = d_rem_.begin() + static_cast<std::ptrdiff_t>(d_head_);
+    const auto at = std::upper_bound(live, d_rem_.end(), pend_rem_[0]) -
+                    d_rem_.begin();
+    d_rem_.insert(d_rem_.begin() + at, pend_rem_[0]);
+    d_slot_.insert(d_slot_.begin() + at, pend_slot_[0]);
+    pend_rem_.clear();
+    pend_slot_.clear();
+    return;
+  }
   compact_delay();
   const std::size_t p = pend_rem_.size();
   // Pending entries arrive in submission (= ascending-id) order; sorting
@@ -225,37 +237,58 @@ void Engine::merge_pending() {
   pend_slot_.clear();
 }
 
+bool Engine::rate_lone_flow() {
+  const std::size_t wn = w_len_.size();
+  std::size_t lone = wn;
+  for (std::size_t i = 0; i < wn; ++i) {
+    if (w_len_[i] == 0) continue;
+    if (lone != wn) return false;  // a second flow: the solver shares
+    lone = i;
+  }
+  if (lone == wn) return false;
+  const Use* uses = slot_uses_[w_slot_[lone]];
+  double rate = kInf;
+  for (std::uint32_t k = 0; k < w_len_[lone]; ++k) {
+    if (k > 0 && uses[k].resource <= uses[k - 1].resource) return false;
+    rate = std::min(rate, capacities_[uses[k].resource] / uses[k].weight);
+  }
+  w_rate_[lone] = rate;
+  return true;
+}
+
 void Engine::reshare() {
   if (solve_dirty_) {
-    // Gather the working usage lists into one CSR view, in id order —
-    // the same activity sequence the AoS engine fed the solver.
-    csr_off_.clear();
-    csr_res_.clear();
-    csr_w_.clear();
-    csr_map_.clear();
-    csr_off_.push_back(0);
     const std::size_t wn = w_id_.size();
-    for (std::size_t i = 0; i < wn; ++i) {
-      const std::uint32_t len = w_len_[i];
-      if (len == 0) continue;
-      const Use* uses = slot_uses_[w_slot_[i]];
-      for (std::uint32_t k = 0; k < len; ++k) {
-        csr_res_.push_back(static_cast<std::uint32_t>(uses[k].resource));
-        csr_w_.push_back(uses[k].weight);
+    if (!rate_lone_flow()) {
+      // Gather the working usage lists into one CSR view, in id order —
+      // the same activity sequence the AoS engine fed the solver.
+      csr_off_.clear();
+      csr_res_.clear();
+      csr_w_.clear();
+      csr_map_.clear();
+      csr_off_.push_back(0);
+      for (std::size_t i = 0; i < wn; ++i) {
+        const std::uint32_t len = w_len_[i];
+        if (len == 0) continue;
+        const Use* uses = slot_uses_[w_slot_[i]];
+        for (std::uint32_t k = 0; k < len; ++k) {
+          csr_res_.push_back(static_cast<std::uint32_t>(uses[k].resource));
+          csr_w_.push_back(uses[k].weight);
+        }
+        csr_off_.push_back(static_cast<std::uint32_t>(csr_res_.size()));
+        csr_map_.push_back(static_cast<std::uint32_t>(i));
       }
-      csr_off_.push_back(static_cast<std::uint32_t>(csr_res_.size()));
-      csr_map_.push_back(static_cast<std::uint32_t>(i));
-    }
-    if (!csr_map_.empty()) {
-      csr_rates_.resize(csr_map_.size());
-      solver_.solve(
-          std::span<const double>(capacities_),
-          UsesView{{csr_off_.data(), csr_off_.size()},
-                   {csr_res_.data(), csr_res_.size()},
-                   {csr_w_.data(), csr_w_.size()}},
-          std::span<double>(csr_rates_.data(), csr_rates_.size()));
-      for (std::size_t k = 0; k < csr_map_.size(); ++k) {
-        w_rate_[csr_map_[k]] = csr_rates_[k];
+      if (!csr_map_.empty()) {
+        csr_rates_.resize(csr_map_.size());
+        solver_.solve(
+            std::span<const double>(capacities_),
+            UsesView{{csr_off_.data(), csr_off_.size()},
+                     {csr_res_.data(), csr_res_.size()},
+                     {csr_w_.data(), csr_w_.size()}},
+            std::span<double>(csr_rates_.data(), csr_rates_.size()));
+        for (std::size_t k = 0; k < csr_map_.size(); ++k) {
+          w_rate_[csr_map_[k]] = csr_rates_[k];
+        }
       }
     }
     solve_dirty_ = false;
@@ -313,10 +346,12 @@ bool Engine::step() {
   trans_slot_.clear();
   trans_rem_.clear();
   if (!expired_.empty()) {
-    std::sort(expired_.begin(), expired_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return slot_id_[a] < slot_id_[b];
-              });
+    if (expired_.size() > 1) {
+      std::sort(expired_.begin(), expired_.end(),
+                [this](std::uint32_t a, std::uint32_t b) {
+                  return slot_id_[a] < slot_id_[b];
+                });
+    }
     for (const std::uint32_t slot : expired_) {
       ++num_working_;
       rates_dirty_ = true;

@@ -29,7 +29,10 @@
 // adjacency, redistribution usage, engine and subnet-manager wiring — and
 // run(seed) then replays one experiment with no steady-state heap
 // allocation; only the seed-dependent sampling and the events remain.
-// TGridEmulator::run(g, s, seed) is a Replay compiled and run once.
+// TGridEmulator::run(g, s, seed) is a Replay compiled and run once. The
+// compiled core is exposed, so a simulator on the same platform can
+// simulate the schedule on it too: one compile per schedule serves the
+// simulation and every experiment.
 //
 // This module deliberately has no dependency on mtsched::models — the
 // world does not know what the simulators believe.
@@ -68,6 +71,11 @@ class TGridEmulator {
     /// measured trace, valid until the next run() (a caller done with the
     /// replay may move it out).
     sched::RunTrace& run(std::uint64_t seed);
+
+    /// The compiled schedule on the rig's platform. A simulator whose
+    /// model lives on the same platform may replay it in between
+    /// experiments (sim::Simulator::run(simcore::CompiledReplay&)).
+    simcore::CompiledReplay& core() { return core_; }
 
    private:
     const TGridEmulator& rig_;

@@ -10,7 +10,12 @@
 #include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/exp/results.hpp"
+#include "mtsched/models/analytical.hpp"
+#include "mtsched/models/factory.hpp"
+#include "mtsched/platform/cluster.hpp"
+#include "mtsched/sim/simulator.hpp"
 #include "mtsched/stats/summary.hpp"
+#include "mtsched/tgrid/emulator.hpp"
 
 namespace {
 
@@ -233,6 +238,85 @@ TEST(Campaign, ValidatesSpec) {
   dup.algorithms = {exp::AlgoSpec::allocator("HCPA"),
                     exp::AlgoSpec::allocator("HCPA")};
   EXPECT_THROW(exp::Campaign(lab().rig()).run(dup), core::InvalidArgument);
+}
+
+/// Every record of `result` must equal what fresh per-record calls give:
+/// the algorithm's schedule, a fresh Simulator::run(g, s) and a fresh
+/// rig.run(g, s, run_seed).
+void expect_records_match_fresh_calls(const exp::CampaignSpec& spec,
+                                      const exp::CampaignResult& result,
+                                      const tgrid::TGridEmulator& rig) {
+  const int P = rig.spec().num_nodes;
+  std::size_t checked = 0;
+  for (const auto& rec : result.records) {
+    const dag::GeneratedDag* inst = nullptr;
+    for (const auto& suite : spec.suites) {
+      for (const auto& d : suite.dags) {
+        if (suite.seed == rec.suite_seed && d.name == rec.dag) inst = &d;
+      }
+    }
+    const auto model = std::find_if(
+        spec.models.begin(), spec.models.end(),
+        [&](const exp::ModelRef& m) { return m.label == rec.model; });
+    const auto algo = std::find_if(
+        spec.algorithms.begin(), spec.algorithms.end(),
+        [&](const exp::AlgoSpec& a) { return a.label == rec.algorithm; });
+    ASSERT_NE(inst, nullptr);
+    ASSERT_NE(model, spec.models.end());
+    ASSERT_NE(algo, spec.algorithms.end());
+    const auto s = algo->schedule(inst->graph, *model->model, P);
+    const std::string what = rec.dag + "/" + rec.model + "/" + rec.algorithm +
+                             "/s" + std::to_string(rec.exp_seed);
+    EXPECT_EQ(rec.allocation, s.allocation()) << what;
+    EXPECT_EQ(rec.makespan_sim,
+              sim::Simulator(*model->model).run(inst->graph, s).makespan)
+        << what;
+    EXPECT_EQ(rec.makespan_exp, rig.run(inst->graph, s, rec.run_seed).makespan)
+        << what;
+    ++checked;
+  }
+  EXPECT_EQ(checked, result.metrics.jobs);
+}
+
+TEST(CampaignSharedCompile, ModelsOnTheRigPlatformMatchFreshCalls) {
+  // Every lab model lives on the rig's platform: each cell simulates on
+  // the emulator's compiled replay.
+  auto spec = mini_spec();
+  spec.models = exp::lab_models(lab(), models::all_kinds());
+  spec.algorithms = {exp::AlgoSpec::allocator("HCPA"),
+                     exp::AlgoSpec::allocator("MCPA")};
+  spec.exp_seeds = {42, 9001};
+  spec.threads = 2;
+  const auto result = exp::Campaign(lab().rig()).run(spec);
+  expect_records_match_fresh_calls(spec, result, lab().rig());
+}
+
+TEST(CampaignSharedCompile, ModelOnAnotherPlatformMatchesFreshCalls) {
+  // Shaped like the heterogeneous virtual-cluster bench: the rig runs a
+  // skewed cluster. The speed-blind model believes in the homogeneous
+  // star and must simulate on a compile of its own; the aware model lives
+  // on the rig's platform and shares the emulator's.
+  auto skewed = lab().spec();
+  const double lo = 2.0 * skewed.node.flops / (1.0 + 4.0);
+  skewed = platform::heterogeneous_cluster(skewed.num_nodes, lo, lo * 4.0,
+                                           /*seed=*/5);
+  const tgrid::TGridEmulator rig(lab().machine(), skewed);
+  const models::AnalyticalModel blind(lab().spec());
+  const models::AnalyticalModel aware(skewed);
+  ASSERT_FALSE(blind.spec() == rig.spec());
+  ASSERT_TRUE(aware.spec() == rig.spec());
+
+  auto spec = mini_spec();
+  spec.models = {{"blind", &blind}, {"aware", &aware}};
+  auto hcpa = exp::AlgoSpec::allocator("HCPA");
+  hcpa.seed_slot = 0;
+  auto mcpa = exp::AlgoSpec::allocator("MCPA");
+  mcpa.seed_slot = 0;
+  spec.algorithms = {hcpa, mcpa};
+  spec.exp_seeds = {42, 7};
+  spec.threads = 2;
+  const auto result = exp::Campaign(rig).run(spec);
+  expect_records_match_fresh_calls(spec, result, rig);
 }
 
 }  // namespace

@@ -65,6 +65,24 @@ TEST(Validate, CatchesNonPhysicalValues) {
   EXPECT_THROW((void)to_cluster(one_rack("bad", rack)), InvalidArgument);
 }
 
+TEST(ClusterSpecEquality, ComparesEveryFieldAndTheTopologyByValue) {
+  EXPECT_TRUE(bayreuth32() == bayreuth32());  // separate topology objects
+  const ClusterSpec copy = bayreuth32();
+  EXPECT_TRUE(ClusterSpec(copy) == copy);
+  EXPECT_TRUE(to_cluster(bayreuth32().topology()) == bayreuth32());
+  EXPECT_FALSE(bayreuth32() == bayreuth32(16));
+  EXPECT_FALSE(bayreuth32() == bayreuth32(32, 300e6));
+  EXPECT_FALSE(bayreuth32() == *named_platform("hier1x32"));
+  EXPECT_FALSE(bayreuth32() == *named_platform("hier4x8"));
+  EXPECT_FALSE(bayreuth32() == heterogeneous_cluster(32, 150e6, 350e6));
+  ClusterSpec renamed = bayreuth32();
+  renamed.name = "other";
+  EXPECT_FALSE(renamed == bayreuth32());
+  RackSpec rack = bayreuth32().topology().racks.front();
+  rack.link_latency *= 2.0;
+  EXPECT_FALSE(to_cluster(one_rack("bayreuth32", rack)) == bayreuth32());
+}
+
 TEST(Parser, RoundTripsPresets) {
   for (const auto& spec : {bayreuth32(), cray_xt4()}) {
     const auto parsed = parse_platform(to_text(spec.topology()));

@@ -15,7 +15,8 @@
 // all zeros.
 //
 // The ReplayReuse cases check that one compiled emulator replay, run for
-// several experiment seeds in turn, reproduces fresh replays exactly.
+// several experiment seeds in turn, reproduces fresh replays exactly; the
+// SharedCompile cases interleave simulations on the same compiled replay.
 //
 // To re-baseline after an intended behaviour change, delete the golden
 // file and run the test once: it writes the current output in its place
@@ -27,10 +28,12 @@
 #include <sstream>
 #include <string>
 
+#include "mtsched/core/error.hpp"
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/machine/table_machine.hpp"
 #include "mtsched/models/cost_model.hpp"
+#include "mtsched/models/factory.hpp"
 #include "mtsched/platform/topology.hpp"
 #include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/mapping.hpp"
@@ -237,6 +240,56 @@ TEST_F(ReplayReuse, ZeroStartupTable) {
   const machine::TableMachineModel table(std::move(tables));
   const tgrid::TGridEmulator rig(table, flat_->spec());
   expect_reuse_matches_fresh(rig, schedule(*flat_, CostModelKind::Profile));
+}
+
+/// One compiled emulator replay serving the simulator too: simulations
+/// and experiments interleaved on it (simulate, seed a, simulate, seed b)
+/// must each equal a fresh Simulator::run(g, s) or rig.run(g, s, seed).
+class SharedCompile : public ReplayGolden {
+ protected:
+  static void expect_shared_matches_fresh(const tgrid::TGridEmulator& rig,
+                                          const exp::Lab& lab) {
+    for (const auto kind : models::all_kinds()) {
+      const sim::Simulator simulator(lab.model(kind));
+      const auto s = schedule(lab, kind);
+      const std::string simulated = golden_text(simulator.run(*dag_, s));
+      tgrid::TGridEmulator::Replay replay(rig, *dag_, s);
+      for (const std::uint64_t seed : {1u, 9001u}) {
+        EXPECT_EQ(golden_text(simulator.run(replay.core())), simulated)
+            << models::kind_name(kind) << " before seed " << seed;
+        EXPECT_EQ(golden_text(replay.run(seed)),
+                  golden_text(rig.run(*dag_, s, seed)))
+            << models::kind_name(kind) << " seed " << seed;
+      }
+    }
+  }
+
+  static void expect_shared_matches_fresh(const exp::Lab& lab) {
+    expect_shared_matches_fresh(lab.rig(), lab);
+  }
+};
+
+TEST_F(SharedCompile, Bayreuth32) { expect_shared_matches_fresh(*flat_); }
+
+TEST_F(SharedCompile, Hier4x8) { expect_shared_matches_fresh(*oversub_); }
+
+TEST_F(SharedCompile, Hetero32) { expect_shared_matches_fresh(*hetero_); }
+
+TEST_F(SharedCompile, ZeroStartupTable) {
+  auto tables = machine::snapshot_tables(
+      flat_->machine(), {{dag::TaskKernel::MatMul, 2000},
+                         {dag::TaskKernel::MatAdd, 2000}});
+  tables.startup.assign(tables.startup.size(), 0.0);
+  const machine::TableMachineModel table(std::move(tables));
+  const tgrid::TGridEmulator rig(table, flat_->spec());
+  expect_shared_matches_fresh(rig, *flat_);
+}
+
+TEST_F(SharedCompile, RejectsAReplayOfAnotherPlatform) {
+  const auto s = schedule(*flat_, CostModelKind::Profile);
+  tgrid::TGridEmulator::Replay replay(hetero_->rig(), *dag_, s);
+  const sim::Simulator simulator(flat_->model(CostModelKind::Profile));
+  EXPECT_THROW(simulator.run(replay.core()), core::InvalidArgument);
 }
 
 }  // namespace

@@ -13,9 +13,11 @@
 // observable sequence with exact floating-point equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "mtsched/core/rng.hpp"
@@ -291,9 +293,10 @@ struct Driver {
   }
 };
 
-void expect_equivalent(std::uint64_t seed, int num_roots) {
-  const Workload wl = random_workload(seed, num_roots);
-
+/// Runs `wl` on both engines and expects the same observable sequence;
+/// returns the SoA engine's completions. `what` labels failures.
+std::vector<Completion> expect_equivalent(const Workload& wl,
+                                          const std::string& what) {
   simcore::Engine soa;
   NaiveEngine naive;
   for (const double c : wl.capacities) {
@@ -307,20 +310,27 @@ void expect_equivalent(std::uint64_t seed, int num_roots) {
 
   // Exact equality throughout: same completion order, and every time and
   // usage total identical to the last bit.
-  ASSERT_EQ(ds.completions.size(), dn.completions.size()) << "seed " << seed;
-  for (std::size_t i = 0; i < ds.completions.size(); ++i) {
+  EXPECT_EQ(ds.completions.size(), dn.completions.size()) << what;
+  const std::size_t n =
+      std::min(ds.completions.size(), dn.completions.size());
+  for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(ds.completions[i].spec, dn.completions[i].spec)
-        << "seed " << seed << " completion " << i;
+        << what << " completion " << i;
     EXPECT_EQ(ds.completions[i].t, dn.completions[i].t)
-        << "seed " << seed << " completion " << i;
+        << what << " completion " << i;
   }
-  EXPECT_EQ(soa.now(), naive.now()) << "seed " << seed;
-  EXPECT_EQ(soa.events_processed(), naive.events_processed())
-      << "seed " << seed;
+  EXPECT_EQ(soa.now(), naive.now()) << what;
+  EXPECT_EQ(soa.events_processed(), naive.events_processed()) << what;
   for (std::size_t r = 0; r < wl.capacities.size(); ++r) {
     EXPECT_EQ(soa.resource_usage(r), naive.resource_usage(r))
-        << "seed " << seed << " resource " << r;
+        << what << " resource " << r;
   }
+  return ds.completions;
+}
+
+void expect_equivalent(std::uint64_t seed, int num_roots) {
+  expect_equivalent(random_workload(seed, num_roots),
+                    "seed " + std::to_string(seed));
 }
 
 // --- the sweep -----------------------------------------------------------
@@ -354,6 +364,114 @@ TEST(EngineEquivalence, DeterministicAcrossRuns) {
       EXPECT_EQ(first, d.completions);
     }
   }
+}
+
+// --- deterministic cases -------------------------------------------------
+// Each pins one shortcut of the engine against the solver-only reference.
+
+/// A timer of `delay` seconds submitting `children` on completion.
+ActSpec timer(double delay, std::vector<int> children = {}) {
+  ActSpec s;
+  s.delay = delay;
+  s.children = std::move(children);
+  return s;
+}
+
+/// Work `amount` over `uses` after a latency phase of `delay`.
+ActSpec flow(std::vector<simcore::Use> uses, double amount, double delay,
+             std::vector<int> children = {}) {
+  ActSpec s;
+  s.uses = std::move(uses);
+  s.amount = amount;
+  s.delay = delay;
+  s.children = std::move(children);
+  return s;
+}
+
+TEST(EngineEquivalence, LoneClusterShapedFlowAmongTimers) {
+  // bayreuth32's resource layout: per node cpu, uplink and downlink, then
+  // the switch fabric. A redistribution charges ~20 links by ascending
+  // id, and most of the time it is the only flow: its rate comes from the
+  // single-flow shortcut, not the solver.
+  Workload wl;
+  for (int node = 0; node < 32; ++node) {
+    wl.capacities.insert(wl.capacities.end(), {250e6, 125e6, 125e6});
+  }
+  wl.capacities.push_back(2e9);
+  const auto redistribution = [](int first_src, int first_dst, double bytes) {
+    std::vector<simcore::Use> uses;
+    for (int k = 0; k < 4; ++k) {
+      uses.push_back({static_cast<std::size_t>(3 * (first_src + k) + 1),
+                      bytes * (1.0 + 0.25 * k)});
+    }
+    for (int k = 0; k < 15; ++k) {
+      uses.push_back({static_cast<std::size_t>(3 * (first_dst + k) + 2),
+                      bytes * (0.5 + 0.1 * k)});
+    }
+    uses.push_back({96, bytes * 20.0});
+    return uses;
+  };
+  wl.specs = {
+      flow(redistribution(0, 4, 1.3e6), 1.0, 1e-4, {1}),  // 0
+      flow(redistribution(8, 16, 0.7e6), 1.0, 1e-4, {2}),  // 1
+      timer(0.004),                                        // 2
+      timer(0.003, {4}),                                   // 3
+      timer(0.005),                                        // 4
+      timer(0.011, {6}),                                   // 5
+      flow(redistribution(1, 12, 0.9e6), 1.0, 1e-4),       // 6: overlaps 1
+      timer(0.02),                                         // 7
+  };
+  wl.roots = {0, 3, 5, 7};
+  for (const auto& s : wl.specs) {
+    for (std::size_t k = 1; k < s.uses.size(); ++k) {
+      ASSERT_LT(s.uses[k - 1].resource, s.uses[k].resource);
+    }
+  }
+  const auto done = expect_equivalent(wl, "cluster-shaped flow");
+  EXPECT_EQ(done.size(), wl.specs.size());
+}
+
+TEST(EngineEquivalence, LoneFlowWithDuplicatedResourceTakesTheSolver) {
+  // Resource 1 is listed twice: its load is the weights' sum, 2 + 2, so
+  // the rate is min(8 / 4, 16 / 1) = 2, not min(8 / 2, 16 / 1) = 4.
+  Workload wl;
+  wl.capacities = {4.0, 8.0, 16.0};
+  wl.specs = {flow({{1, 2.0}, {1, 2.0}, {2, 1.0}}, 3.0, 0.0), timer(0.5)};
+  wl.roots = {0, 1};
+  const auto done = expect_equivalent(wl, "duplicated resource");
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[1], (Completion{0, 1.5}));
+}
+
+TEST(EngineEquivalence, LoneFlowWithDescendingResourcesTakesTheSolver) {
+  Workload wl;
+  wl.capacities = {4.0, 8.0, 16.0};
+  wl.specs = {flow({{2, 1.0}, {0, 4.0}}, 2.0, 0.25), timer(0.5)};
+  wl.roots = {0, 1};
+  const auto done = expect_equivalent(wl, "descending resources");
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[1], (Completion{0, 2.25}));  // rate min(16 / 1, 4 / 4)
+}
+
+TEST(EngineEquivalence, SingleLatencyEntryTiesAnExistingRemainder) {
+  // A (2 s) is pending the whole run. W's completion at 0.5 s submits
+  // D (1.5 s) before any entry has expired; B's expiry at 1 s submits
+  // C (1 s) behind the consumed entry. Both tie A's remainder exactly,
+  // so A, D and C expire together at 2 s and complete in id order.
+  Workload wl;
+  wl.capacities = {1.0};
+  wl.specs = {
+      timer(2.0),                     // 0: A
+      timer(1.0, {2}),                // 1: B
+      timer(1.0),                     // 2: C
+      flow({{0, 1.0}}, 0.5, 0.0, {4}),  // 3: W
+      timer(1.5),                     // 4: D
+  };
+  wl.roots = {0, 1, 3};
+  const auto done = expect_equivalent(wl, "latency tie");
+  const std::vector<Completion> want = {
+      {3, 0.5}, {1, 1.0}, {0, 2.0}, {4, 2.0}, {2, 2.0}};
+  EXPECT_EQ(done, want);
 }
 
 }  // namespace
