@@ -22,7 +22,6 @@
 #include "mtsched/core/thread_pool.hpp"
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/exp/campaign.hpp"
-#include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/exp/report.hpp"
 #include "mtsched/obs/bench_report.hpp"

@@ -47,11 +47,8 @@ exp::CaseStudyResult run_pair(const machine::MachineModel& machine_model,
   cspec.models = {{"analytical", &model}};
   cspec.exp_seeds = {bench::kExpSeed};
   cspec.threads = bench::bench_threads();
-  cspec.algorithms = {
-      exp::AlgoSpec::allocator("HCPA", sched::MappingStrategy::EarliestStart,
-                               spec),
-      exp::AlgoSpec::allocator("MCPA", sched::MappingStrategy::EarliestStart,
-                               spec)};
+  cspec.algorithms = {exp::AlgoSpec::allocator("HCPA"),
+                      exp::AlgoSpec::allocator("MCPA")};
   const auto result = exp::Campaign(rig).run(cspec);
   std::cerr << result.metrics.describe();
   if (bench::Reporter* r = bench::Reporter::current()) {
@@ -144,7 +141,7 @@ int main() {
                                 sched::MappingStrategy::RedistributionAware,
                                 sched::MappingStrategy::RackAware}) {
       auto algo = exp::AlgoSpec::allocator(
-          "HCPA", strategy, spec4,
+          "HCPA", strategy,
           std::string("HCPA/") + sched::mapping_name(strategy));
       algo.seed_slot = 0;  // identical weather: only the mapping varies
       cspec.algorithms.push_back(std::move(algo));

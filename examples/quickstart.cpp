@@ -14,7 +14,7 @@
 #include "mtsched/core/table.hpp"
 #include "mtsched/dag/export.hpp"
 #include "mtsched/dag/generator.hpp"
-#include "mtsched/exp/case_study.hpp"
+#include "mtsched/exp/campaign.hpp"
 #include "mtsched/exp/lab.hpp"
 
 int main(int argc, char** argv) {
@@ -39,29 +39,31 @@ int main(int argc, char** argv) {
   std::cout << "building lab (brute-force profiling campaign)...\n\n";
   exp::Lab lab;
 
-  // 3+4. Schedule, simulate, execute under each cost model.
+  // 3+4. Schedule, simulate, execute under each cost model: a campaign
+  // over a one-DAG suite, HCPA vs MCPA by default.
+  exp::CampaignSpec spec;
+  spec.suites = {exp::SuiteSpec{seed, {instance}}};
+  spec.models = exp::lab_models(lab, models::all_kinds());
+  spec.exp_seeds = {42};
+  const auto campaign = exp::Campaign(lab.rig()).run(spec);
+
   core::TextTable table;
   table.set_header({"model", "algo", "alloc", "sim [s]", "exp [s]",
                     "err % (of sim)"});
-  const sched::HcpaAllocator hcpa;
-  const sched::McpaAllocator mcpa;
-  for (auto kind :
-       {models::CostModelKind::Analytical, models::CostModelKind::Profile,
-        models::CostModelKind::Empirical}) {
-    const auto& model = lab.model(kind);
-    const exp::CaseStudy study(model, lab.rig());
-    const auto outcome = study.evaluate(instance, hcpa, mcpa, /*exp_seed=*/42);
-    for (const exp::AlgoOutcome* a : {&outcome.first, &outcome.second}) {
+  for (const auto& model : spec.models) {
+    const auto outcome =
+        campaign.case_study(model.label, "HCPA", "MCPA", seed, 42).outcomes[0];
+    for (const exp::RunRecord* a : {&outcome.first, &outcome.second}) {
       std::string alloc;
       for (std::size_t i = 0; i < a->allocation.size(); ++i) {
         alloc += (i ? "," : "") + std::to_string(a->allocation[i]);
       }
-      table.add_row({model.name(), a->algorithm, alloc,
+      table.add_row({model.label, a->algorithm, alloc,
                      core::fmt(a->makespan_sim, 1),
                      core::fmt(a->makespan_exp, 1),
                      core::fmt(a->sim_error_percent(), 1)});
     }
-    std::cout << model.name() << ": simulation says "
+    std::cout << model.label << ": simulation says "
               << (outcome.rel_sim() < 0 ? "HCPA" : "MCPA")
               << " wins, experiment says "
               << (outcome.rel_exp() < 0 ? "HCPA" : "MCPA")

@@ -1,5 +1,11 @@
-// Parallel experiment-campaign runner (the production face of the paper's
-// methodology).
+// The paper's experimental methodology (Section V-A) as a parallel
+// campaign runner. For each DAG, each algorithm schedules it under the
+// simulator's cost model; the simulator predicts the schedule's makespan
+// and the cluster (here: the TGrid emulator) executes the *same*
+// schedule. CampaignResult::case_study pivots the records into the
+// paper's comparison: relative HCPA-vs-MCPA makespans in simulation vs
+// experiment (Figures 1/5/7) and per-run simulation error (Figure 8).
+// One DAG is a campaign over a one-DAG suite.
 //
 // A campaign is a declarative sweep: DAG suites x scheduling algorithms x
 // simulator cost models x matrix dimensions x experiment seeds. The runner
@@ -14,8 +20,8 @@
 // results byte-identical to the same campaign with one thread. Two
 // mechanisms guarantee it:
 //   * every record derives its own experiment seed from (campaign exp
-//     seed, algorithm slot, dag seed) exactly as exp::CaseStudy does — no
-//     shared RNG, no run-order dependence;
+//     seed, algorithm slot, dag seed) — no shared RNG, no run-order
+//     dependence;
 //   * records are pre-labelled at expansion and written into their slots
 //     by index, so completion order never shows.
 //
@@ -39,7 +45,6 @@
 #include <vector>
 
 #include "mtsched/dag/generator.hpp"
-#include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/models/cost_model.hpp"
 #include "mtsched/obs/sink.hpp"
@@ -73,27 +78,21 @@ struct AlgoSpec {
   ScheduleFn schedule;
 
   /// Stream id mixed into each job's experiment seed. The default -1
-  /// means "use my position in CampaignSpec::algorithms + 1", which
-  /// reproduces exp::CaseStudy's seeding (first algorithm -> 1, second
-  /// -> 2: the two schedules are separate cluster runs with their own
-  /// weather). 0 means "use the campaign exp seed unmixed" — for studies
-  /// that deliberately execute all variants under identical weather.
+  /// means "use my position in CampaignSpec::algorithms + 1" (first
+  /// algorithm -> 1, second -> 2: the two schedules are separate cluster
+  /// runs with their own weather). 0 means "use the campaign exp seed
+  /// unmixed" — for studies that deliberately execute all variants under
+  /// identical weather.
   int seed_slot = -1;
 
   /// The standard two-step scheduler: `make_allocator(name)` allocation
-  /// followed by list mapping with `strategy`. `label` defaults to `name`.
+  /// followed by sched::ListMapper(strategy, model.spec()) mapping, so
+  /// the mapper sees the racks of the platform the model lives on.
+  /// `label` defaults to `name`.
   static AlgoSpec allocator(
       const std::string& name,
       sched::MappingStrategy strategy = sched::MappingStrategy::EarliestStart,
       std::string label = {});
-
-  /// Platform-aware variant: the list mapper learns the rack structure
-  /// from `platform` (required for MappingStrategy::RackAware; other
-  /// strategies behave as above).
-  static AlgoSpec allocator(const std::string& name,
-                            sched::MappingStrategy strategy,
-                            const platform::ClusterSpec& platform,
-                            std::string label = {});
 };
 
 /// A DAG suite plus the identity it is reported under.
@@ -136,8 +135,41 @@ struct RunRecord {
   double makespan_sim = 0.0;
   double makespan_exp = 0.0;
 
-  /// |exp - sim| / sim in percent (the paper's Figure 8 metric).
+  /// The paper's Figure 8 metric: |exp - sim| / sim, in percent. Relative
+  /// to the *simulated* value — analytical simulation underestimates, so
+  /// errors can exceed 100 % (the paper's axis reaches 1500 %).
   double sim_error_percent() const;
+};
+
+/// Both algorithms of a case study on one DAG.
+struct DagOutcome {
+  std::string dag_name;
+  int matrix_dim = 0;
+  RunRecord first;   ///< HCPA in the paper's figures
+  RunRecord second;  ///< MCPA
+
+  /// Relative makespan of `first` w.r.t. `second` (negative = first is
+  /// faster), as in the paper's bar charts.
+  double rel_sim() const { return first.makespan_sim / second.makespan_sim - 1.0; }
+  double rel_exp() const { return first.makespan_exp / second.makespan_exp - 1.0; }
+
+  /// True when simulation and experiment disagree about which algorithm
+  /// wins (the paper's headline failure mode). Exact ties — identical
+  /// schedules — on either side count as agreement.
+  bool verdict_flip() const;
+};
+
+/// One model's per-DAG comparison of two algorithms, in suite order.
+struct CaseStudyResult {
+  std::string model_name;
+  std::vector<DagOutcome> outcomes;
+
+  int num_flips() const;
+  std::vector<const DagOutcome*> with_dim(int matrix_dim) const;
+
+  /// All sim_error_percent values of the given side ("first"/"second").
+  std::vector<double> errors_first() const;
+  std::vector<double> errors_second() const;
 };
 
 /// Execution metrics of one campaign run. Only `jobs`, `cache_hits` and

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "mtsched/exp/case_study.hpp"
+#include "mtsched/exp/campaign.hpp"
 
 namespace mtsched::exp {
 

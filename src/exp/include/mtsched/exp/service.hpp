@@ -51,9 +51,6 @@ struct ServiceConfig {
   /// response). submit() beyond this rejects with Overloaded.
   std::size_t queue_limit = 64;
 
-  /// Shards of the session's schedule-memo cache.
-  std::size_t cache_shards = 16;
-
   /// Most requests one drain coalesces into a single micro-batch
   /// (clamped below by 1). Bounds the delivery latency of the last
   /// request in a batch under backlog; the queue_limit bounds the

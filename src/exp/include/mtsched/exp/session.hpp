@@ -142,10 +142,6 @@ struct RunArtifacts {
   sched::RunTrace exp_trace;  ///< filled only when the request executes
 };
 
-struct SessionOptions {
-  std::size_t cache_shards = 16;
-};
-
 /// One default lab, optional further platform labs, one schedule cache.
 /// Thread-safe: requests may be served concurrently from pool workers
 /// (exp::Service does exactly that). Register every platform before
@@ -153,7 +149,7 @@ struct SessionOptions {
 class Session {
  public:
   /// `lab` must outlive the session.
-  explicit Session(const Lab& lab, SessionOptions opt = {});
+  explicit Session(const Lab& lab);
 
   /// Registers an additional platform lab, addressable from requests by
   /// its spec name (req.platform). `lab` must outlive the session.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,26 +52,7 @@ AlgoSpec AlgoSpec::allocator(const std::string& name,
                                     const models::CostModel& model, int P) {
     const models::SchedCostAdapter cost(model);
     const auto sizes = alloc->allocate(g, cost, P);
-    return sched::ListMapper(strategy).map(g, sizes, cost, P);
-  };
-  return spec;
-}
-
-AlgoSpec AlgoSpec::allocator(const std::string& name,
-                             sched::MappingStrategy strategy,
-                             const platform::ClusterSpec& platform,
-                             std::string label) {
-  std::shared_ptr<const sched::Allocator> alloc = sched::make_allocator(name);
-  AlgoSpec spec;
-  spec.label = label.empty() ? name : std::move(label);
-  // The mapper copies what it needs from the spec, so the lambda owns a
-  // mapper, not a dangling platform reference.
-  sched::ListMapper mapper(strategy, platform);
-  spec.schedule = [alloc, mapper](const dag::Dag& g,
-                                  const models::CostModel& model, int P) {
-    const models::SchedCostAdapter cost(model);
-    const auto sizes = alloc->allocate(g, cost, P);
-    return mapper.map(g, sizes, cost, P);
+    return sched::ListMapper(strategy, model.spec()).map(g, sizes, cost, P);
   };
   return spec;
 }
@@ -82,6 +64,41 @@ SuiteSpec SuiteSpec::table1(std::uint64_t base_seed, int num_tasks) {
 double RunRecord::sim_error_percent() const {
   MTSCHED_REQUIRE(makespan_sim > 0.0, "simulated makespan must be positive");
   return std::abs(makespan_exp - makespan_sim) / makespan_sim * 100.0;
+}
+
+bool DagOutcome::verdict_flip() const {
+  constexpr double kTie = 1e-9;
+  if (std::abs(rel_sim()) < kTie || std::abs(rel_exp()) < kTie) return false;
+  return (rel_sim() < 0.0) != (rel_exp() < 0.0);
+}
+
+int CaseStudyResult::num_flips() const {
+  int n = 0;
+  for (const auto& o : outcomes)
+    if (o.verdict_flip()) ++n;
+  return n;
+}
+
+std::vector<const DagOutcome*> CaseStudyResult::with_dim(
+    int matrix_dim) const {
+  std::vector<const DagOutcome*> out;
+  for (const auto& o : outcomes)
+    if (o.matrix_dim == matrix_dim) out.push_back(&o);
+  return out;
+}
+
+std::vector<double> CaseStudyResult::errors_first() const {
+  std::vector<double> e;
+  e.reserve(outcomes.size());
+  for (const auto& o : outcomes) e.push_back(o.first.sim_error_percent());
+  return e;
+}
+
+std::vector<double> CaseStudyResult::errors_second() const {
+  std::vector<double> e;
+  e.reserve(outcomes.size());
+  for (const auto& o : outcomes) e.push_back(o.second.sim_error_percent());
+  return e;
 }
 
 std::string CampaignMetrics::describe() const {
@@ -146,10 +163,8 @@ CaseStudyResult CampaignResult::case_study(const std::string& model_label,
     DagOutcome o;
     o.dag_name = dag_name;
     o.matrix_dim = first->matrix_dim;
-    o.first = AlgoOutcome{first->algorithm, first->allocation,
-                          first->makespan_sim, first->makespan_exp};
-    o.second = AlgoOutcome{second->algorithm, second->allocation,
-                           second->makespan_sim, second->makespan_exp};
+    o.first = *first;
+    o.second = *second;
     result.outcomes.push_back(std::move(o));
   }
   return result;

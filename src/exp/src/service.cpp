@@ -13,7 +13,7 @@ using Clock = std::chrono::steady_clock;
 
 Service::Service(const Lab& lab, ServiceConfig cfg, obs::Sink* sink)
     : cfg_(cfg),
-      session_(lab, SessionOptions{cfg.cache_shards}),
+      session_(lab),
       sink_(sink),
       pool_(cfg.threads == 0 ? core::ThreadPool::recommended_threads()
                              : cfg.threads) {

@@ -93,8 +93,7 @@ std::size_t ScheduleCache::size() const {
   return n;
 }
 
-Session::Session(const Lab& lab, SessionOptions opt)
-    : lab_(lab), cache_(opt.cache_shards) {}
+Session::Session(const Lab& lab) : lab_(lab) {}
 
 void Session::add_platform(const Lab& lab) {
   const std::string& name = lab.spec().name;

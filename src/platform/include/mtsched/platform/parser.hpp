@@ -37,8 +37,13 @@ namespace mtsched::platform {
 /// Header line identifying the versioned platform format.
 inline constexpr const char* kPlatformSchema = "mtsched.platform.v1";
 
+/// Most racks one document may expand to, summed over the `count` of
+/// every [rack] section (the built-in platforms have at most 4).
+inline constexpr int kMaxRacks = 65536;
+
 /// Parses an mtsched.platform.v1 document (the header line must be
-/// present). Raises core::ParseError on malformed input.
+/// present). Raises core::ParseError on malformed input, and before any
+/// expansion on more than kMaxRacks racks or INT_MAX nodes.
 Topology parse_topology(const std::string& text);
 
 /// Serializes a topology to mtsched.platform.v1 (round-trips with

@@ -87,12 +87,18 @@ Topology parse_topology(const std::string& text) {
   RackSpec rack;
   int rack_count = 1;
   bool header_seen = false;
+  std::int64_t total_racks = 0;
   std::int64_t total_nodes = 0;
   auto flush_rack = [&] {
     if (section != "rack") return;
-    // Bound the node total before expanding `count`, so that neither the
-    // expansion nor Topology::num_nodes() can run away. Non-positive node
-    // counts are left to validate().
+    // Bound the rack and node totals before expanding `count`, so that
+    // neither the expansion nor Topology::num_nodes() can run away.
+    // Non-positive node counts are left to validate().
+    total_racks += rack_count;
+    if (total_racks > kMaxRacks) {
+      throw core::ParseError("platform has more than " +
+                             std::to_string(kMaxRacks) + " racks");
+    }
     if (rack.nodes > 0) {
       total_nodes += static_cast<std::int64_t>(rack.nodes) * rack_count;
       if (total_nodes > INT_MAX) {

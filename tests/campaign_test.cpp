@@ -1,18 +1,20 @@
 // Tests for the parallel campaign runner: determinism across thread
-// counts, memo-cache accounting, the JSON/CSV writers, and agreement with
-// the sequential exp::CaseStudy pipeline it generalizes.
+// counts, memo-cache accounting, the JSON/CSV writers, and agreement of
+// the case-study pivot with a sequential reference pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/rng.hpp"
 #include "mtsched/exp/campaign.hpp"
-#include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/exp/results.hpp"
 #include "mtsched/models/analytical.hpp"
 #include "mtsched/models/factory.hpp"
 #include "mtsched/platform/cluster.hpp"
+#include "mtsched/platform/topology.hpp"
+#include "mtsched/sched/allocation.hpp"
 #include "mtsched/sim/simulator.hpp"
 #include "mtsched/stats/summary.hpp"
 #include "mtsched/tgrid/emulator.hpp"
@@ -129,19 +131,48 @@ TEST(Campaign, PivotMatchesTheSequentialCaseStudy) {
   const auto result = exp::Campaign(lab().rig()).run(spec);
   const auto pivot = result.case_study("profile", "HCPA", "MCPA", 7, 42);
 
-  const exp::CaseStudy study(lab().profile(), lab().rig());
-  const auto direct = study.run_suite(spec.suites[0].dags, 42);
+  // The sequential reference: the default HCPA/MCPA recipe (two-step
+  // scheduling under the model, EST mapping), a fresh simulation, and
+  // one cluster run per algorithm seeded hash_mix(exp seed, slot, dag
+  // seed) with slots 1 and 2 — separate runs, separate weather.
+  const models::SchedCostAdapter cost(lab().profile());
+  const sim::Simulator simulator(lab().profile());
+  const sched::HcpaAllocator hcpa;
+  const sched::McpaAllocator mcpa;
+  const auto reference = [&](const dag::GeneratedDag& inst,
+                             const sched::Allocator& alloc,
+                             std::uint64_t slot) {
+    const auto s = sched::TwoStepScheduler(alloc, cost, lab().spec().num_nodes)
+                       .schedule(inst.graph);
+    exp::RunRecord r;
+    r.algorithm = alloc.name();
+    r.allocation = s.allocation();
+    r.makespan_sim = simulator.makespan(inst.graph, s);
+    r.makespan_exp = lab().rig().makespan(
+        inst.graph, s, core::hash_mix(42, slot, inst.params.seed));
+    return r;
+  };
+  exp::CaseStudyResult direct;
+  for (const auto& inst : spec.suites[0].dags) {
+    exp::DagOutcome o;
+    o.dag_name = inst.name;
+    o.first = reference(inst, hcpa, 1);
+    o.second = reference(inst, mcpa, 2);
+    direct.outcomes.push_back(std::move(o));
+  }
 
   ASSERT_EQ(pivot.outcomes.size(), direct.outcomes.size());
   for (std::size_t i = 0; i < pivot.outcomes.size(); ++i) {
     const auto& a = pivot.outcomes[i];
     const auto& b = direct.outcomes[i];
     EXPECT_EQ(a.dag_name, b.dag_name);
-    EXPECT_DOUBLE_EQ(a.first.makespan_sim, b.first.makespan_sim);
-    EXPECT_DOUBLE_EQ(a.first.makespan_exp, b.first.makespan_exp);
-    EXPECT_DOUBLE_EQ(a.second.makespan_sim, b.second.makespan_sim);
-    EXPECT_DOUBLE_EQ(a.second.makespan_exp, b.second.makespan_exp);
-    EXPECT_EQ(a.first.allocation, b.first.allocation);
+    for (const auto side :
+         {&exp::DagOutcome::first, &exp::DagOutcome::second}) {
+      EXPECT_EQ((a.*side).algorithm, (b.*side).algorithm);
+      EXPECT_EQ((a.*side).allocation, (b.*side).allocation);
+      EXPECT_EQ((a.*side).makespan_sim, (b.*side).makespan_sim);
+      EXPECT_EQ((a.*side).makespan_exp, (b.*side).makespan_exp);
+    }
   }
   EXPECT_EQ(pivot.num_flips(), direct.num_flips());
 }
@@ -238,6 +269,59 @@ TEST(Campaign, ValidatesSpec) {
   dup.algorithms = {exp::AlgoSpec::allocator("HCPA"),
                     exp::AlgoSpec::allocator("HCPA")};
   EXPECT_THROW(exp::Campaign(lab().rig()).run(dup), core::InvalidArgument);
+
+  // Every model must live on a platform of the rig's size: the lab's
+  // 32-node models cannot drive an 8-node rig.
+  machine::JavaClusterConfig cfg;
+  cfg.num_nodes = 8;
+  const machine::JavaClusterModel small(cfg);
+  const tgrid::TGridEmulator small_rig(small, small.platform_spec());
+  EXPECT_THROW(exp::Campaign(small_rig).run(mini_spec()),
+               core::InvalidArgument);
+}
+
+TEST(AlgoSpecAllocator, RackAwareMapsOnTheModelsRacks) {
+  // The recipe's mapper takes its racks from the model's platform. On
+  // hier4x8 rack-aware mapping must differ from redistribution-aware
+  // mapping for some of these DAGs, and the recipe must match the
+  // platform-aware mapper exactly on all of them.
+  const auto hier = *platform::named_platform("hier4x8");
+  const models::AnalyticalModel model(hier);
+  const models::SchedCostAdapter cost(model);
+  const int P = hier.num_nodes;
+  const auto recipe =
+      exp::AlgoSpec::allocator("HCPA", sched::MappingStrategy::RackAware);
+  const sched::ListMapper rack(sched::MappingStrategy::RackAware, hier);
+  const sched::ListMapper redist(sched::MappingStrategy::RedistributionAware,
+                                 hier);
+  int differs = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    dag::DagGenParams p;
+    p.num_tasks = 40;
+    p.width = 4;
+    p.add_ratio = 0.4;
+    p.seed = seed;
+    const auto inst = dag::generate_random_dag(p);
+    const auto alloc = sched::HcpaAllocator{}.allocate(inst.graph, cost, P);
+    const auto want = rack.map(inst.graph, alloc, cost, P);
+    const auto got = recipe.schedule(inst.graph, model, P);
+    ASSERT_EQ(got.placements.size(), want.placements.size());
+    for (std::size_t t = 0; t < want.placements.size(); ++t) {
+      EXPECT_EQ(got.placements[t].procs, want.placements[t].procs)
+          << "seed " << seed << ", task " << t;
+      EXPECT_EQ(got.placements[t].est_start, want.placements[t].est_start);
+      EXPECT_EQ(got.placements[t].est_finish, want.placements[t].est_finish);
+    }
+    EXPECT_EQ(got.proc_order, want.proc_order) << "seed " << seed;
+    const auto other = redist.map(inst.graph, alloc, cost, P);
+    for (std::size_t t = 0; t < want.placements.size(); ++t) {
+      if (other.placements[t].procs != want.placements[t].procs) {
+        ++differs;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(differs, 0);
 }
 
 /// Every record of `result` must equal what fresh per-record calls give:

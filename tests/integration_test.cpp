@@ -4,11 +4,12 @@
 
 #include <cmath>
 
+#include "case_study_util.hpp"
 #include "mtsched/dag/generator.hpp"
-#include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/models/profile.hpp"
 #include "mtsched/profiling/profiler.hpp"
+#include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/mapping.hpp"
 #include "mtsched/sim/simulator.hpp"
 #include "mtsched/tgrid/emulator.hpp"
@@ -66,14 +67,13 @@ TEST(Integration, ProfileSimulatorTracksCleanEmulatorClosely) {
 TEST(Integration, EndToEndPipelineIsDeterministic) {
   auto run_once = [] {
     exp::Lab lab;
-    const exp::CaseStudy study(lab.empirical(), lab.rig());
     dag::DagGenParams params;
     params.seed = 5;
     params.matrix_dim = 3000;
-    const auto inst = dag::generate_random_dag(params);
-    const sched::HcpaAllocator hcpa;
-    const sched::McpaAllocator mcpa;
-    const auto o = study.evaluate(inst, hcpa, mcpa, 99);
+    const auto o =
+        test_util::hcpa_vs_mcpa(lab, models::CostModelKind::Empirical,
+                                {dag::generate_random_dag(params)}, 99)
+            .outcomes.at(0);
     return std::make_tuple(o.first.makespan_sim, o.first.makespan_exp,
                            o.second.makespan_sim, o.second.makespan_exp);
   };
@@ -105,14 +105,16 @@ TEST(Integration, ExperimentSlowerThanAnalyticalPrediction) {
   // Analytical simulation systematically underestimates (it knows no
   // overheads and assumes peak kernels).
   exp::Lab lab;
-  const exp::CaseStudy study(lab.analytical(), lab.rig());
-  const sched::HcpaAllocator hcpa;
-  const sched::McpaAllocator mcpa;
+  std::vector<dag::GeneratedDag> dags;
   for (std::uint64_t seed : {3, 4}) {
     dag::DagGenParams params;
     params.seed = seed;
-    const auto inst = dag::generate_random_dag(params);
-    const auto o = study.evaluate(inst, hcpa, mcpa, 42);
+    dags.push_back(dag::generate_random_dag(params));
+  }
+  const auto res = test_util::hcpa_vs_mcpa(
+      lab, models::CostModelKind::Analytical, std::move(dags), 42);
+  ASSERT_EQ(res.outcomes.size(), 2u);
+  for (const auto& o : res.outcomes) {
     EXPECT_GT(o.first.makespan_exp, o.first.makespan_sim);
     EXPECT_GT(o.second.makespan_exp, o.second.makespan_sim);
   }

@@ -138,12 +138,35 @@ TEST(Parser, RejectsIntegersOutsideIntRange) {
 TEST(Parser, RejectsNodeTotalsPastIntMax) {
   // 65536 racks x 65537 nodes overflows int; rejected before the 65536
   // racks are expanded.
-  EXPECT_THROW(parse_platform(kHead + "[rack]\ncount = 65536\nnodes = 65537\n"),
-               ParseError);
+  try {
+    parse_platform(kHead + "[rack]\ncount = 65536\nnodes = 65537\n");
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("INT_MAX"), std::string::npos)
+        << e.what();
+  }
   // Two sections that each fit but together do not.
   const std::string half =
       "[rack]\nnodes = " + std::to_string(INT_MAX / 2 + 1) + "\n";
   EXPECT_THROW(parse_platform(kHead + half + half), ParseError);
+}
+
+TEST(Parser, RejectsRackTotalsPastTheLimit) {
+  // One rack past kMaxRacks is rejected before expansion, whatever the
+  // node count (zero-node racks contribute nothing to the node bound).
+  const std::string over = std::to_string(kMaxRacks + 1);
+  for (const char* nodes : {"0", "1"}) {
+    EXPECT_THROW(parse_platform(kHead + "[rack]\ncount = " + over +
+                                "\nnodes = " + nodes + "\n"),
+                 ParseError)
+        << nodes;
+  }
+  // Two sections that each fit but together do not.
+  const std::string half = "[rack]\ncount = " +
+                           std::to_string(kMaxRacks / 2) +
+                           "\nnodes = 1\n";
+  EXPECT_THROW(parse_platform(kHead + half + half + "[rack]\nnodes = 1\n"),
+               ParseError);
 }
 
 TEST(Parser, BooleanForms) {

@@ -18,7 +18,6 @@
 #include "mtsched/dag/export.hpp"
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/exp/campaign.hpp"
-#include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/exp/report.hpp"
 #include "mtsched/exp/results.hpp"
@@ -657,12 +656,15 @@ int cmd_case_study(int argc, char** argv) {
   if (!parse_or_help(args, argc, argv)) return 0;
 
   const auto lab = make_lab(args);
-  const auto suite = dag::generate_table1_suite();
   const int dim = static_cast<int>(args.integer("dim"));
-  const auto exp_seed = args.uint64("exp-seed");
-  for (const auto kind : models::all_kinds()) {
-    const exp::CaseStudy study(lab->model(kind), lab->rig());
-    const auto result = study.run_suite(suite, exp_seed);
+  exp::CampaignSpec spec;  // defaults: Table I suite, HCPA vs MCPA
+  spec.models = exp::lab_models(*lab, models::all_kinds());
+  spec.exp_seeds = {args.uint64("exp-seed")};
+  const auto campaign = exp::Campaign(lab->rig()).run(spec);
+  for (const auto& model : spec.models) {
+    const auto result = campaign.case_study(model.label, "HCPA", "MCPA",
+                                            exp::SuiteSpec{}.seed,
+                                            spec.exp_seeds.front());
     const auto subset = result.with_dim(dim);
     std::cout << result.model_name << " model, n = " << dim << ": "
               << exp::count_flips(subset) << "/" << subset.size()
@@ -720,7 +722,7 @@ int cmd_campaign(int argc, char** argv) {
   }
   for (const auto& name : core::split_csv(args.str("algos"))) {
     spec.algorithms.push_back(
-        exp::AlgoSpec::allocator(name, strategy, lab->spec()));
+        exp::AlgoSpec::allocator(name, strategy));
   }
   spec.models = exp::lab_models(*lab, models::parse_kind_list(args.str("models")));
   spec.dims = core::split_csv_int(args.str("dims"), "--dims");
