@@ -5,9 +5,12 @@
 #include <sstream>
 
 #include "case_study_util.hpp"
+#include "mtsched/core/error.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/exp/report.hpp"
+#include "mtsched/machine/java_cluster.hpp"
 #include "mtsched/stats/summary.hpp"
+#include "mtsched/tgrid/emulator.hpp"
 
 namespace {
 
@@ -126,6 +129,17 @@ TEST(CaseStudy, ErrorMetricIsRelativeToSimulation) {
   EXPECT_DOUBLE_EQ(a.sim_error_percent(), 300.0);  // can exceed 100 %
   a.makespan_exp = 5.0;
   EXPECT_DOUBLE_EQ(a.sim_error_percent(), 50.0);
+}
+
+TEST(CaseStudy, MismatchedPlatformsRejected) {
+  // The lab's 32-node models cannot be measured on an 8-node rig.
+  machine::JavaClusterConfig cfg;
+  cfg.num_nodes = 8;
+  const machine::JavaClusterModel small(cfg);
+  const tgrid::TGridEmulator rig(small, small.platform_spec());
+  EXPECT_THROW(hcpa_vs_mcpa(lab(), rig, models::CostModelKind::Analytical,
+                            mini_suite(), 42),
+               core::InvalidArgument);
 }
 
 TEST(Report, RelativeMakespanFigureSortedAndAnnotated) {
