@@ -17,6 +17,7 @@
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/simcore/engine.hpp"
 #include "mtsched/simcore/maxmin.hpp"
+#include "mtsched/simcore/replay.hpp"
 #include "mtsched/tgrid/emulator.hpp"
 
 namespace {
@@ -160,9 +161,10 @@ void BM_EngineActiveScaling(benchmark::State& state) {
 BENCHMARK(BM_EngineActiveScaling)->Arg(1000)->Arg(4000)->Arg(100000);
 
 // The campaign's execute path: one HCPA schedule of an n-task DAG on
-// bayreuth32, compiled once, then one emulated experiment seed per
-// iteration. A compiled replay's run resets its engine and replays with
-// no heap allocation, so the per-task cost must stay flat across sizes.
+// bayreuth32, compiled once into a replay plan, then one emulated
+// experiment seed per iteration on one runner. A warmed-up runner resets
+// its engine and replays with no heap allocation, so the per-task cost
+// must stay flat across sizes.
 void BM_ReplaySeeds(benchmark::State& state) {
   const auto spec = platform::bayreuth32();
   const machine::JavaClusterModel machine;
@@ -177,10 +179,11 @@ void BM_ReplaySeeds(benchmark::State& state) {
   const auto sizes =
       sched::make_allocator("HCPA")->allocate(g, cost, spec.num_nodes);
   const auto s = sched::ListMapper().map(g, sizes, cost, spec.num_nodes);
-  tgrid::TGridEmulator::Replay replay(rig, g, s);
+  const simcore::ReplayPlan plan(g, s, spec);
+  simcore::ReplayRunner runner;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(replay.run(++seed).makespan);
+    benchmark::DoNotOptimize(rig.run(runner, plan, ++seed).makespan);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.num_tasks()));

@@ -47,12 +47,6 @@ class Socket {
   /// wakes a thread blocked on this socket (used to interrupt accept()).
   void shutdown() const;
 
-  /// Half-closes the read side only: a concurrently blocked read wakes
-  /// with EOF, but the write side stays usable — so a server can stop
-  /// taking requests on a connection while still delivering the response
-  /// already in flight.
-  void shutdown_read() const;
-
   /// Writes all `n` bytes. Throws core::Error on any failure.
   void write_all(const void* data, std::size_t n) const;
 

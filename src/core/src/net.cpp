@@ -58,10 +58,6 @@ void Socket::shutdown() const {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-void Socket::shutdown_read() const {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
 void Socket::write_all(const void* data, std::size_t n) const {
   MTSCHED_REQUIRE(valid(), "write on an invalid socket");
   const char* p = static_cast<const char*>(data);

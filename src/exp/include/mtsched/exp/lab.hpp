@@ -3,6 +3,10 @@
 // built the way the paper builds them — the analytical model from
 // formulas, the profile model from a brute-force measurement campaign, the
 // empirical model from sparse measurements and regression.
+//
+// Also the experiment cell both exp front ends run (Campaign per cell,
+// Session per cached request): schedule, compile one replay plan on the
+// rig's platform, simulate, then run each seed on the thread's runner.
 #pragma once
 
 #include <array>
@@ -15,6 +19,9 @@
 #include "mtsched/models/profile.hpp"
 #include "mtsched/profiling/profiler.hpp"
 #include "mtsched/profiling/regression_builder.hpp"
+#include "mtsched/sched/allocation.hpp"
+#include "mtsched/sched/mapping.hpp"
+#include "mtsched/simcore/replay.hpp"
 #include "mtsched/tgrid/emulator.hpp"
 
 namespace mtsched::exp {
@@ -82,6 +89,33 @@ class Lab {
   profiling::EmpiricalBuild empirical_build_;
   /// One model per CostModelKind, indexed by the enum value.
   std::array<std::unique_ptr<const models::CostModel>, 3> models_;
+};
+
+/// The calling thread's replay runner, which every cell simulates and
+/// runs its experiment seeds on.
+simcore::ReplayRunner& thread_runner();
+
+/// The schedule stage of a cell: `alloc`'s processor counts, list-mapped
+/// by sched::ListMapper(strategy, spec) on all of spec's nodes.
+sched::Schedule allocate_and_map(const sched::Allocator& alloc,
+                                 sched::MappingStrategy strategy,
+                                 const dag::Dag& g,
+                                 const sched::SchedCost& cost,
+                                 const platform::ClusterSpec& spec);
+
+/// What one (DAG, model, algorithm) computes once for all of its
+/// experiment seeds; a seed is rig.run(thread_runner(), cell.plan, seed).
+struct Cell {
+  /// Compiles `schedule` for `rig`'s platform (throws
+  /// core::InvalidArgument when it is invalid) and simulates it under
+  /// `model`: on that plan when the model lives on the rig's platform, on
+  /// a plan of its own otherwise. `g` must outlive the cell.
+  Cell(const dag::Dag& g, sched::Schedule schedule,
+       const models::CostModel& model, const tgrid::TGridEmulator& rig);
+
+  const sched::Schedule schedule;
+  const simcore::ReplayPlan plan;  ///< on the rig's platform
+  double makespan_sim = 0.0;
 };
 
 }  // namespace mtsched::exp

@@ -1,5 +1,5 @@
-// The session layer: one lab, one sharded schedule-memo cache, one typed
-// request/response API — the piece every mtsched front end shares.
+// The session layer: one lab, one sharded cache of experiment cells, one
+// typed request/response API — the piece every mtsched front end shares.
 //
 // Historically each front end re-implemented the "schedule + simulate +
 // execute" pipeline: the CLI `run` command inline, exp::Campaign inside
@@ -10,17 +10,16 @@
 //   * the `mtsched serve` daemon executes the same code path per rpc
 //     request (responses are byte-identical to a local run by
 //     construction), and
-//   * exp::Campaign's memoized schedule stage sits on the same
-//     ScheduleCache machinery.
+//   * exp::Campaign builds the same exp::Cell per (DAG, model, algorithm)
+//     that the session caches per request key.
 //
-// The schedule-memo cache is sharded: requests hash to one of N shards,
-// each with its own lock, so concurrent requests for different DAGs do
-// not contend on a single cache mutex. Within a cell the first arrival
-// computes behind a shared_future and later arrivals (same DAG, model,
-// algorithm, mapping and platform — "compatible requests") wait for and
-// reuse it.
+// The cache is sharded, one lock per shard. The first request of a cell
+// (same DAG, model, algorithm, mapping and platform) schedules, compiles
+// and simulates it behind a shared_future; later ones wait for it and only
+// run their experiment seed on the calling thread's replay runner.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -86,53 +85,47 @@ struct ScheduleResponse {
   bool ok() const { return status == ServiceStatus::Ok; }
 };
 
-/// The memoized, experiment-seed-independent half of a request: the
-/// schedule and its simulated makespan depend only on (DAG, model,
-/// algorithm), never on the cluster weather seed.
-struct ScheduleMemo {
-  sched::Schedule schedule;
-  double makespan_sim = 0.0;
+/// A cache entry: the DAG a request parsed on its miss and the cell built
+/// on it, which every experiment seed of the key reuses.
+struct CachedCell {
+  CachedCell(dag::Dag g, sched::Schedule s, const models::CostModel& model,
+             const tgrid::TGridEmulator& rig)
+      : dag(std::move(g)), cell(dag, std::move(s), model, rig) {}
+
+  const dag::Dag dag;
+  const Cell cell;
 };
 
-/// Sharded memoization table for ScheduleMemo cells.
-///
-/// Keys are caller-composed strings (the session uses
-/// "<dag-hash>/<model>/<algorithm>/<mapping>"). Each key hashes to one shard with its own mutex; the first
-/// caller of a key computes the memo behind a shared_future while the
-/// shard lock is *released*, so concurrent misses on other keys proceed
-/// in parallel and compatible requests batch onto one computation.
-/// A compute that throws propagates to every waiter of that cell and is
-/// not retried (the same inputs would fail the same way).
+/// Sharded memoization table of CachedCells, keyed by caller-composed
+/// strings (the session uses
+/// "<dag-hash>/<model>/<algorithm>/<mapping>/<platform>"). The first
+/// caller of a key computes the cell behind a shared_future with the shard
+/// lock *released*, so misses on other keys proceed in parallel. A compute
+/// that throws propagates to every waiter of that cell and is not retried
+/// (the same inputs would fail the same way).
 class ScheduleCache {
  public:
-  /// `num_shards` is clamped below by 1; 16 spreads lock contention
-  /// well past the pool sizes this repo runs (<= 64 workers).
-  explicit ScheduleCache(std::size_t num_shards = 16);
+  using Compute = std::function<std::shared_ptr<const CachedCell>()>;
 
-  using Compute = std::function<ScheduleMemo()>;
-
-  /// The memo for `key`, computing it via `compute` exactly once per key
+  /// The cell for `key`, computing it via `compute` exactly once per key
   /// across all threads. `hit` (optional) reports whether this call
   /// reused an existing cell — deterministic per key: one miss, then
   /// hits.
-  std::shared_ptr<const ScheduleMemo> get_or_compute(
+  std::shared_ptr<const CachedCell> get_or_compute(
       const std::string& key, const Compute& compute,
       bool* hit = nullptr) const;
 
-  /// Number of cells (computed + in flight).
-  std::size_t size() const;
-
  private:
   struct Shard {
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::unordered_map<std::string,
-                       std::shared_future<std::shared_ptr<const ScheduleMemo>>>
+                       std::shared_future<std::shared_ptr<const CachedCell>>>
         cells;
   };
 
-  Shard& shard_for(const std::string& key) const;
+  static constexpr std::size_t kShards = 16;  ///< past 64 workers' needs
 
-  mutable std::vector<Shard> shards_;
+  mutable std::array<Shard, kShards> shards_;
 };
 
 /// Side products of one request beyond the response numbers, for front
@@ -170,27 +163,13 @@ class Session {
   ScheduleResponse run(const ScheduleRequest& req,
                        RunArtifacts* artifacts = nullptr) const;
 
-  /// Serves a batch of requests sequentially on the calling thread.
-  /// Requests resolving to the same (platform, model) pair share one
-  /// sched::CostCurveTable, so the cost model resolves each distinct
-  /// (kernel, matrix_dim) curve once for the whole batch instead of once
-  /// per DAG — the fast path for simulating many DAGs cut from the same
-  /// few task shapes (Table-I-style suites, 100k-task sweeps). Responses
-  /// are bit-identical to serving each request through run(): the table
-  /// serves bit-identical values by the SchedCost purity contract, and
-  /// memo cells land in the same schedule cache under the same keys.
-  /// `artifacts`, when given, is resized to one entry per request.
-  std::vector<ScheduleResponse> run_batch(
-      const std::vector<ScheduleRequest>& reqs,
-      std::vector<RunArtifacts>* artifacts = nullptr) const;
-
-  /// The incremental face of run_batch, for callers whose batch arrives
-  /// one request at a time (the service's dynamic micro-batcher): every
-  /// run() through one scope shares the scope's per-(platform, model)
-  /// sched::CostCurveTables exactly like one run_batch call, with the
-  /// same bit-identity guarantee against Session::run. A scope belongs
-  /// to one thread; create one per batch and let it die with the batch
-  /// (tables reference the session's labs and models).
+  /// A batch of requests served one at a time on the calling thread (the
+  /// service's micro-batcher). Every run() through one scope shares one
+  /// sched::CostCurveTable per (platform, model), so each distinct
+  /// (kernel, matrix_dim) curve is resolved once per batch, not once per
+  /// DAG. Responses are bit-identical to Session::run (the SchedCost
+  /// purity contract) and land in the same cache cells. A scope belongs
+  /// to one thread and must not outlive the session's labs.
   class BatchScope {
    public:
     explicit BatchScope(const Session& session) : session_(session) {}
@@ -217,9 +196,7 @@ class Session {
     std::vector<TableEntry> tables_;
   };
 
-  const Lab& lab() const { return lab_; }
-
-  /// Cumulative schedule-memo cache statistics across all requests.
+  /// Cumulative cell-cache statistics across all requests.
   std::uint64_t cache_hits() const {
     return hits_.load(std::memory_order_relaxed);
   }
@@ -228,9 +205,9 @@ class Session {
   }
 
  private:
-  /// The pipeline behind run()/run_batch(). `shared_cost`, when non-null,
-  /// replaces the per-request cost adapter (run_batch passes the batch's
-  /// curve table; it must wrap the request's resolved model).
+  /// The pipeline behind run() and BatchScope::run(). `shared_cost`, when
+  /// non-null, replaces the per-request cost adapter (a BatchScope passes
+  /// its curve table; it must wrap the request's resolved model).
   ScheduleResponse serve(const ScheduleRequest& req, RunArtifacts* artifacts,
                          const sched::SchedCost* shared_cost) const;
 

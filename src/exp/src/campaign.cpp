@@ -13,8 +13,6 @@
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/core/thread_pool.hpp"
-#include "mtsched/sched/allocation.hpp"
-#include "mtsched/sim/simulator.hpp"
 
 namespace mtsched::exp {
 
@@ -48,11 +46,11 @@ AlgoSpec AlgoSpec::allocator(const std::string& name,
   std::shared_ptr<const sched::Allocator> alloc = sched::make_allocator(name);
   AlgoSpec spec;
   spec.label = label.empty() ? name : std::move(label);
+  // P is the node count of the model's platform, which the recipe maps on.
   spec.schedule = [alloc, strategy](const dag::Dag& g,
-                                    const models::CostModel& model, int P) {
-    const models::SchedCostAdapter cost(model);
-    const auto sizes = alloc->allocate(g, cost, P);
-    return sched::ListMapper(strategy, model.spec()).map(g, sizes, cost, P);
+                                    const models::CostModel& model, int) {
+    return allocate_and_map(*alloc, strategy, g,
+                            models::SchedCostAdapter(model), model.spec());
   };
   return spec;
 }
@@ -226,10 +224,9 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
     std::size_t record_idx = 0;
     obs::Track track;  ///< emulated execution events of this record
   };
-  struct Cell {
+  struct CellJob {
     const dag::GeneratedDag* dag = nullptr;
     const models::CostModel* model = nullptr;
-    bool on_rig_platform = false;  ///< simulates on the emulator's compile
     const ScheduleFn* schedule = nullptr;
     obs::Track track;       ///< schedule+sim events of this cell
     std::vector<Run> runs;  ///< expansion order
@@ -240,16 +237,8 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
   // on which worker later runs a cell.
   obs::MetricsRegistry* mreg = sink != nullptr ? sink->metrics() : nullptr;
 
-  // A model on the rig's own platform simulates a cell's schedule on the
-  // emulator's compiled replay; decided once per model.
-  std::vector<bool> on_rig_platform;
-  on_rig_platform.reserve(spec.models.size());
-  for (const auto& m : spec.models) {
-    on_rig_platform.push_back(m.model->spec() == rig_.spec());
-  }
-
   CampaignResult result;
-  std::vector<Cell> cells;
+  std::vector<CellJob> cells;
   std::unordered_map<std::size_t, std::size_t> cell_of_key;
   const std::size_t n_models = spec.models.size();
   const std::size_t n_algos = algos->size();
@@ -290,10 +279,9 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
                     ? inst.name + "/" + rec.model + "/" + rec.algorithm
                     : std::string();
             if (inserted) {
-              Cell cell;
+              CellJob cell;
               cell.dag = &inst;
               cell.model = spec.models[mi].model;
-              cell.on_rig_platform = on_rig_platform[mi];
               cell.schedule = &algo.schedule;
               if (sink != nullptr) {
                 cell.track = sink->track("schedule " + label);
@@ -335,10 +323,9 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
   obs::Histogram* exec_hist =
       mreg != nullptr ? &mreg->histogram("campaign.execute_seconds") : nullptr;
 
-  // Parallel stage: one pool task per cell. It computes the schedule once
-  // (the cell's cache miss), compiles the emulated replay once, simulates
-  // on it (or on a compile of its own when the model lives on another
-  // platform), then runs every experiment seed of the cell on it (the
+  // Parallel stage: one pool task per cell. It builds the cell once (the
+  // cache miss: schedule, plan on the rig's platform, simulation), then
+  // runs every experiment seed of the cell on the worker's runner (the
   // cache hits). Hit/miss totals are what the expansion dictates: one
   // miss per cell, one hit per further record.
   const auto run_start = Clock::now();
@@ -346,48 +333,29 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
   std::size_t jobs_done = 0;
 
   const auto run_cell = [&](std::size_t ci) {
-    const Cell& cell = cells[ci];
-    const dag::Dag& g = cell.dag->graph;
+    const CellJob& job = cells[ci];
+    const dag::Dag& g = job.dag->graph;
     const auto t0 = Clock::now();
-    sched::Schedule schedule;
-    {
-      const obs::ScopedContext obs_ctx(cell.track, mreg);
-      schedule = (*cell.schedule)(g, *cell.model, P);
-    }
-    double schedule_seconds = seconds_since(t0);
-
-    const auto t1 = Clock::now();
-    tgrid::TGridEmulator::Replay replay(rig_, g, schedule);
-    const double compile_seconds = seconds_since(t1);
-
-    const auto t2 = Clock::now();
-    double makespan_sim = 0.0;
-    {
-      const obs::ScopedContext obs_ctx(cell.track, mreg);
-      const sim::Simulator simulator(*cell.model);
-      makespan_sim = cell.on_rig_platform
-                         ? simulator.run(replay.core()).makespan
-                         : simulator.makespan(g, schedule);
-    }
-    schedule_seconds += seconds_since(t2);
+    const obs::ScopedContext cell_ctx(job.track, mreg);
+    const Cell cell(g, (*job.schedule)(g, *job.model, P), *job.model, rig_);
+    const double schedule_seconds = seconds_since(t0);
     if (sched_hist != nullptr) sched_hist->observe(schedule_seconds);
-    const std::vector<int> allocation = schedule.allocation();
-    for (std::size_t k = 0; k < cell.runs.size(); ++k) {
-      const Run& run = cell.runs[k];
-      const auto t3 = Clock::now();
+    const std::vector<int> allocation = cell.schedule.allocation();
+    for (std::size_t k = 0; k < job.runs.size(); ++k) {
+      const Run& run = job.runs[k];
+      const auto t1 = Clock::now();
       double makespan_exp = 0.0;
       {
         const obs::ScopedContext obs_ctx(run.track, mreg);
-        makespan_exp = replay.run(run.run_seed).makespan;
+        makespan_exp =
+            rig_.run(thread_runner(), cell.plan, run.run_seed).makespan;
       }
-      // The compile is part of the cell's first execution.
-      const double execute_seconds =
-          seconds_since(t3) + (k == 0 ? compile_seconds : 0.0);
+      const double execute_seconds = seconds_since(t1);
       if (exec_hist != nullptr) exec_hist->observe(execute_seconds);
 
       RunRecord& rec = result.records[run.record_idx];
       rec.allocation = allocation;
-      rec.makespan_sim = makespan_sim;
+      rec.makespan_sim = cell.makespan_sim;
       rec.makespan_exp = makespan_exp;
 
       const bool hit = k > 0;

@@ -1,6 +1,7 @@
 #include "mtsched/exp/lab.hpp"
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/sim/simulator.hpp"
 
 namespace mtsched::exp {
 
@@ -50,6 +51,33 @@ const models::CostModel& Lab::model(models::CostModelKind kind) const {
   MTSCHED_REQUIRE(idx < models_.size() && models_[idx] != nullptr,
                   "unknown cost model kind");
   return *models_[idx];
+}
+
+simcore::ReplayRunner& thread_runner() {
+  thread_local simcore::ReplayRunner runner;
+  return runner;
+}
+
+sched::Schedule allocate_and_map(const sched::Allocator& alloc,
+                                 sched::MappingStrategy strategy,
+                                 const dag::Dag& g,
+                                 const sched::SchedCost& cost,
+                                 const platform::ClusterSpec& spec) {
+  const int P = spec.num_nodes;
+  return sched::ListMapper(strategy, spec)
+      .map(g, alloc.allocate(g, cost, P), cost, P);
+}
+
+Cell::Cell(const dag::Dag& g, sched::Schedule s,
+           const models::CostModel& model, const tgrid::TGridEmulator& rig)
+    : schedule(std::move(s)), plan(g, schedule, rig.spec()) {
+  const sim::Simulator simulator(model);
+  if (model.spec() == plan.spec()) {
+    makespan_sim = simulator.run(thread_runner(), plan).makespan;
+  } else {
+    const simcore::ReplayPlan own(g, schedule, model.spec());
+    makespan_sim = simulator.run(thread_runner(), own).makespan;
+  }
 }
 
 }  // namespace mtsched::exp

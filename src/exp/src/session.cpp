@@ -1,12 +1,8 @@
 #include "mtsched/exp/session.hpp"
 
-#include <algorithm>
-
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/export.hpp"
 #include "mtsched/sched/allocation.hpp"
-#include "mtsched/sched/mapping.hpp"
-#include "mtsched/sim/simulator.hpp"
 
 namespace mtsched::exp {
 
@@ -47,18 +43,11 @@ const char* status_name(ServiceStatus s) {
   return "?";
 }
 
-ScheduleCache::ScheduleCache(std::size_t num_shards)
-    : shards_(std::max<std::size_t>(1, num_shards)) {}
-
-ScheduleCache::Shard& ScheduleCache::shard_for(const std::string& key) const {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-std::shared_ptr<const ScheduleMemo> ScheduleCache::get_or_compute(
+std::shared_ptr<const CachedCell> ScheduleCache::get_or_compute(
     const std::string& key, const Compute& compute, bool* hit) const {
-  Shard& shard = shard_for(key);
-  std::promise<std::shared_ptr<const ScheduleMemo>> fill;
-  std::shared_future<std::shared_ptr<const ScheduleMemo>> cell;
+  Shard& shard = shards_[std::hash<std::string>{}(key) % kShards];
+  std::promise<std::shared_ptr<const CachedCell>> fill;
+  std::shared_future<std::shared_ptr<const CachedCell>> cell;
   bool compute_here = false;
   {
     std::unique_lock lock(shard.mutex);
@@ -76,21 +65,12 @@ std::shared_ptr<const ScheduleMemo> ScheduleCache::get_or_compute(
     // Outside the shard lock: concurrent misses on other keys proceed,
     // and waiters of this cell block on the future, not the mutex.
     try {
-      fill.set_value(std::make_shared<const ScheduleMemo>(compute()));
+      fill.set_value(compute());
     } catch (...) {
       fill.set_exception(std::current_exception());
     }
   }
   return cell.get();  // rethrows a failed compute to every caller
-}
-
-std::size_t ScheduleCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::unique_lock lock(shard.mutex);
-    n += shard.cells.size();
-  }
-  return n;
 }
 
 Session::Session(const Lab& lab) : lab_(lab) {}
@@ -119,20 +99,6 @@ const Lab& Session::resolve_lab(const std::string& platform) const {
 ScheduleResponse Session::run(const ScheduleRequest& req,
                               RunArtifacts* artifacts) const {
   return serve(req, artifacts, nullptr);
-}
-
-std::vector<ScheduleResponse> Session::run_batch(
-    const std::vector<ScheduleRequest>& reqs,
-    std::vector<RunArtifacts>* artifacts) const {
-  BatchScope scope(*this);
-  if (artifacts != nullptr) artifacts->assign(reqs.size(), {});
-  std::vector<ScheduleResponse> out;
-  out.reserve(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    out.push_back(
-        scope.run(reqs[i], artifacts != nullptr ? &(*artifacts)[i] : nullptr));
-  }
-  return out;
 }
 
 ScheduleResponse Session::BatchScope::run(const ScheduleRequest& req,
@@ -181,42 +147,37 @@ ScheduleResponse Session::serve(const ScheduleRequest& req,
     // Validates the algorithm name before any expensive work, exactly
     // like AlgoSpec::allocator does for campaigns.
     const auto allocator = sched::make_allocator(req.algorithm);
-    const dag::Dag g = dag::from_text(req.dag_text);
-    const int P = lab.spec().num_nodes;
-    const auto strategy = req.mapping;
+    dag::Dag g = dag::from_text(req.dag_text);
 
     const std::string key = hex64(fnv1a(dag::to_text(g))) + "/" + resp.model +
                             "/" + req.algorithm + "/" +
-                            sched::mapping_name(strategy) + "/" +
+                            sched::mapping_name(req.mapping) + "/" +
                             resp.platform;
     bool hit = false;
-    const auto memo = cache_.get_or_compute(
+    const auto cached = cache_.get_or_compute(
         key,
-        [&]() {
-          ScheduleMemo m;
+        [&] {
           const models::SchedCostAdapter local_cost(model);
-          const sched::SchedCost& cost =
-              shared_cost != nullptr ? *shared_cost : local_cost;
-          const auto sizes = allocator->allocate(g, cost, P);
-          m.schedule =
-              sched::ListMapper(strategy, lab.spec()).map(g, sizes, cost, P);
-          m.makespan_sim = sim::Simulator(model).makespan(g, m.schedule);
-          return m;
+          sched::Schedule s = allocate_and_map(
+              *allocator, req.mapping, g,
+              shared_cost != nullptr ? *shared_cost : local_cost, lab.spec());
+          return std::make_shared<const CachedCell>(std::move(g), std::move(s),
+                                                    model, lab.rig());
         },
         &hit);
     (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
 
-    resp.est_makespan = memo->schedule.est_makespan;
-    resp.makespan_sim = memo->makespan_sim;
-    resp.allocation = memo->schedule.allocation();
-    if (artifacts != nullptr) artifacts->schedule = memo->schedule;
+    const Cell& cell = cached->cell;
+    resp.est_makespan = cell.schedule.est_makespan;
+    resp.makespan_sim = cell.makespan_sim;
+    resp.allocation = cell.schedule.allocation();
+    if (artifacts != nullptr) artifacts->schedule = cell.schedule;
     if (req.execute) {
-      if (artifacts != nullptr) {
-        artifacts->exp_trace = lab.rig().run(g, memo->schedule, req.exp_seed);
-        resp.makespan_exp = artifacts->exp_trace.makespan;
-      } else {
-        resp.makespan_exp = lab.rig().makespan(g, memo->schedule, req.exp_seed);
-      }
+      // Moved out: a worker keeps no request's trace between requests.
+      sched::RunTrace trace =
+          std::move(lab.rig().run(thread_runner(), cell.plan, req.exp_seed));
+      resp.makespan_exp = trace.makespan;
+      if (artifacts != nullptr) artifacts->exp_trace = std::move(trace);
       resp.executed = true;
     }
   } catch (const core::InternalError& e) {

@@ -84,7 +84,7 @@ class SchedCost {
 /// base model once and then served from the table, no matter how many
 /// tasks — across how many DAGs — share the shape.
 ///
-/// Two uses: a shared table (exp::Session::run_batch) answers the
+/// Two uses: a shared table (exp::Session::BatchScope) answers the
 /// SchedCost interface for many DAGs, so the second and later DAGs of a
 /// Table-I-style suite never touch the model; and every scheduler builds
 /// one local table bound to its DAG, whose dense task -> shape index

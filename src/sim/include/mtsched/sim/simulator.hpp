@@ -1,11 +1,8 @@
 // The simulator front-end: replays a schedule on the discrete-event engine
 // under a given cost model and reports the simulated makespan and trace.
 //
-// Replay semantics (simcore::CompiledReplay's lifecycle, shared with the
-// execution framework; run(g, s) compiles the schedule and replays it
-// once, run(replay) replays a schedule compiled elsewhere on the same
-// platform, and this front end supplies only the cost model's phase
-// costs):
+// Replay semantics (simcore's replay lifecycle, shared with the execution
+// framework; this front end supplies only the cost model's phase costs):
 //   * a task seizes its processors when all tasks preceding it in any of
 //     its processors' orders have finished;
 //   * a redistribution starts when its producer finishes: the model's
@@ -18,6 +15,10 @@
 //     duration (profile/empirical models: measured/regressed time plus
 //     startup overhead);
 //   * the makespan is the completion time of the last task.
+//
+// run(g, s) compiles a simcore::ReplayPlan and replays it once;
+// run(runner, plan) replays a shared plan on the caller's runner. The
+// simulator holds no mutable state: threads share it, each with a runner.
 //
 // The simulator is deterministic: no randomness exists in any cost model.
 #pragma once
@@ -44,13 +45,11 @@ class Simulator {
   /// Simulates one schedule replay. Validates the schedule first.
   sched::RunTrace run(const dag::Dag& g, const sched::Schedule& s) const;
 
-  /// Simulates a schedule already compiled for the model's platform —
-  /// for instance an emulator replay's core, so that one compile serves
-  /// the simulation and every experiment seed. Resets the replay's
-  /// engine; the trace is the replay's, valid until its next run().
-  /// Throws core::InvalidArgument when the replay was compiled for a
-  /// platform other than model().spec().
-  sched::RunTrace& run(simcore::CompiledReplay& replay) const;
+  /// Simulates `plan` on `runner`; the trace is the runner's, valid until
+  /// its next run(). Throws core::InvalidArgument when the plan was
+  /// compiled for a platform other than model().spec().
+  sched::RunTrace& run(simcore::ReplayRunner& runner,
+                       const simcore::ReplayPlan& plan) const;
 
   /// Convenience: simulated makespan only.
   double makespan(const dag::Dag& g, const sched::Schedule& s) const;

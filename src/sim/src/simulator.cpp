@@ -13,17 +13,19 @@ Simulator::Simulator(const models::CostModel& model, obs::Track trace)
 
 sched::RunTrace Simulator::run(const dag::Dag& g,
                                const sched::Schedule& s) const {
-  simcore::CompiledReplay replay(g, s, model_.spec());
-  return std::move(run(replay));
+  const simcore::ReplayPlan plan(g, s, model_.spec());
+  simcore::ReplayRunner runner;
+  return std::move(run(runner, plan));
 }
 
-sched::RunTrace& Simulator::run(simcore::CompiledReplay& replay) const {
+sched::RunTrace& Simulator::run(simcore::ReplayRunner& runner,
+                                const simcore::ReplayPlan& plan) const {
   const auto& spec = model_.spec();
-  MTSCHED_REQUIRE(replay.cluster().spec() == spec,
-                  "the replay was compiled for another platform than the "
+  MTSCHED_REQUIRE(plan.spec() == spec,
+                  "the plan was compiled for another platform than the "
                   "model's");
-  const dag::Dag& g = replay.dag();
-  const sched::Schedule& s = replay.schedule();
+  const dag::Dag& g = plan.dag();
+  const sched::Schedule& s = plan.schedule();
 
   const obs::Track trk = trace_ ? trace_ : obs::current_track();
   std::string span_name;
@@ -36,9 +38,9 @@ sched::RunTrace& Simulator::run(simcore::CompiledReplay& replay) const {
   // resets it.
   const obs::ScopedContext obs_ctx(trk, obs::current_metrics());
 
-  simcore::Engine& engine = replay.engine();
   simcore::ReplayPolicy policy;
   policy.startup = [&](dag::TaskId t, simcore::CompletionFn done) {
+    simcore::Engine& engine = runner.engine();
     const int p = static_cast<int>(s.placement(t).procs.size());
     const double startup = model_.task_sim_cost(g.task(t), p).startup_seconds;
     if (startup > 0.0) {
@@ -49,6 +51,7 @@ sched::RunTrace& Simulator::run(simcore::CompiledReplay& replay) const {
     }
   };
   policy.execute = [&](dag::TaskId t, simcore::CompletionFn done) {
+    simcore::Engine& engine = runner.engine();
     const auto& pl = s.placement(t);
     auto cost =
         model_.task_sim_cost(g.task(t), static_cast<int>(pl.procs.size()));
@@ -69,11 +72,12 @@ sched::RunTrace& Simulator::run(simcore::CompiledReplay& replay) const {
       pt.flows = std::move(cost.flows);
       MTSCHED_INVARIANT(cost.fixed_seconds == 0.0,
                         "resource-driven task costs must have no fixed part");
-      replay.cluster().submit_ptask(pt, std::move(done),
+      runner.cluster().submit_ptask(pt, std::move(done),
                                     simcore::replay_tag(simcore::kTaskTag, t));
     }
   };
   policy.overhead = [&](std::size_t edge, simcore::CompletionFn done) {
+    simcore::Engine& engine = runner.engine();
     const auto& e = g.edges()[edge];
     const double overhead = model_.redist_overhead(
         static_cast<int>(s.placement(e.src).procs.size()),
@@ -86,7 +90,7 @@ sched::RunTrace& Simulator::run(simcore::CompiledReplay& replay) const {
     }
   };
 
-  sched::RunTrace& trace = replay.run(policy);
+  sched::RunTrace& trace = runner.run(plan, policy);
   trk.counter("sim", "makespan_seconds", trace.makespan);
   return trace;
 }

@@ -48,7 +48,7 @@
 //     resource_name() is asked.
 // reset() rewinds the clock and drops every activity but keeps the
 // resources and every buffer's capacity, so an engine replayed again and
-// again (CompiledReplay) runs with no steady-state heap allocation.
+// again (a simcore::ReplayRunner) runs with no steady-state heap allocation.
 // Expiries, transitions and completions from the two classes are merged
 // back into ascending-id order before callbacks and trace emission, so
 // every observable sequence — event times, rates, resource usage, traces
@@ -137,7 +137,7 @@ class Engine {
 
   /// Like submit, but the engine refers to `uses` instead of copying them:
   /// they must stay valid and unchanged until the activity completes or
-  /// the engine is reset (CompiledReplay's precomputed transfer usage).
+  /// the engine is reset (a ReplayPlan's precomputed transfer usage).
   ActivityId submit_borrowed(std::span<const Use> uses, double amount,
                              double delay, CompletionFn on_complete,
                              Tag tag = {});

@@ -16,20 +16,14 @@
 // The front end supplies a ReplayPolicy: one hook per phase cost, each
 // submitting its own activity, plus the one sequencing difference.
 //
-// A replay is compiled once and run any number of times. Compiling
-// (CompiledReplay's constructor) does everything that does not depend on
-// the phase costs: it validates the schedule, builds the processor-order
-// and edge adjacency, computes every redistribution's resource usage and
-// latency into one flat pool, and wires an engine with the cluster's
-// resources. run() resets that engine and replays; a warmed-up run makes
-// no heap allocation, so the experiment seeds of one schedule (the paper
-// re-runs each schedule several times, Section VII-A) only pay for the
-// events themselves. The policy is per run, so front ends may take turns
-// on one compile: a campaign cell simulates its schedule and runs every
-// experiment seed on the emulator's compiled replay when the cost model
-// lives on the rig's platform (the paper checks each schedule both ways,
-// Sections IV and VII-A). Running once is the same object, compiled and
-// run.
+// A ReplayPlan is one schedule compiled for one platform: everything that
+// does not depend on the phase costs (validation, order and edge
+// adjacency, every redistribution's usage and latency in one flat pool).
+// It is immutable, so threads share it. A ReplayRunner holds what a replay
+// mutates (the wired engine, per-task phases and counters, the trace) and
+// runs any plan with any policy; a warmed-up run makes no heap allocation,
+// so the experiment seeds of a schedule (Section VII-A) pay only for their
+// events, and its simulation may share the plan (Sections IV and VII-A).
 //
 // Release order is fixed, so replays are deterministic: processor-order
 // successors are released by ascending task id, output and input
@@ -39,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,11 +43,12 @@
 #include "mtsched/sched/trace.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/simcore/engine.hpp"
+#include "mtsched/simcore/fifo.hpp"
 
 namespace mtsched::simcore {
 
-/// Tag kinds of replay activities. A compiled replay's engine formats
-/// them from the DAG, and only when a trace track is attached.
+/// Tag kinds of replay activities. A runner's engine formats them from the
+/// plan's DAG, and only when a trace track is attached.
 enum ReplayTag : std::uint32_t {
   kStartupTag = 1,  ///< "startup_<task name>"; index: task
   kExecTag,         ///< "exec_<task name>"; index: task
@@ -84,33 +80,27 @@ struct ReplayPolicy {
   bool transfer_waits_for_consumer = false;
 };
 
-/// One schedule compiled for replay on one platform. Not thread-safe:
-/// each thread compiles its own.
-class CompiledReplay {
+/// One schedule compiled for replay on one platform. Immutable: any number
+/// of runners, on any threads, may replay it at once.
+class ReplayPlan {
  public:
   /// Validates `s` against `g` and `spec` (sched::validate_schedule,
   /// throws core::InvalidArgument) and does the seed-independent work.
-  /// `g` and `s` must outlive the object.
-  CompiledReplay(const dag::Dag& g, const sched::Schedule& s,
-                 const platform::ClusterSpec& spec);
-  CompiledReplay(const CompiledReplay&) = delete;
-  CompiledReplay& operator=(const CompiledReplay&) = delete;
+  /// `g` and `s` must outlive the plan.
+  ReplayPlan(const dag::Dag& g, const sched::Schedule& s,
+             const platform::ClusterSpec& spec);
+  ReplayPlan(const ReplayPlan&) = delete;
 
-  /// The engine and cluster the hooks submit to. The engine is reset at
-  /// the start of every run().
-  Engine& engine() { return engine_; }
-  ClusterSim& cluster() { return cluster_; }
   const dag::Dag& dag() const { return g_; }
   const sched::Schedule& schedule() const { return s_; }
-
-  /// Replays once with `policy`'s phase costs: resets the engine (which
-  /// takes the calling thread's obs context), runs it until it drains and
-  /// returns the trace, valid until the next run(); a caller that is done
-  /// with the replay may move it out. Throws core::InternalError if some
-  /// task never finished.
-  sched::RunTrace& run(const ReplayPolicy& policy);
+  /// The platform the plan was compiled for.
+  const platform::ClusterSpec& spec() const { return spec_; }
 
  private:
+  friend class ReplayRunner;
+
+  std::string name(Tag tag) const;
+
   /// Flat adjacency lists (CSR): row r holds items[off[r] .. off[r + 1]).
   struct Csr {
     std::vector<std::size_t> off;
@@ -121,11 +111,48 @@ class CompiledReplay {
   template <typename Visit>
   static Csr make_csr(std::size_t n, const Visit& visit);
 
+  const dag::Dag& g_;
+  const sched::Schedule& s_;
+  platform::ClusterSpec spec_;
+  Csr out_edges_;    ///< task -> out-edge indices, ascending
+  Csr in_edges_;     ///< task -> in-edge indices, ascending
+  Csr order_succs_;  ///< task -> processor-order successors, ascending id
+  std::vector<int> order_preds_;            ///< distinct order predecessors
+  std::vector<std::size_t> edge_uses_off_;  ///< edge -> its uses in edge_uses_
+  std::vector<Use> edge_uses_;              ///< every transfer's usage weights
+  std::vector<double> edge_latency_;
+};
+
+/// The mutable half of a replay: runs plans one after another. Not
+/// thread-safe; give each thread its own.
+class ReplayRunner {
+ public:
+  /// What the hooks submit to: the engine, the cluster and a FIFO server
+  /// tagged kSubnetJobTag (TGrid's subnet manager), wired for the plan
+  /// being run and reset by every run(); valid once a run has started.
+  Engine& engine() { return wiring_->engine; }
+  ClusterSim& cluster() { return wiring_->cluster; }
+  FifoServer& fifo() { return wiring_->fifo; }
+
+  /// Replays `plan` once with `policy`'s phase costs: rewires if the
+  /// platform changed, resets the engine (which takes the calling thread's
+  /// obs context), runs it until it drains and returns the trace, valid
+  /// until the next run() (a caller may move it out). Throws
+  /// core::InternalError if some task never finished.
+  sched::RunTrace& run(const ReplayPlan& plan, const ReplayPolicy& policy);
+
+ private:
+  struct Wiring {
+    explicit Wiring(const platform::ClusterSpec& spec);
+    Engine engine;
+    ClusterSim cluster;
+    FifoServer fifo;
+  };
+
   /// Lifecycle of one task; phases only move forward.
   enum class Phase : std::uint8_t { Waiting, StartingUp, Up, Executing, Done };
 
-  std::string name(Tag tag) const;
-  double now() const { return engine_.now(); }
+  double now() const { return wiring_->engine.now(); }
   void maybe_spawn(dag::TaskId t);
   void on_up(dag::TaskId t);
   void maybe_execute(dag::TaskId t);
@@ -134,21 +161,8 @@ class CompiledReplay {
   void transfer(std::size_t edge, double when);
   void transfer_done(std::size_t edge, double when);
 
-  const dag::Dag& g_;
-  const sched::Schedule& s_;
-  Engine engine_;
-  ClusterSim cluster_;
-
-  // Compiled once.
-  Csr out_edges_;    ///< task -> out-edge indices, ascending
-  Csr in_edges_;     ///< task -> in-edge indices, ascending
-  Csr order_succs_;  ///< task -> processor-order successors, ascending id
-  std::vector<int> order_preds_;            ///< distinct order predecessors
-  std::vector<std::size_t> edge_uses_off_;  ///< edge -> its uses in edge_uses_
-  std::vector<Use> edge_uses_;              ///< every transfer's usage weights
-  std::vector<double> edge_latency_;
-
-  // Per run.
+  std::optional<Wiring> wiring_;
+  const ReplayPlan* plan_ = nullptr;
   const ReplayPolicy* policy_ = nullptr;
   sched::RunTrace trace_;
   std::vector<Phase> phase_;

@@ -7,23 +7,11 @@
 
 namespace mtsched::simcore {
 
-namespace {
-
-/// `g`, once `s` has been validated against it on `spec`: lets the
-/// constructor validate before it wires anything.
-const dag::Dag& validated(const dag::Dag& g, const sched::Schedule& s,
-                          const platform::ClusterSpec& spec) {
-  sched::validate_schedule(g, s, spec.num_nodes);
-  return g;
-}
-
-}  // namespace
-
 /// Builds an n-row Csr from the (row, item) pairs `visit(emit)` emits
 /// (it is called twice and must emit the same pairs both times); each row
 /// keeps its items in emission order.
 template <typename Visit>
-CompiledReplay::Csr CompiledReplay::make_csr(std::size_t n,
+ReplayPlan::Csr ReplayPlan::make_csr(std::size_t n,
                                              const Visit& visit) {
   Csr c;
   c.off.assign(n + 1, 0);
@@ -38,9 +26,10 @@ CompiledReplay::Csr CompiledReplay::make_csr(std::size_t n,
   return c;
 }
 
-CompiledReplay::CompiledReplay(const dag::Dag& g, const sched::Schedule& s,
-                               const platform::ClusterSpec& spec)
-    : g_(validated(g, s, spec)), s_(s), cluster_(engine_, spec) {
+ReplayPlan::ReplayPlan(const dag::Dag& g, const sched::Schedule& s,
+                       const platform::ClusterSpec& spec)
+    : g_(g), s_(s), spec_(spec) {
+  sched::validate_schedule(g, s, spec.num_nodes);
   const std::size_t n = g.num_tasks();
   const auto& edges = g.edges();
   out_edges_ = make_csr(n, [&](const auto& emit) {
@@ -60,24 +49,22 @@ CompiledReplay::CompiledReplay(const dag::Dag& g, const sched::Schedule& s,
     }
   });
 
-  // Every transfer's usage, charged straight into one pool.
+  // Every transfer's usage, charged straight into one pool. Resource ids
+  // depend only on the spec, so any runner's wiring of it agrees.
+  Engine engine;
+  ClusterSim cluster(engine, spec);
   edge_uses_off_.reserve(edges.size() + 1);
   edge_uses_off_.push_back(0);
   edge_latency_.reserve(edges.size());
   for (const auto& e : edges) {
-    edge_latency_.push_back(cluster_.redistribution_usage(
+    edge_latency_.push_back(cluster.redistribution_usage(
         g.task(e.src).matrix_dim, s.placement(e.src).procs,
         s.placement(e.dst).procs, edge_uses_));
     edge_uses_off_.push_back(edge_uses_.size());
   }
-
-  phase_.resize(n);
-  order_preds_left_.resize(n);
-  edges_left_.resize(n);
-  engine_.set_namer([this](Tag tag) { return name(tag); });
 }
 
-std::string CompiledReplay::name(Tag tag) const {
+std::string ReplayPlan::name(Tag tag) const {
   switch (tag.kind) {
     case kStartupTag:
       return "startup_" + g_.task(tag.index).name;
@@ -98,11 +85,21 @@ std::string CompiledReplay::name(Tag tag) const {
   }
 }
 
-sched::RunTrace& CompiledReplay::run(const ReplayPolicy& policy) {
-  engine_.reset();
+ReplayRunner::Wiring::Wiring(const platform::ClusterSpec& spec)
+    : cluster(engine, spec), fifo(engine, replay_tag(kSubnetJobTag)) {}
+
+sched::RunTrace& ReplayRunner::run(const ReplayPlan& plan,
+                                   const ReplayPolicy& policy) {
+  if (!wiring_ || !(wiring_->cluster.spec() == plan.spec_)) {
+    wiring_.emplace(plan.spec_);
+    wiring_->engine.set_namer([this](Tag tag) { return plan_->name(tag); });
+  }
+  wiring_->engine.reset();
+  wiring_->fifo.reset();
+  plan_ = &plan;
   policy_ = &policy;
-  const std::size_t n = g_.num_tasks();
-  const auto& edges = g_.edges();
+  const std::size_t n = plan.g_.num_tasks();
+  const auto& edges = plan.g_.edges();
   // assign() keeps the capacity of a trace left in place; a trace the
   // caller moved out is rebuilt.
   trace_.tasks.assign(n, sched::TaskSpan{});
@@ -111,15 +108,15 @@ sched::RunTrace& CompiledReplay::run(const ReplayPolicy& policy) {
     trace_.edges[i] = sched::EdgeSpan{edges[i].src, edges[i].dst};
   }
   trace_.makespan = 0.0;
-  std::fill(phase_.begin(), phase_.end(), Phase::Waiting);
-  std::copy(order_preds_.begin(), order_preds_.end(),
-            order_preds_left_.begin());
+  phase_.assign(n, Phase::Waiting);
+  order_preds_left_.assign(plan.order_preds_.begin(), plan.order_preds_.end());
+  edges_left_.resize(n);
   for (dag::TaskId t = 0; t < n; ++t) {
-    edges_left_[t] = static_cast<int>(in_edges_.size(t));
+    edges_left_[t] = static_cast<int>(plan.in_edges_.size(t));
   }
 
   for (dag::TaskId t = 0; t < n; ++t) maybe_spawn(t);
-  engine_.run();
+  wiring_->engine.run();
   for (dag::TaskId t = 0; t < n; ++t) {
     MTSCHED_INVARIANT(phase_[t] == Phase::Done,
                       "replay finished with unexecuted tasks");
@@ -127,50 +124,53 @@ sched::RunTrace& CompiledReplay::run(const ReplayPolicy& policy) {
   return trace_;
 }
 
-void CompiledReplay::maybe_spawn(dag::TaskId t) {
+void ReplayRunner::maybe_spawn(dag::TaskId t) {
   if (phase_[t] != Phase::Waiting || order_preds_left_[t] > 0) return;
   phase_[t] = Phase::StartingUp;
   trace_.tasks[t].startup_begin = now();
   policy_->startup(t, [this, t](double) { on_up(t); });
 }
 
-void CompiledReplay::on_up(dag::TaskId t) {
+void ReplayRunner::on_up(dag::TaskId t) {
   phase_[t] = Phase::Up;
   if (policy_->transfer_waits_for_consumer) {
-    for (std::size_t k = in_edges_.off[t]; k < in_edges_.off[t + 1]; ++k) {
-      maybe_request(in_edges_.items[k]);
+    const auto& in = plan_->in_edges_;
+    for (std::size_t k = in.off[t]; k < in.off[t + 1]; ++k) {
+      maybe_request(in.items[k]);
     }
   }
   maybe_execute(t);
 }
 
-void CompiledReplay::maybe_execute(dag::TaskId t) {
+void ReplayRunner::maybe_execute(dag::TaskId t) {
   if (phase_[t] != Phase::Up || edges_left_[t] > 0) return;
   phase_[t] = Phase::Executing;
   trace_.tasks[t].exec_begin = now();
   policy_->execute(t, [this, t](double when) { on_done(t, when); });
 }
 
-void CompiledReplay::on_done(dag::TaskId t, double when) {
+void ReplayRunner::on_done(dag::TaskId t, double when) {
   phase_[t] = Phase::Done;
   trace_.tasks[t].finish = when;
   trace_.makespan = std::max(trace_.makespan, when);
   // Processor-order successors may now seize the released processors.
-  for (std::size_t k = order_succs_.off[t]; k < order_succs_.off[t + 1]; ++k) {
-    const auto u = static_cast<dag::TaskId>(order_succs_.items[k]);
+  const auto& succs = plan_->order_succs_;
+  for (std::size_t k = succs.off[t]; k < succs.off[t + 1]; ++k) {
+    const auto u = static_cast<dag::TaskId>(succs.items[k]);
     --order_preds_left_[u];
     maybe_spawn(u);
   }
-  for (std::size_t k = out_edges_.off[t]; k < out_edges_.off[t + 1]; ++k) {
-    maybe_request(out_edges_.items[k]);
+  const auto& out = plan_->out_edges_;
+  for (std::size_t k = out.off[t]; k < out.off[t + 1]; ++k) {
+    maybe_request(out.items[k]);
   }
 }
 
 /// Requests a redistribution once its producer is done (and, when the
 /// policy says so, its consumer is up). Each of the two conditions is
 /// checked when it becomes true, so every edge is requested once.
-void CompiledReplay::maybe_request(std::size_t edge) {
-  const auto& e = g_.edges()[edge];
+void ReplayRunner::maybe_request(std::size_t edge) {
+  const auto& e = plan_->g_.edges()[edge];
   if (phase_[e.src] != Phase::Done) return;
   if (policy_->transfer_waits_for_consumer && phase_[e.dst] < Phase::Up) {
     return;
@@ -180,22 +180,23 @@ void CompiledReplay::maybe_request(std::size_t edge) {
                     [this, edge](double when) { transfer(edge, when); });
 }
 
-void CompiledReplay::transfer(std::size_t edge, double when) {
+void ReplayRunner::transfer(std::size_t edge, double when) {
   trace_.edges[edge].transfer = when;
+  const ReplayPlan& plan = *plan_;
   const std::span<const Use> uses(
-      edge_uses_.data() + edge_uses_off_[edge],
-      edge_uses_off_[edge + 1] - edge_uses_off_[edge]);
+      plan.edge_uses_.data() + plan.edge_uses_off_[edge],
+      plan.edge_uses_off_[edge + 1] - plan.edge_uses_off_[edge]);
   // What ClusterSim::submit_ptask submits for the redistribution ptask:
   // empty usage (every message a local copy) is an instant timer.
-  engine_.submit_borrowed(
-      uses, uses.empty() ? 0.0 : 1.0, edge_latency_[edge],
+  wiring_->engine.submit_borrowed(
+      uses, uses.empty() ? 0.0 : 1.0, plan.edge_latency_[edge],
       [this, edge](double done_at) { transfer_done(edge, done_at); },
       replay_tag(kTransferTag, edge));
 }
 
-void CompiledReplay::transfer_done(std::size_t edge, double when) {
+void ReplayRunner::transfer_done(std::size_t edge, double when) {
   trace_.edges[edge].done = when;
-  const dag::TaskId consumer = g_.edges()[edge].dst;
+  const dag::TaskId consumer = plan_->g_.edges()[edge].dst;
   --edges_left_[consumer];
   maybe_execute(consumer);
 }

@@ -18,21 +18,17 @@
 //   * execution times drawn from the ground-truth machine model, including
 //     run-to-run noise and the outliers of Section VII-A.
 //
-// The replay lifecycle is simcore::CompiledReplay's, shared with the
-// simulator; this front end supplies the TGrid phase costs. Unlike the
-// simulator, a redistribution can only begin once the *destination*
-// task's containers are up (its processes must exist to register), which
-// is how TGrid actually sequences context-to-context communication.
+// The replay lifecycle is simcore's, shared with the simulator; this front
+// end supplies the TGrid phase costs. Unlike the simulator, a
+// redistribution can only begin once the *destination* task's containers
+// are up (its processes must exist to register), which is how TGrid
+// actually sequences context-to-context communication.
 //
-// The paper re-runs every schedule several times (Section VII-A). A
-// TGridEmulator::Replay compiles one schedule once — validation,
-// adjacency, redistribution usage, engine and subnet-manager wiring — and
-// run(seed) then replays one experiment with no steady-state heap
-// allocation; only the seed-dependent sampling and the events remain.
-// TGridEmulator::run(g, s, seed) is a Replay compiled and run once. The
-// compiled core is exposed, so a simulator on the same platform can
-// simulate the schedule on it too: one compile per schedule serves the
-// simulation and every experiment.
+// The paper re-runs every schedule several times (Section VII-A).
+// run(runner, plan, seed) runs one experiment of a shared
+// simcore::ReplayPlan on the caller's runner with no steady-state heap
+// allocation; run(g, s, seed) compiles a plan and runs it once. The
+// emulator holds no mutable state: threads share it, each with a runner.
 //
 // This module deliberately has no dependency on mtsched::models — the
 // world does not know what the simulators believe.
@@ -45,7 +41,6 @@
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/sched/schedule.hpp"
 #include "mtsched/sched/trace.hpp"
-#include "mtsched/simcore/fifo.hpp"
 #include "mtsched/simcore/replay.hpp"
 
 namespace mtsched::tgrid {
@@ -57,33 +52,13 @@ class TGridEmulator {
   TGridEmulator(const machine::MachineModel& machine,
                 platform::ClusterSpec spec);
 
-  /// One schedule compiled for repeated experiments on this emulator.
-  /// Not thread-safe; the emulator, `g` and `s` must outlive it.
-  class Replay {
-   public:
-    /// Validates `s` (throws core::InvalidArgument) and compiles it.
-    Replay(const TGridEmulator& rig, const dag::Dag& g,
-           const sched::Schedule& s);
-    Replay(const Replay&) = delete;
-    Replay& operator=(const Replay&) = delete;
-
-    /// One experiment; `seed` drives all run-to-run noise. Returns the
-    /// measured trace, valid until the next run() (a caller done with the
-    /// replay may move it out).
-    sched::RunTrace& run(std::uint64_t seed);
-
-    /// The compiled schedule on the rig's platform. A simulator whose
-    /// model lives on the same platform may replay it in between
-    /// experiments (sim::Simulator::run(simcore::CompiledReplay&)).
-    simcore::CompiledReplay& core() { return core_; }
-
-   private:
-    const TGridEmulator& rig_;
-    simcore::CompiledReplay core_;
-    simcore::FifoServer subnet_;
-    simcore::ReplayPolicy policy_;
-    std::uint64_t seed_ = 0;
-  };
+  /// One experiment of `plan` on `runner`; `seed` drives all run-to-run
+  /// noise. Returns the runner's trace, valid until its next run(). Throws
+  /// core::InvalidArgument when the plan was compiled for a platform
+  /// other than spec().
+  sched::RunTrace& run(simcore::ReplayRunner& runner,
+                       const simcore::ReplayPlan& plan,
+                       std::uint64_t seed) const;
 
   /// Executes one schedule replay; `seed` drives all run-to-run noise.
   /// Returns the measured trace ("the experiment").

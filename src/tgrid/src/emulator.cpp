@@ -31,64 +31,71 @@ TGridEmulator::TGridEmulator(const machine::MachineModel& machine,
                   "platform node count must match the machine model");
 }
 
-TGridEmulator::Replay::Replay(const TGridEmulator& rig, const dag::Dag& g,
-                              const sched::Schedule& s)
-    : rig_(rig),
-      core_(g, s, rig.spec_),
-      subnet_(core_.engine(), simcore::replay_tag(simcore::kSubnetJobTag)) {
+sched::RunTrace& TGridEmulator::run(simcore::ReplayRunner& runner,
+                                   const simcore::ReplayPlan& plan,
+                                   std::uint64_t seed) const {
+  MTSCHED_REQUIRE(plan.spec() == spec_,
+                  "the plan was compiled for another platform than the "
+                  "emulator's");
+  const obs::Span obs_span(obs::current_track(), "tgrid", "execute", [&] {
+    return obs::Args{{"tasks", std::to_string(plan.dag().num_tasks())},
+                     {"seed", std::to_string(seed)}};
+  });
+  // Every hook captures this one frame, so building the policy does not
+  // allocate.
+  const struct {
+    const TGridEmulator& rig;
+    simcore::ReplayRunner& runner;
+    const simcore::ReplayPlan& plan;
+    std::uint64_t seed;
+  } f{*this, runner, plan, seed};
+  simcore::ReplayPolicy policy;
   // The emulated cluster always spawns containers, even when the machine
   // claims a zero startup: the timer's completion is its own engine event.
-  policy_.startup = [this](dag::TaskId t, simcore::CompletionFn done) {
-    const int p = static_cast<int>(core_.schedule().placement(t).procs.size());
-    auto rng = entity_rng(seed_, Stream::Startup, t);
-    core_.engine().submit_timer(rig_.machine_.startup_sample(p, rng),
-                                std::move(done),
-                                simcore::replay_tag(simcore::kStartupTag, t));
+  policy.startup = [&f](dag::TaskId t, simcore::CompletionFn done) {
+    const int p = static_cast<int>(f.plan.schedule().placement(t).procs.size());
+    auto rng = entity_rng(f.seed, Stream::Startup, t);
+    f.runner.engine().submit_timer(
+        f.rig.machine_.startup_sample(p, rng), std::move(done),
+        simcore::replay_tag(simcore::kStartupTag, t));
   };
-  policy_.execute = [this](dag::TaskId t, simcore::CompletionFn done) {
-    const auto& task = core_.dag().task(t);
-    const auto& procs = core_.schedule().placement(t).procs;
-    auto rng = entity_rng(seed_, Stream::Exec, t);
+  policy.execute = [&f](dag::TaskId t, simcore::CompletionFn done) {
+    const auto& task = f.plan.dag().task(t);
+    const auto& procs = f.plan.schedule().placement(t).procs;
+    auto rng = entity_rng(f.seed, Stream::Exec, t);
     // Heterogeneous sets run at the pace of their slowest member.
     const double exec =
-        rig_.machine_.exec_time_sample(task.kernel, task.matrix_dim,
-                                       static_cast<int>(procs.size()), rng) *
-        platform::exec_slowdown(rig_.spec_, procs);
-    core_.engine().submit_timer(exec, std::move(done),
-                                simcore::replay_tag(simcore::kExecTag, t));
+        f.rig.machine_.exec_time_sample(task.kernel, task.matrix_dim,
+                                        static_cast<int>(procs.size()), rng) *
+        platform::exec_slowdown(f.rig.spec_, procs);
+    f.runner.engine().submit_timer(exec, std::move(done),
+                                   simcore::replay_tag(simcore::kExecTag, t));
   };
   // Registrations with the single subnet manager serialize in FIFO order.
-  policy_.overhead = [this](std::size_t edge, simcore::CompletionFn done) {
-    const auto& e = core_.dag().edges()[edge];
-    const auto& sched = core_.schedule();
-    auto rng = entity_rng(seed_, Stream::Redist, edge);
-    subnet_.enqueue(
-        rig_.machine_.redist_overhead_sample(
+  policy.overhead = [&f](std::size_t edge, simcore::CompletionFn done) {
+    const auto& e = f.plan.dag().edges()[edge];
+    const auto& sched = f.plan.schedule();
+    auto rng = entity_rng(f.seed, Stream::Redist, edge);
+    f.runner.fifo().enqueue(
+        f.rig.machine_.redist_overhead_sample(
             static_cast<int>(sched.placement(e.src).procs.size()),
             static_cast<int>(sched.placement(e.dst).procs.size()), rng),
         std::move(done));
   };
-  policy_.transfer_waits_for_consumer = true;
-}
-
-sched::RunTrace& TGridEmulator::Replay::run(std::uint64_t seed) {
-  const obs::Span obs_span(obs::current_track(), "tgrid", "execute", [&] {
-    return obs::Args{{"tasks", std::to_string(core_.dag().num_tasks())},
-                     {"seed", std::to_string(seed)}};
-  });
-  seed_ = seed;
-  subnet_.reset();
-  return core_.run(policy_);
+  policy.transfer_waits_for_consumer = true;
+  return runner.run(plan, policy);
 }
 
 sched::RunTrace TGridEmulator::run(const dag::Dag& g, const sched::Schedule& s,
                                    std::uint64_t seed) const {
-  return std::move(Replay(*this, g, s).run(seed));
+  const simcore::ReplayPlan plan(g, s, spec_);
+  simcore::ReplayRunner runner;
+  return std::move(run(runner, plan, seed));
 }
 
 double TGridEmulator::makespan(const dag::Dag& g, const sched::Schedule& s,
                                std::uint64_t seed) const {
-  return Replay(*this, g, s).run(seed).makespan;
+  return run(g, s, seed).makespan;
 }
 
 double TGridEmulator::measure_startup(int p, std::uint64_t seed) const {

@@ -364,7 +364,7 @@ void expect_records_match_fresh_calls(const exp::CampaignSpec& spec,
 
 TEST(CampaignSharedCompile, ModelsOnTheRigPlatformMatchFreshCalls) {
   // Every lab model lives on the rig's platform: each cell simulates on
-  // the emulator's compiled replay.
+  // its plan for the rig.
   auto spec = mini_spec();
   spec.models = exp::lab_models(lab(), models::all_kinds());
   spec.algorithms = {exp::AlgoSpec::allocator("HCPA"),
@@ -378,8 +378,8 @@ TEST(CampaignSharedCompile, ModelsOnTheRigPlatformMatchFreshCalls) {
 TEST(CampaignSharedCompile, ModelOnAnotherPlatformMatchesFreshCalls) {
   // Shaped like the heterogeneous virtual-cluster bench: the rig runs a
   // skewed cluster. The speed-blind model believes in the homogeneous
-  // star and must simulate on a compile of its own; the aware model lives
-  // on the rig's platform and shares the emulator's.
+  // star and must simulate on a plan of its own; the aware model lives on
+  // the rig's platform and shares the cell's plan.
   auto skewed = lab().spec();
   const double lo = 2.0 * skewed.node.flops / (1.0 + 4.0);
   skewed = platform::heterogeneous_cluster(skewed.num_nodes, lo, lo * 4.0,

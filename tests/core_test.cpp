@@ -6,7 +6,6 @@
 #include <set>
 
 #include "mtsched/core/error.hpp"
-#include "mtsched/core/log.hpp"
 #include "mtsched/core/matrix.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/core/table.hpp"
@@ -237,14 +236,6 @@ TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(usec(100.0), 1e-4);
   EXPECT_DOUBLE_EQ(msec(2.0), 2e-3);
   EXPECT_DOUBLE_EQ(matrix_bytes(2000), 2000.0 * 2000.0 * 8.0);
-}
-
-TEST(Log, LevelGateWorks) {
-  const auto before = log_level();
-  set_log_level(LogLevel::Off);
-  log_line(LogLevel::Error, "must not crash");
-  set_log_level(before);
-  SUCCEED();
 }
 
 }  // namespace

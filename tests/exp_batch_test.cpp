@@ -1,5 +1,5 @@
 // Batch-simulation tests: sched::CostCurveTable (the shared cost-curve
-// cache behind Session::run_batch) and the run_batch pipeline itself —
+// cache behind Session::BatchScope) and the batch pipeline itself —
 // responses must be bit-identical to serving each request through run().
 #include <gtest/gtest.h>
 
@@ -145,7 +145,22 @@ TEST_F(CostCurveTableTest, RejectsOversizedQueries) {
                core::InvalidArgument);
 }
 
-// --- Session::run_batch --------------------------------------------------
+// --- Session::BatchScope -------------------------------------------------
+
+/// Serves `reqs` in order through one BatchScope; `artifacts`, when given,
+/// gets one entry per request.
+std::vector<exp::ScheduleResponse> serve_batch(
+    const exp::Session& session, const std::vector<exp::ScheduleRequest>& reqs,
+    std::vector<exp::RunArtifacts>* artifacts = nullptr) {
+  exp::Session::BatchScope scope(session);
+  if (artifacts != nullptr) artifacts->assign(reqs.size(), {});
+  std::vector<exp::ScheduleResponse> out;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    out.push_back(
+        scope.run(reqs[i], artifacts != nullptr ? &(*artifacts)[i] : nullptr));
+  }
+  return out;
+}
 
 std::vector<exp::ScheduleRequest> sample_batch() {
   std::vector<exp::ScheduleRequest> reqs;
@@ -165,7 +180,7 @@ TEST(RunBatch, BitIdenticalToSequentialRuns) {
   const auto reqs = sample_batch();
   const exp::Session sequential(lab());
   const exp::Session batched(lab());
-  const auto batch = batched.run_batch(reqs);
+  const auto batch = serve_batch(batched, reqs);
   ASSERT_EQ(batch.size(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     // Compare through the wire codec: equal encodings = equal bytes in
@@ -179,10 +194,10 @@ TEST(RunBatch, BitIdenticalToSequentialRuns) {
 TEST(RunBatch, SharesScheduleCacheWithRun) {
   const exp::Session session(lab());
   const auto reqs = sample_batch();
-  (void)session.run_batch(reqs);
+  (void)serve_batch(session, reqs);
   const auto misses = session.cache_misses();
   EXPECT_EQ(misses, reqs.size());
-  // The same requests through run() hit the cells run_batch filled.
+  // The same requests through run() hit the cells the batch filled.
   for (const auto& req : reqs) (void)session.run(req);
   EXPECT_EQ(session.cache_misses(), misses);
   EXPECT_EQ(session.cache_hits(), reqs.size());
@@ -194,7 +209,7 @@ TEST(RunBatch, BadRequestDoesNotPoisonTheBatch) {
   reqs[1].platform = "no-such-platform";
   reqs[2].dag_text = "not a dag";
   const exp::Session session(lab());
-  const auto out = session.run_batch(reqs);
+  const auto out = serve_batch(session, reqs);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_TRUE(out[0].ok());
   EXPECT_EQ(out[1].status, exp::ServiceStatus::BadRequest);
@@ -206,7 +221,7 @@ TEST(RunBatch, FillsOneArtifactPerRequest) {
   const auto reqs = sample_batch();
   const exp::Session session(lab());
   std::vector<exp::RunArtifacts> artifacts;
-  const auto out = session.run_batch(reqs, &artifacts);
+  const auto out = serve_batch(session, reqs, &artifacts);
   ASSERT_EQ(artifacts.size(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(artifacts[i].schedule.allocation(), out[i].allocation);
@@ -217,7 +232,7 @@ TEST(RunBatch, FillsOneArtifactPerRequest) {
 TEST(RunBatch, EmptyBatchIsANoOp) {
   const exp::Session session(lab());
   std::vector<exp::RunArtifacts> artifacts;
-  EXPECT_TRUE(session.run_batch({}, &artifacts).empty());
+  EXPECT_TRUE(serve_batch(session, {}, &artifacts).empty());
   EXPECT_TRUE(artifacts.empty());
 }
 

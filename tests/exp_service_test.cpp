@@ -22,6 +22,7 @@
 #include "mtsched/obs/metrics.hpp"
 #include "mtsched/obs/sink.hpp"
 #include "mtsched/platform/topology.hpp"
+#include "mtsched/sched/allocation.hpp"
 
 namespace {
 
@@ -135,30 +136,42 @@ TEST(Session, BadRequestsComeBackInBand) {
   EXPECT_EQ(resp.status, exp::ServiceStatus::BadRequest);
 }
 
+/// A real cache entry: the small DAG, HCPA-scheduled under the profile
+/// model on the default lab.
+std::shared_ptr<const exp::CachedCell> small_cell() {
+  dag::Dag g = dag::from_text(small_dag_text());
+  const auto& model = lab().model(models::CostModelKind::Profile);
+  auto s = exp::allocate_and_map(*sched::make_allocator("HCPA"),
+                                 sched::MappingStrategy::EarliestStart, g,
+                                 models::SchedCostAdapter(model), lab().spec());
+  return std::make_shared<const exp::CachedCell>(std::move(g), std::move(s),
+                                                 model, lab().rig());
+}
+
 TEST(ScheduleCache, ComputesOncePerKeyUnderContention) {
-  exp::ScheduleCache cache(4);
+  exp::ScheduleCache cache;
   std::atomic<int> computes{0};
+  std::vector<std::shared_ptr<const exp::CachedCell>> cells(8);
   std::vector<std::thread> threads;
-  threads.reserve(8);
-  for (int i = 0; i < 8; ++i) {
+  threads.reserve(cells.size());
+  for (auto& cell : cells) {
     threads.emplace_back([&] {
-      const auto memo = cache.get_or_compute("shared", [&] {
+      cell = cache.get_or_compute("shared", [&] {
         computes.fetch_add(1);
-        exp::ScheduleMemo m;
-        m.makespan_sim = 7.0;
-        return m;
+        return small_cell();
       });
-      EXPECT_EQ(memo->makespan_sim, 7.0);
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(computes.load(), 1);
-  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_NE(cells.front(), nullptr);
+  EXPECT_GT(cells.front()->cell.makespan_sim, 0.0);
+  for (const auto& cell : cells) EXPECT_EQ(cell, cells.front());
 }
 
 TEST(ScheduleCache, FailedComputePropagatesToAllWaiters) {
   exp::ScheduleCache cache;
-  const auto boom = [&]() -> exp::ScheduleMemo {
+  const auto boom = [&]() -> std::shared_ptr<const exp::CachedCell> {
     throw std::runtime_error("boom");
   };
   EXPECT_THROW((void)cache.get_or_compute("bad", boom), std::runtime_error);
@@ -167,6 +180,44 @@ TEST(ScheduleCache, FailedComputePropagatesToAllWaiters) {
   EXPECT_THROW((void)cache.get_or_compute("bad", boom, &hit),
                std::runtime_error);
   EXPECT_TRUE(hit);
+}
+
+TEST(Session, CacheHitsMatchFreshSessions) {
+  // Requests that differ only in the experiment seed share one cell: the
+  // hit runs its seed on the cell's plan and must answer exactly what a
+  // fresh session (a miss) does.
+  const exp::Session session(lab());
+  auto first = sample_request();
+  auto second = first;
+  second.exp_seed = 9001;
+  const auto a = session.run(first);
+  const auto b = session.run(second);
+  EXPECT_EQ(session.cache_misses(), 1u);
+  EXPECT_EQ(session.cache_hits(), 1u);
+  EXPECT_EQ(exp::encode_response(a),
+            exp::encode_response(exp::Session(lab()).run(first)));
+  EXPECT_EQ(exp::encode_response(b),
+            exp::encode_response(exp::Session(lab()).run(second)));
+
+  // Three concurrent hits through a service, one per worker thread.
+  exp::ServiceConfig cfg;
+  cfg.threads = 3;
+  exp::Service service(lab(), cfg);
+  ASSERT_TRUE(service.call(first).ok());
+  std::vector<exp::ScheduleRequest> reqs(3, first);
+  for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].exp_seed = 100 + i;
+  std::vector<std::future<exp::ScheduleResponse>> pending;
+  for (const auto& req : reqs) {
+    pending.push_back(
+        std::async(std::launch::async, [&service, req] { return service.call(req); }));
+  }
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(exp::encode_response(pending[i].get()),
+              exp::encode_response(exp::Session(lab()).run(reqs[i])))
+        << "seed " << reqs[i].exp_seed;
+  }
+  EXPECT_EQ(service.session().cache_misses(), 1u);
+  EXPECT_EQ(service.session().cache_hits(), 3u);
 }
 
 // --- Service ------------------------------------------------------------

@@ -14,19 +14,25 @@
 // speeds); and an emulator run on a measurement table whose startup row is
 // all zeros.
 //
-// The ReplayReuse cases check that one compiled emulator replay, run for
+// The ReplayReuse cases check that one replay plan, run on one runner for
 // several experiment seeds in turn, reproduces fresh replays exactly; the
-// SharedCompile cases interleave simulations on the same compiled replay.
+// SharedCompile cases interleave simulations on the same plan and runner;
+// the ConcurrentRunners case replays one plan on four runners on four
+// threads at once.
 //
 // To re-baseline after an intended behaviour change, delete the golden
 // file and run the test once: it writes the current output in its place
 // and fails, so the new file can be reviewed and committed.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/generator.hpp"
@@ -38,6 +44,7 @@
 #include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/mapping.hpp"
 #include "mtsched/sim/simulator.hpp"
+#include "mtsched/simcore/replay.hpp"
 #include "mtsched/tgrid/emulator.hpp"
 
 namespace {
@@ -206,15 +213,16 @@ TEST_F(ReplayGolden, EmulatorZeroStartupTable) {
   expect_golden("tgrid_zero_startup_table", rig.run(*dag_, s, 1));
 }
 
-/// One compiled replay reused across experiment seeds (a, b, a) must
+/// One plan and one runner reused across experiment seeds (a, b, a) must
 /// produce, run after run, exactly what a fresh replay of each seed does.
 class ReplayReuse : public ReplayGolden {
  protected:
   static void expect_reuse_matches_fresh(const tgrid::TGridEmulator& rig,
                                          const sched::Schedule& s) {
-    tgrid::TGridEmulator::Replay replay(rig, *dag_, s);
+    const simcore::ReplayPlan plan(*dag_, s, rig.spec());
+    simcore::ReplayRunner runner;
     for (const std::uint64_t seed : {1u, 9001u, 1u}) {
-      EXPECT_EQ(golden_text(replay.run(seed)),
+      EXPECT_EQ(golden_text(rig.run(runner, plan, seed)),
                 golden_text(rig.run(*dag_, s, seed)))
           << "seed " << seed;
     }
@@ -242,9 +250,10 @@ TEST_F(ReplayReuse, ZeroStartupTable) {
   expect_reuse_matches_fresh(rig, schedule(*flat_, CostModelKind::Profile));
 }
 
-/// One compiled emulator replay serving the simulator too: simulations
-/// and experiments interleaved on it (simulate, seed a, simulate, seed b)
-/// must each equal a fresh Simulator::run(g, s) or rig.run(g, s, seed).
+/// One plan on the rig's platform serving the simulator too: simulations
+/// and experiments interleaved on it and on one runner (simulate, seed a,
+/// simulate, seed b) must each equal a fresh Simulator::run(g, s) or
+/// rig.run(g, s, seed).
 class SharedCompile : public ReplayGolden {
  protected:
   static void expect_shared_matches_fresh(const tgrid::TGridEmulator& rig,
@@ -253,11 +262,12 @@ class SharedCompile : public ReplayGolden {
       const sim::Simulator simulator(lab.model(kind));
       const auto s = schedule(lab, kind);
       const std::string simulated = golden_text(simulator.run(*dag_, s));
-      tgrid::TGridEmulator::Replay replay(rig, *dag_, s);
+      const simcore::ReplayPlan plan(*dag_, s, rig.spec());
+      simcore::ReplayRunner runner;
       for (const std::uint64_t seed : {1u, 9001u}) {
-        EXPECT_EQ(golden_text(simulator.run(replay.core())), simulated)
+        EXPECT_EQ(golden_text(simulator.run(runner, plan)), simulated)
             << models::kind_name(kind) << " before seed " << seed;
-        EXPECT_EQ(golden_text(replay.run(seed)),
+        EXPECT_EQ(golden_text(rig.run(runner, plan, seed)),
                   golden_text(rig.run(*dag_, s, seed)))
             << models::kind_name(kind) << " seed " << seed;
       }
@@ -287,9 +297,56 @@ TEST_F(SharedCompile, ZeroStartupTable) {
 
 TEST_F(SharedCompile, RejectsAReplayOfAnotherPlatform) {
   const auto s = schedule(*flat_, CostModelKind::Profile);
-  tgrid::TGridEmulator::Replay replay(hetero_->rig(), *dag_, s);
+  const simcore::ReplayPlan plan(*dag_, s, hetero_->spec());
+  simcore::ReplayRunner runner;
   const sim::Simulator simulator(flat_->model(CostModelKind::Profile));
-  EXPECT_THROW(simulator.run(replay.core()), core::InvalidArgument);
+  EXPECT_THROW(simulator.run(runner, plan), core::InvalidArgument);
+  EXPECT_THROW(flat_->rig().run(runner, plan, 1), core::InvalidArgument);
+}
+
+/// One immutable plan replayed on four runners on four threads at once,
+/// each thread taking simulations and experiments of seeds 1 and 9001 in
+/// its own order: every trace must equal the sequential replay's bytes.
+class ConcurrentRunners : public ReplayGolden {
+ protected:
+  static void expect_concurrent_matches_sequential(const exp::Lab& lab) {
+    const sim::Simulator simulator(lab.model(CostModelKind::Profile));
+    const auto s = schedule(lab, CostModelKind::Profile);
+    const simcore::ReplayPlan plan(*dag_, s, lab.spec());
+    // Job 0 simulates, jobs 1 and 2 run experiment seeds 1 and 9001.
+    const std::uint64_t seeds[] = {0, 1, 9001};
+    const std::string want[] = {golden_text(simulator.run(*dag_, s)),
+                                golden_text(lab.rig().run(*dag_, s, 1)),
+                                golden_text(lab.rig().run(*dag_, s, 9001))};
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 6;
+    std::latch start(kThreads);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        simcore::ReplayRunner runner;
+        start.arrive_and_wait();
+        for (int k = 0; k < kRounds * 3; ++k) {
+          const int job = (i + k) % 3;
+          const sched::RunTrace& trace =
+              job == 0 ? simulator.run(runner, plan)
+                       : lab.rig().run(runner, plan, seeds[job]);
+          if (golden_text(trace) != want[job]) mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+  }
+};
+
+TEST_F(ConcurrentRunners, Bayreuth32) {
+  expect_concurrent_matches_sequential(*flat_);
+}
+
+TEST_F(ConcurrentRunners, Hier4x8) {
+  expect_concurrent_matches_sequential(*oversub_);
 }
 
 }  // namespace

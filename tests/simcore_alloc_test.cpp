@@ -1,7 +1,8 @@
-// Allocation bound of a compiled replay: a warmed-up TGridEmulator::Replay
-// run(seed) makes at most a small constant number of heap allocations,
-// the same for a 10-task and a 100-task DAG — the per-event cost of an
-// experiment seed is the events, not the heap.
+// Allocation bound of a replay: one experiment seed of a compiled plan on
+// a warmed-up runner (TGridEmulator::run(runner, plan, seed)) makes at
+// most a small constant number of heap allocations, the same for a
+// 10-task and a 100-task DAG — the per-event cost of an experiment seed is
+// the events, not the heap.
 //
 // This is its own executable because it replaces the global operator new
 // with a counting one.
@@ -19,6 +20,7 @@
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/mapping.hpp"
+#include "mtsched/simcore/replay.hpp"
 #include "mtsched/tgrid/emulator.hpp"
 
 namespace {
@@ -47,7 +49,7 @@ namespace {
 
 using namespace mtsched;
 
-/// Heap allocations of one run(seed) of `tasks` tasks, HCPA-scheduled
+/// Heap allocations of one experiment seed of `tasks` tasks, HCPA-scheduled
 /// under the analytical model on bayreuth32, after two warm-up runs.
 std::size_t allocations_per_run(int tasks) {
   const platform::ClusterSpec spec = platform::bayreuth32();
@@ -66,12 +68,13 @@ std::size_t allocations_per_run(int tasks) {
   const sched::Schedule s = sched::ListMapper().map(g, sizes, cost,
                                                     spec.num_nodes);
 
-  tgrid::TGridEmulator::Replay replay(rig, g, s);
-  replay.run(7);
-  replay.run(8);
+  const simcore::ReplayPlan plan(g, s, spec);
+  simcore::ReplayRunner runner;
+  rig.run(runner, plan, 7);
+  rig.run(runner, plan, 8);
   allocations = 0;
   counting = true;
-  const double makespan = replay.run(7).makespan;
+  const double makespan = rig.run(runner, plan, 7).makespan;
   counting = false;
   EXPECT_GT(makespan, 0.0);
   return allocations.load();

@@ -1,5 +1,6 @@
-// Tests for the shared schedule-replay core with plain timer phase hooks
-// (no cost model, no machine model).
+// Tests for the shared schedule-replay core (a ReplayPlan run on a
+// ReplayRunner) with plain timer phase hooks (no cost model, no machine
+// model).
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -28,16 +29,16 @@ struct Chain {
 
 /// Timer hooks: startup takes 1 s for task 0 and 5 s for task 1, execution
 /// 2 s, protocol overhead 0.5 s.
-simcore::ReplayPolicy timers(simcore::Engine& engine, bool wait) {
+simcore::ReplayPolicy timers(simcore::ReplayRunner& runner, bool wait) {
   simcore::ReplayPolicy p;
-  p.startup = [&engine](dag::TaskId t, CompletionFn done) {
-    engine.submit_timer(t == 0 ? 1.0 : 5.0, std::move(done));
+  p.startup = [&runner](dag::TaskId t, CompletionFn done) {
+    runner.engine().submit_timer(t == 0 ? 1.0 : 5.0, std::move(done));
   };
-  p.execute = [&engine](dag::TaskId, CompletionFn done) {
-    engine.submit_timer(2.0, std::move(done));
+  p.execute = [&runner](dag::TaskId, CompletionFn done) {
+    runner.engine().submit_timer(2.0, std::move(done));
   };
-  p.overhead = [&engine](std::size_t, CompletionFn done) {
-    engine.submit_timer(0.5, std::move(done));
+  p.overhead = [&runner](std::size_t, CompletionFn done) {
+    runner.engine().submit_timer(0.5, std::move(done));
   };
   p.transfer_waits_for_consumer = wait;
   return p;
@@ -45,8 +46,9 @@ simcore::ReplayPolicy timers(simcore::Engine& engine, bool wait) {
 
 TEST(Replay, TransferStartsAtProducerFinish) {
   Chain c;
-  simcore::CompiledReplay replay(c.g, c.s, c.spec);
-  const auto& trace = replay.run(timers(replay.engine(), /*wait=*/false));
+  const simcore::ReplayPlan plan(c.g, c.s, c.spec);
+  simcore::ReplayRunner runner;
+  const auto& trace = runner.run(plan, timers(runner, /*wait=*/false));
   EXPECT_DOUBLE_EQ(trace.tasks[0].finish, 3.0);
   EXPECT_DOUBLE_EQ(trace.edges[0].request, 3.0);
   EXPECT_DOUBLE_EQ(trace.edges[0].transfer, 3.5);
@@ -56,8 +58,9 @@ TEST(Replay, TransferStartsAtProducerFinish) {
 
 TEST(Replay, TransferWaitsForConsumerStartup) {
   Chain c;
-  simcore::CompiledReplay replay(c.g, c.s, c.spec);
-  const auto& trace = replay.run(timers(replay.engine(), /*wait=*/true));
+  const simcore::ReplayPlan plan(c.g, c.s, c.spec);
+  simcore::ReplayRunner runner;
+  const auto& trace = runner.run(plan, timers(runner, /*wait=*/true));
   EXPECT_DOUBLE_EQ(trace.edges[0].request, 5.0);
   EXPECT_DOUBLE_EQ(trace.edges[0].transfer, 5.5);
   EXPECT_DOUBLE_EQ(trace.tasks[1].exec_begin, trace.edges[0].done);
@@ -66,10 +69,11 @@ TEST(Replay, TransferWaitsForConsumerStartup) {
 
 TEST(Replay, TaskThatNeverFinishesIsAnInternalError) {
   Chain c;
-  simcore::CompiledReplay replay(c.g, c.s, c.spec);
-  auto policy = timers(replay.engine(), /*wait=*/false);
+  const simcore::ReplayPlan plan(c.g, c.s, c.spec);
+  simcore::ReplayRunner runner;
+  auto policy = timers(runner, /*wait=*/false);
   policy.execute = [](dag::TaskId, CompletionFn) {};
-  EXPECT_THROW(replay.run(policy), core::InternalError);
+  EXPECT_THROW(runner.run(plan, policy), core::InternalError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "mtsched/core/argparse.hpp"
@@ -19,7 +20,6 @@
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/exp/campaign.hpp"
 #include "mtsched/exp/lab.hpp"
-#include "mtsched/exp/report.hpp"
 #include "mtsched/exp/results.hpp"
 #include "mtsched/exp/server.hpp"
 #include "mtsched/exp/service.hpp"
@@ -655,19 +655,36 @@ int cmd_case_study(int argc, char** argv) {
   add_platform_option(args);
   if (!parse_or_help(args, argc, argv)) return 0;
 
-  const auto lab = make_lab(args);
+  // Only the reported dimension's slice of the Table I suite runs, so
+  // the dimension must be one the suite has.
   const int dim = static_cast<int>(args.integer("dim"));
-  exp::CampaignSpec spec;  // defaults: Table I suite, HCPA vs MCPA
+  exp::CampaignSpec spec;  // default algorithms: HCPA vs MCPA
+  spec.suites = {exp::SuiteSpec::table1()};
+  std::set<int> suite_dims;
+  for (const auto& inst : spec.suites.front().dags) {
+    suite_dims.insert(inst.params.matrix_dim);
+  }
+  if (!suite_dims.contains(dim)) {
+    std::string known;
+    for (const int d : suite_dims) {
+      known += (known.empty() ? "" : ", ") + std::to_string(d);
+    }
+    throw core::InvalidArgument("--dim " + std::to_string(dim) +
+                                " is not a matrix dimension of the Table I "
+                                "suite (" + known + ")");
+  }
+  spec.dims = {dim};
+
+  const auto lab = make_lab(args);
   spec.models = exp::lab_models(*lab, models::all_kinds());
   spec.exp_seeds = {args.uint64("exp-seed")};
   const auto campaign = exp::Campaign(lab->rig()).run(spec);
   for (const auto& model : spec.models) {
-    const auto result = campaign.case_study(model.label, "HCPA", "MCPA",
-                                            exp::SuiteSpec{}.seed,
-                                            spec.exp_seeds.front());
-    const auto subset = result.with_dim(dim);
+    const auto result =
+        campaign.case_study(model.label, "HCPA", "MCPA",
+                            spec.suites.front().seed, spec.exp_seeds.front());
     std::cout << result.model_name << " model, n = " << dim << ": "
-              << exp::count_flips(subset) << "/" << subset.size()
+              << result.num_flips() << "/" << result.outcomes.size()
               << " verdict flips\n";
   }
   return 0;
