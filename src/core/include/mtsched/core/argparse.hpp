@@ -68,9 +68,6 @@ class ArgParser {
   double number(const std::string& name) const;
   bool flag(const std::string& name) const;
 
-  /// True when the user supplied the option explicitly (vs. the default).
-  bool given(const std::string& name) const;
-
  private:
   enum class Kind { Str, Int, Uint64, Double, Flag };
 

@@ -33,21 +33,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Sum of all entries.
-  T total() const {
-    T s{};
-    for (const auto& v : data_) s += v;
-    return s;
-  }
-
-  /// Sum of row r.
-  T row_total(std::size_t r) const {
-    MTSCHED_REQUIRE(r < rows_, "row index out of range");
-    T s{};
-    for (std::size_t c = 0; c < cols_; ++c) s += data_[r * cols_ + c];
-    return s;
-  }
-
   /// Sum of column c.
   T col_total(std::size_t c) const {
     MTSCHED_REQUIRE(c < cols_, "column index out of range");
@@ -55,8 +40,6 @@ class Matrix {
     for (std::size_t r = 0; r < rows_; ++r) s += data_[r * cols_ + c];
     return s;
   }
-
-  const std::vector<T>& data() const { return data_; }
 
   friend bool operator==(const Matrix& a, const Matrix& b) {
     return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;

@@ -37,7 +37,6 @@ class Socket {
   Socket& operator=(const Socket&) = delete;
 
   bool valid() const { return fd_ >= 0; }
-  explicit operator bool() const { return valid(); }
   int fd() const { return fd_; }
 
   /// Closes the descriptor now (idempotent).

@@ -58,9 +58,6 @@ class Poller {
   /// Stops watching a registered fd.
   void remove(int fd);
 
-  /// Number of registered fds (the self-pipe is not counted).
-  std::size_t size() const;
-
   /// Blocks until at least one registered fd is ready, wake() is called,
   /// or `timeout_ms` elapses (-1 = no timeout). Returns the ready events
   /// (empty on timeout or bare wake); the wake pipe is drained

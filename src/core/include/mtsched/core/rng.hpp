@@ -69,9 +69,6 @@ class Rng {
     }
   }
 
-  /// Derive an independent child generator; `stream` distinguishes children.
-  Rng split(std::uint64_t stream) const;
-
  private:
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;

@@ -19,7 +19,6 @@ class TextTable {
   /// Renders with a header rule, e.g. for bench output.
   std::string render() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
 
  private:
   std::vector<std::string> header_;

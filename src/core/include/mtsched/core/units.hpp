@@ -9,14 +9,6 @@
 
 namespace mtsched::core {
 
-inline constexpr double kKilo = 1e3;
-inline constexpr double kMega = 1e6;
-inline constexpr double kGiga = 1e9;
-
-inline constexpr double kKiB = 1024.0;
-inline constexpr double kMiB = 1024.0 * 1024.0;
-inline constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
-
 /// Bits-per-second to bytes-per-second (network bandwidth specs).
 constexpr double bps_to_Bps(double bits_per_second) {
   return bits_per_second / 8.0;
@@ -25,15 +17,7 @@ constexpr double bps_to_Bps(double bits_per_second) {
 /// Microseconds to seconds.
 constexpr double usec(double microseconds) { return microseconds * 1e-6; }
 
-/// Milliseconds to seconds.
-constexpr double msec(double milliseconds) { return milliseconds * 1e-3; }
-
 /// Size in bytes of one double-precision matrix element.
 inline constexpr double kElemBytes = 8.0;
-
-/// Bytes of an n-by-n double-precision matrix.
-constexpr double matrix_bytes(int n) {
-  return static_cast<double>(n) * static_cast<double>(n) * kElemBytes;
-}
 
 }  // namespace mtsched::core

@@ -17,7 +17,7 @@ std::size_t align_up(std::size_t n, std::size_t align) {
 Arena::Arena(std::size_t first_block_bytes) {
   const std::size_t size = std::max(first_block_bytes, kMinBlockBytes);
   blocks_.push_back(
-      Block{std::make_unique<std::byte[]>(size), size});
+      Block{std::make_unique_for_overwrite<std::byte[]>(size), size});
 }
 
 void* Arena::allocate(std::size_t bytes, std::size_t align) {
@@ -39,8 +39,9 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
       continue;
     }
     const std::size_t grown = std::max(blocks_.back().size * 2, bytes + align);
-    blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(current_) + 1,
-                   Block{std::make_unique<std::byte[]>(grown), grown});
+    blocks_.insert(
+        blocks_.begin() + static_cast<std::ptrdiff_t>(current_) + 1,
+        Block{std::make_unique_for_overwrite<std::byte[]>(grown), grown});
     ++current_;
     used_ = 0;
   }
@@ -57,7 +58,8 @@ void Arena::reset() {
     std::size_t total = 0;
     for (const Block& b : blocks_) total += b.size;
     blocks_.clear();
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(total), total});
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<std::byte[]>(total), total});
   }
   current_ = 0;
   used_ = 0;

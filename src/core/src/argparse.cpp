@@ -258,13 +258,6 @@ bool ArgParser::flag(const std::string& name) const {
   return !lookup(name, Kind::Flag, "flag()").value.empty();
 }
 
-bool ArgParser::given(const std::string& name) const {
-  const auto it = options_.find(name);
-  MTSCHED_REQUIRE(it != options_.end(),
-                  "option '--" + name + "' was never declared");
-  return it->second.given;
-}
-
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
   std::string item;

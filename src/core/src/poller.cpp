@@ -51,8 +51,6 @@ Poller::~Poller() {
   if (wake_write_ >= 0) ::close(wake_write_);
 }
 
-std::size_t Poller::size() const { return fds_.size() - 1; }
-
 std::size_t Poller::index_of(int fd) const {
   for (std::size_t i = 1; i < fds_.size(); ++i) {
     if (fds_[i].fd == fd) return i;

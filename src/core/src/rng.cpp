@@ -77,11 +77,6 @@ double Rng::lognormal_unit(double sigma) {
   return std::exp(normal(-0.5 * sigma * sigma, sigma));
 }
 
-Rng Rng::split(std::uint64_t stream) const {
-  // Mix the current state with the stream id; independent of generator use.
-  return Rng(hash_mix(s_[0] ^ s_[3], stream, 0xA0761D6478BD642Full));
-}
-
 std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   SplitMix64 sm(a ^ rotl(b, 23) ^ rotl(c, 47));
   std::uint64_t h = sm.next();

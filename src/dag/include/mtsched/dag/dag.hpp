@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "mtsched/core/units.hpp"
-
 namespace mtsched::dag {
 
 using TaskId = std::uint32_t;
@@ -82,7 +80,6 @@ class Dag {
   const std::vector<Edge>& edges() const { return edges_; }
 
   const std::vector<TaskId>& predecessors(TaskId id) const;
-  const std::vector<TaskId>& successors(TaskId id) const;
 
   /// Tasks with no predecessors / no successors.
   std::vector<TaskId> entry_tasks() const;
@@ -94,7 +91,7 @@ class Dag {
 
   /// Flat CSR view over the adjacency plus the topological positions,
   /// cached together with the topological order. Edge targets appear in
-  /// the same per-task order as predecessors()/successors(), so
+  /// each task's edge insertion order (that of predecessors()), so
   /// reductions over them see identical operands in identical order.
   /// All references stay valid until the next add_task()/add_edge().
   struct TopologyView {
@@ -117,9 +114,6 @@ class Dag {
 
   /// Throws if the graph has a cycle; no-op otherwise.
   void validate() const;
-
-  /// Bytes carried by an edge: the full n-by-n double matrix of `src`.
-  double edge_bytes(const Edge& e) const;
 
  private:
   /// Lazily computed derived topology, shared between Dag copies (it only

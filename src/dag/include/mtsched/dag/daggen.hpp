@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "mtsched/dag/dag.hpp"
 
@@ -37,8 +36,6 @@ struct DaggenParams {
   double add_ratio = 0.5;   ///< fraction of addition tasks
   int matrix_dim = 2000;
   std::uint64_t seed = 1;
-
-  std::string id() const;
 };
 
 /// Generates one layered random DAG. Throws core::InvalidArgument on

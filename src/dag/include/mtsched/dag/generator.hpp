@@ -61,9 +61,4 @@ std::vector<DagGenParams> table1_grid(std::uint64_t base_seed = 2011,
 std::vector<GeneratedDag> generate_table1_suite(std::uint64_t base_seed = 2011,
                                                 int num_tasks = 10);
 
-/// Subset of a generated suite with the given matrix dimension (the paper
-/// reports n = 2000 and n = 3000 separately, 27 DAGs each).
-std::vector<const GeneratedDag*> filter_by_dim(
-    const std::vector<GeneratedDag>& suite, int matrix_dim);
-
 }  // namespace mtsched::dag

@@ -101,11 +101,6 @@ const std::vector<TaskId>& Dag::predecessors(TaskId id) const {
   return preds_[id];
 }
 
-const std::vector<TaskId>& Dag::successors(TaskId id) const {
-  MTSCHED_REQUIRE(id < tasks_.size(), "unknown task id");
-  return succs_[id];
-}
-
 std::vector<TaskId> Dag::entry_tasks() const {
   std::vector<TaskId> out;
   for (const auto& t : tasks_)
@@ -191,9 +186,5 @@ const std::vector<int>& Dag::precedence_levels() const {
 int Dag::num_levels() const { return topo().num_levels; }
 
 void Dag::validate() const { (void)topological_order(); }
-
-double Dag::edge_bytes(const Edge& e) const {
-  return core::matrix_bytes(task(e.src).matrix_dim);
-}
 
 }  // namespace mtsched::dag

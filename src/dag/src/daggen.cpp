@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
 
 namespace mtsched::dag {
-
-std::string DaggenParams::id() const {
-  std::ostringstream os;
-  os << "daggen_t" << num_tasks << "_f" << fat << "_r" << regularity << "_d"
-     << density << "_j" << jump << "_n" << matrix_dim << "_s" << seed;
-  return os.str();
-}
 
 Dag generate_daggen(const DaggenParams& params) {
   MTSCHED_REQUIRE(params.num_tasks >= 1, "num_tasks must be >= 1");

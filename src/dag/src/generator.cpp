@@ -157,12 +157,4 @@ std::vector<GeneratedDag> generate_table1_suite(std::uint64_t base_seed,
   return suite;
 }
 
-std::vector<const GeneratedDag*> filter_by_dim(
-    const std::vector<GeneratedDag>& suite, int matrix_dim) {
-  std::vector<const GeneratedDag*> out;
-  for (const auto& d : suite)
-    if (d.params.matrix_dim == matrix_dim) out.push_back(&d);
-  return out;
-}
-
 }  // namespace mtsched::dag

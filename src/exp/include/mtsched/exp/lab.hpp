@@ -50,7 +50,6 @@ class Lab {
   const machine::MachineModel& machine() const { return *machine_; }
   const platform::ClusterSpec& spec() const { return spec_; }
   const tgrid::TGridEmulator& rig() const { return *rig_; }
-  const profiling::Profiler& profiler() const { return *profiler_; }
 
   /// Typed views of the factory-built models. The static_casts are
   /// sound: kind fixes the concrete type (see models::make_cost_model).
@@ -61,10 +60,6 @@ class Lab {
   const models::ProfileModel& profile() const {
     return static_cast<const models::ProfileModel&>(
         model(models::CostModelKind::Profile));
-  }
-  const models::EmpiricalModel& empirical() const {
-    return static_cast<const models::EmpiricalModel&>(
-        model(models::CostModelKind::Empirical));
   }
 
   /// The regression build behind the empirical model (Figure 6 data).
@@ -85,7 +80,6 @@ class Lab {
   std::unique_ptr<machine::MachineModel> machine_;
   platform::ClusterSpec spec_;
   std::unique_ptr<tgrid::TGridEmulator> rig_;
-  std::unique_ptr<profiling::Profiler> profiler_;
   profiling::EmpiricalBuild empirical_build_;
   /// One model per CostModelKind, indexed by the enum value.
   std::array<std::unique_ptr<const models::CostModel>, 3> models_;

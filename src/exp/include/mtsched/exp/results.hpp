@@ -35,9 +35,4 @@ std::string to_json(const CampaignSpec& spec, const CampaignResult& result);
 /// not contain commas (the built-in labels never do).
 std::string to_csv(const std::vector<RunRecord>& records);
 
-/// Inverse of to_csv (header required). Round-trips every field except
-/// sim_error_percent, which is derived. Throws core::ParseError on
-/// malformed input.
-std::vector<RunRecord> parse_campaign_csv(const std::string& csv);
-
 }  // namespace mtsched::exp

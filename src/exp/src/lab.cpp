@@ -21,14 +21,14 @@ Lab::Lab(std::unique_ptr<machine::MachineModel> machine_model,
 
 void Lab::wire(const LabConfig& cfg) {
   rig_ = std::make_unique<tgrid::TGridEmulator>(*machine_, spec_);
-  profiler_ = std::make_unique<profiling::Profiler>(*rig_);
+  const profiling::Profiler profiler(*rig_);
 
   // The paper's three simulator versions, built through the factory:
   // Section VI's brute-force measurement campaign feeds the profile
   // model, Section VII's sparse measurements + regressions the empirical
   // one. The analytical model needs the platform spec only.
-  const auto tables = profiler_->brute_force(cfg.profiling);
-  const profiling::RegressionBuilder builder(*profiler_);
+  const auto tables = profiler.brute_force(cfg.profiling);
+  const profiling::RegressionBuilder builder(profiler);
   empirical_build_ = builder.build(cfg.profiling, cfg.sample_plan);
 
   models::ModelSpec model_spec;

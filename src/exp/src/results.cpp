@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "mtsched/core/error.hpp"
 #include "mtsched/core/table.hpp"
 
 namespace mtsched::exp {
@@ -46,40 +45,6 @@ std::string join_allocation(const std::vector<int>& alloc) {
     s += std::to_string(alloc[i]);
   }
   return s;
-}
-
-std::vector<std::string> split_line(const std::string& line, char sep) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(line);
-  while (std::getline(is, item, sep)) out.push_back(item);
-  // std::getline drops a trailing empty field; the campaign CSV never has
-  // empty trailing fields, so this is fine.
-  return out;
-}
-
-double parse_double_field(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("junk");
-    return v;
-  } catch (const std::exception&) {
-    throw core::ParseError(std::string("campaign CSV: bad ") + what + " '" +
-                           s + "'");
-  }
-}
-
-std::uint64_t parse_u64_field(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("junk");
-    return v;
-  } catch (const std::exception&) {
-    throw core::ParseError(std::string("campaign CSV: bad ") + what + " '" +
-                           s + "'");
-  }
 }
 
 constexpr const char* kCsvHeader =
@@ -153,43 +118,6 @@ std::string to_csv(const std::vector<RunRecord>& records) {
        << ',' << fmt_roundtrip(r.sim_error_percent()) << '\n';
   }
   return os.str();
-}
-
-std::vector<RunRecord> parse_campaign_csv(const std::string& csv) {
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line) || line != kCsvHeader) {
-    throw core::ParseError(
-        "campaign CSV: missing or unexpected header line");
-  }
-  std::vector<RunRecord> out;
-  std::size_t lineno = 1;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const auto fields = split_line(line, ',');
-    if (fields.size() != 11) {
-      throw core::ParseError("campaign CSV line " + std::to_string(lineno) +
-                             ": expected 11 fields, got " +
-                             std::to_string(fields.size()));
-    }
-    RunRecord r;
-    r.suite_seed = parse_u64_field(fields[0], "suite_seed");
-    r.dag = fields[1];
-    r.matrix_dim = static_cast<int>(parse_u64_field(fields[2], "dim"));
-    r.model = fields[3];
-    r.algorithm = fields[4];
-    r.exp_seed = parse_u64_field(fields[5], "exp_seed");
-    r.run_seed = parse_u64_field(fields[6], "run_seed");
-    for (const auto& p : split_line(fields[7], '|')) {
-      r.allocation.push_back(
-          static_cast<int>(parse_u64_field(p, "allocation")));
-    }
-    r.makespan_sim = parse_double_field(fields[8], "makespan_sim");
-    r.makespan_exp = parse_double_field(fields[9], "makespan_exp");
-    out.push_back(std::move(r));
-  }
-  return out;
 }
 
 }  // namespace mtsched::exp

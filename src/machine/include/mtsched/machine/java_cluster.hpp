@@ -100,7 +100,6 @@ class JavaClusterModel final : public MachineModel {
   /// Kernel-internal communication seconds at (k, n, p).
   double internal_comm_time(dag::TaskKernel k, int n, int p) const;
 
-  const JavaClusterConfig& config() const { return cfg_; }
 
   /// The matching platform description for the network simulator.
   platform::ClusterSpec platform_spec() const;

@@ -35,7 +35,6 @@ class PdgemmMachineModel final : public MachineModel {
 
   double efficiency(int n, int p) const;
 
-  const PdgemmConfig& config() const { return cfg_; }
 
  private:
   PdgemmConfig cfg_;

@@ -57,7 +57,6 @@ class TableMachineModel final : public MachineModel {
   int max_procs() const override { return tables_.num_nodes; }
   double noise_sigma() const override { return tables_.noise_sigma; }
 
-  const MachineTables& tables() const { return tables_; }
 
  private:
   MachineTables tables_;

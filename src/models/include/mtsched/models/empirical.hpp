@@ -48,7 +48,6 @@ class EmpiricalModel final : public CostModel {
   void task_time_curve(const dag::Task& t,
                        std::span<double> out) const override;
 
-  const EmpiricalFits& fits() const { return fits_; }
 
  private:
   const stats::PiecewiseFit& exec_fit(dag::TaskKernel k, int n) const;

@@ -1,8 +1,8 @@
 // Trace analytics: turn a raw span trace into the per-phase attributions
 // and A/B comparisons the paper's methodology argues with.
 //
-// TraceProfile consumes either a live Tracer snapshot or a parsed Chrome
-// trace and computes, per (category, name) span pair:
+// TraceProfile consumes a parsed Chrome trace and computes, per
+// (category, name) span pair:
 //   * count, total time, and *self* time — total minus the time spent in
 //     spans nested inside it on the same track, so a phase that merely
 //     contains an expensive child is not blamed for it;
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "mtsched/obs/chrome_trace.hpp"
-#include "mtsched/obs/trace.hpp"
 
 namespace mtsched::obs {
 
@@ -94,19 +93,6 @@ struct TraceProfile {
   std::size_t dropped_events = 0;    ///< events lost to the tracer's cap
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// The stats of one (category, name) pair, or nullptr.
-  const SpanStats* find(const std::string& category,
-                        const std::string& name) const;
-
-  /// Profiles a live tracer (dropped-event count taken from the tracer).
-  static TraceProfile from_tracer(const Tracer& tracer);
-
-  /// Profiles a snapshot. `dropped` is the tracer's cap-drop count when
-  /// known (snapshot() does not carry it).
-  static TraceProfile from_snapshot(
-      const std::vector<Tracer::TrackSnapshot>& tracks,
-      std::size_t dropped = 0);
 
   /// Profiles a parsed Chrome trace (timestamps in microseconds; the
   /// "trace.dropped_events" counter event, when present, fills

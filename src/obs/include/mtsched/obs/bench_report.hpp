@@ -45,10 +45,6 @@ struct BenchReport {
   /// Serializes as schema mtsched.bench.v1 (deterministic byte order).
   std::string to_json() const;
 
-  /// Parses what to_json writes. Throws core::ParseError on malformed
-  /// input or a wrong/missing schema marker.
-  static BenchReport from_json(const std::string& text);
-
   /// The canonical file name: "BENCH_<name>.json".
   std::string filename() const { return "BENCH_" + name + ".json"; }
 };

@@ -1,8 +1,8 @@
-// Metrics registry: named counters, gauges and histograms.
+// Metrics registry: named counters and histograms.
 //
 // Instruments are created on first use and live as long as the registry;
 // the returned references are stable, so hot paths look an instrument up
-// once and then update it lock-free (counters and gauges are atomics).
+// once and then update it lock-free (counters are atomics).
 // Histograms keep every sample — exact p50/p95/max summaries matter more
 // here than bounded memory, and campaign-scale sample counts are small.
 //
@@ -34,16 +34,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written value. Thread-safe.
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 struct HistogramSummary {
   std::size_t count = 0;
   double min = 0.0;
@@ -73,18 +63,16 @@ class MetricsRegistry {
   /// Find-or-create by name. Thread-safe; a name may only be used for one
   /// instrument type (throws core::InvalidArgument otherwise).
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   /// All instruments as a text table, in name order.
   std::string render() const;
 
  private:
-  enum class InstrumentType { Counter, Gauge, Histogram };
+  enum class InstrumentType { Counter, Histogram };
   struct Instrument {
     InstrumentType type;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

@@ -200,7 +200,6 @@ class Tracer {
   /// Delivers every track's buffered tail to the attached stream.
   void flush_stream();
 
-  std::size_t num_tracks() const;
   std::size_t num_events() const;
 
   struct TrackSnapshot {

@@ -20,7 +20,7 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[std::max<std::size_t>(rank, 1) - 1];
 }
 
-/// The analyzer's unified input event (snapshot or Chrome, one track).
+/// The analyzer's input event (one Chrome event on one track).
 struct FlatEvent {
   char phase = 'i';
   std::string category;
@@ -226,34 +226,6 @@ std::string fmt_in(double seconds, const TimeUnit& u) {
 }
 
 }  // namespace
-
-const SpanStats* TraceProfile::find(const std::string& category,
-                                    const std::string& name) const {
-  for (const auto& s : spans) {
-    if (s.category == category && s.name == name) return &s;
-  }
-  return nullptr;
-}
-
-TraceProfile TraceProfile::from_tracer(const Tracer& tracer) {
-  return from_snapshot(tracer.snapshot(), tracer.dropped_events());
-}
-
-TraceProfile TraceProfile::from_snapshot(
-    const std::vector<Tracer::TrackSnapshot>& tracks, std::size_t dropped) {
-  Builder b;
-  std::vector<FlatEvent> flat;
-  for (const auto& track : tracks) {
-    flat.clear();
-    flat.reserve(track.events.size());
-    for (const Event& e : track.events) {
-      flat.push_back(FlatEvent{static_cast<char>(e.phase), e.category,
-                               e.name, e.ts});
-    }
-    b.add_track(track.name, flat);
-  }
-  return b.finish(dropped);
-}
 
 TraceProfile TraceProfile::from_chrome(const ChromeTrace& trace) {
   // Regroup document-order events per track (the exporter groups them

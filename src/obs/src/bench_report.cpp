@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "mtsched/core/error.hpp"
 #include "mtsched/core/table.hpp"
 #include "mtsched/obs/json.hpp"
 
@@ -10,7 +9,6 @@ namespace mtsched::obs {
 
 namespace {
 constexpr const char* kSchema = "mtsched.bench.v1";
-constexpr const char* kWhat = "bench report JSON";
 }  // namespace
 
 std::string BenchReport::to_json() const {
@@ -39,35 +37,6 @@ std::string BenchReport::to_json() const {
   os << (throughput.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";
   return os.str();
-}
-
-BenchReport BenchReport::from_json(const std::string& text) {
-  const json::Value doc = json::parse(text, kWhat);
-  if (doc.type != json::Value::Type::Object) {
-    throw core::ParseError(std::string(kWhat) + ": document is not an object");
-  }
-  const std::string schema = json::member(doc, "schema", kWhat).str;
-  if (schema != kSchema) {
-    throw core::ParseError(std::string(kWhat) + ": unsupported schema '" +
-                           schema + "' (want " + kSchema + ")");
-  }
-  BenchReport report;
-  report.name = json::member(doc, "name", kWhat).str;
-  report.wall_seconds = json::member(doc, "wall_seconds", kWhat).num;
-  for (const auto& [metric, value] :
-       json::member(doc, "metrics", kWhat).members) {
-    report.metrics[metric] = value.num;
-  }
-  for (const json::Value& item :
-       json::member(doc, "throughput", kWhat).items) {
-    Throughput t;
-    t.name = json::member(item, "name", kWhat).str;
-    t.seconds_per_iteration =
-        json::member(item, "seconds_per_iteration", kWhat).num;
-    t.items_per_second = json::member(item, "items_per_second", kWhat).num;
-    report.throughput.push_back(std::move(t));
-  }
-  return report;
 }
 
 }  // namespace mtsched::obs

@@ -55,9 +55,6 @@ MetricsRegistry::Instrument& MetricsRegistry::find_or_create(
       case InstrumentType::Counter:
         inst.counter = std::make_unique<Counter>();
         break;
-      case InstrumentType::Gauge:
-        inst.gauge = std::make_unique<Gauge>();
-        break;
       case InstrumentType::Histogram:
         inst.histogram = std::make_unique<Histogram>();
         break;
@@ -73,10 +70,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *find_or_create(name, InstrumentType::Counter).counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  return *find_or_create(name, InstrumentType::Gauge).gauge;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   return *find_or_create(name, InstrumentType::Histogram).histogram;
 }
@@ -89,9 +82,6 @@ std::string MetricsRegistry::render() const {
     switch (inst.type) {
       case InstrumentType::Counter:
         t.add_row({name, "counter", std::to_string(inst.counter->value())});
-        break;
-      case InstrumentType::Gauge:
-        t.add_row({name, "gauge", core::fmt_roundtrip(inst.gauge->value())});
         break;
       case InstrumentType::Histogram: {
         const auto s = inst.histogram->summary();

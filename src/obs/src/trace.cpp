@@ -117,11 +117,6 @@ Track Tracer::track(std::string name) {
   return Track(this, &lanes_.back());
 }
 
-std::size_t Tracer::num_tracks() const {
-  std::lock_guard lock(registry_mutex_);
-  return lanes_.size();
-}
-
 std::size_t Tracer::num_events() const {
   std::size_t n = 0;
   std::lock_guard lock(registry_mutex_);

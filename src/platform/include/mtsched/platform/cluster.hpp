@@ -47,10 +47,8 @@ struct ClusterSpec {
   /// Speed of one node (reference speed when homogeneous).
   double flops_of(int node_id) const;
 
-  /// Aggregate, slowest and fastest speeds across the cluster.
+  /// Aggregate speed across the cluster.
   double total_flops() const;
-  double min_flops() const;
-  double max_flops() const;
 
   /// Throws core::InvalidArgument unless all fields are physical and the
   /// node count matches the topology's.

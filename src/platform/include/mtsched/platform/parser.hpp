@@ -46,11 +46,6 @@ inline constexpr int kMaxRacks = 65536;
 /// expansion on more than kMaxRacks racks or INT_MAX nodes.
 Topology parse_topology(const std::string& text);
 
-/// Serializes a topology to mtsched.platform.v1 (round-trips with
-/// parse_topology; runs of identical racks collapse into one section with
-/// a count).
-std::string to_text(const Topology& topo);
-
 /// Parses an mtsched.platform.v1 document into the ClusterSpec view over
 /// it (to_cluster(parse_topology(text))).
 ClusterSpec parse_platform(const std::string& text);

@@ -100,8 +100,6 @@ struct Topology {
   /// given).
   double flops_of(int node) const;
 
-  /// End-to-end latency of the route between two nodes (0 when a == b).
-  double route_latency(int a, int b) const;
   /// The largest route latency any node pair can see — what placement-
   /// blind estimators charge.
   double max_route_latency() const;

@@ -30,16 +30,6 @@ double ClusterSpec::total_flops() const {
   return sum;
 }
 
-double ClusterSpec::min_flops() const {
-  if (node_speeds.empty()) return node.flops;
-  return *std::min_element(node_speeds.begin(), node_speeds.end());
-}
-
-double ClusterSpec::max_flops() const {
-  if (node_speeds.empty()) return node.flops;
-  return *std::max_element(node_speeds.begin(), node_speeds.end());
-}
-
 void ClusterSpec::validate() const {
   MTSCHED_REQUIRE(num_nodes >= 1, "cluster needs at least one node");
   MTSCHED_REQUIRE(node.flops > 0.0, "node speed must be positive");

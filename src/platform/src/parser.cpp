@@ -201,40 +201,6 @@ Topology parse_topology(const std::string& text) {
   return topo;
 }
 
-std::string to_text(const Topology& topo) {
-  std::ostringstream os;
-  os.precision(17);
-  os << kPlatformSchema << '\n';
-  os << "name = " << topo.name << '\n';
-  os << "[core]\n";
-  os << "bandwidth = " << topo.core.bandwidth << '\n';
-  os << "latency = " << topo.core.latency << '\n';
-  os << "shared = " << (topo.core.shared ? "true" : "false") << '\n';
-  for (std::size_t i = 0; i < topo.racks.size();) {
-    const RackSpec& r = topo.racks[i];
-    std::size_t run = 1;
-    while (i + run < topo.racks.size() && topo.racks[i + run] == r) ++run;
-    os << "[rack]\n";
-    if (run > 1) os << "count = " << run << '\n';
-    os << "nodes = " << r.nodes << '\n';
-    os << "node_flops = " << r.node_flops << '\n';
-    os << "link_bandwidth = " << r.link_bandwidth << '\n';
-    os << "link_latency = " << r.link_latency << '\n';
-    os << "tor_bandwidth = " << r.tor_bandwidth << '\n';
-    os << "tor_latency = " << r.tor_latency << '\n';
-    os << "shared_tor = " << (r.shared_tor ? "true" : "false") << '\n';
-    os << "oversubscription = " << r.oversubscription << '\n';
-    os << "uplink_bandwidth = " << r.uplink_bandwidth << '\n';
-    if (!r.node_speeds.empty()) {
-      os << "node_speeds =";
-      for (double v : r.node_speeds) os << ' ' << v;
-      os << '\n';
-    }
-    i += run;
-  }
-  return os.str();
-}
-
 ClusterSpec parse_platform(const std::string& text) {
   return to_cluster(parse_topology(text));
 }

@@ -46,19 +46,6 @@ double Topology::flops_of(int node) const {
   return r.node_speeds[static_cast<std::size_t>(local)];
 }
 
-double Topology::route_latency(int a, int b) const {
-  if (a == b) return 0.0;
-  const auto ra = static_cast<std::size_t>(rack_of(a));
-  const auto rb = static_cast<std::size_t>(rack_of(b));
-  if (ra == rb) {
-    // Same expression as the star's route_latency(): a one-rack topology
-    // must reproduce the flat value bit for bit.
-    return 2.0 * racks[ra].link_latency + racks[ra].tor_latency;
-  }
-  return racks[ra].link_latency + racks[ra].tor_latency + core.latency +
-         racks[rb].tor_latency + racks[rb].link_latency;
-}
-
 double Topology::max_route_latency() const {
   double worst = 0.0;
   for (std::size_t a = 0; a < racks.size(); ++a) {

@@ -16,23 +16,10 @@ class BlockLayout1D {
   /// Throws core::InvalidArgument unless n >= 1 and 1 <= p <= n.
   BlockLayout1D(int n, int p);
 
-  int n() const { return n_; }
-  int p() const { return p_; }
-
   /// Half-open column interval [begin, end) owned by processor `rank`.
   std::pair<int, int> columns_of(int rank) const;
 
-  /// Number of columns owned by `rank`.
-  int num_columns(int rank) const;
-
-  /// Owner rank of column `col`.
-  int owner(int col) const;
-
-  /// Bytes owned by `rank` (columns * n rows * 8 bytes).
-  double bytes_of(int rank) const;
-
  private:
-  int n_;
   int p_;
   int base_;   ///< floor(n/p)
   int extra_;  ///< n mod p: first `extra_` ranks own base_+1 columns

@@ -36,13 +36,8 @@ struct RedistPlan {
   int p_dst = 0;
   std::vector<Message> messages;
 
-  /// Bytes source rank i sends (summed in list order).
-  double row_total(int i) const;
-  /// Bytes destination rank j receives (summed in list order).
-  double col_total(int j) const;
   /// Total payload (equals the full matrix size when layouts cover it).
   double total_bytes() const;
-  int num_messages() const { return static_cast<int>(messages.size()); }
 };
 
 /// Computes the redistribution plan for an n-by-n matrix moving from a
@@ -52,9 +47,5 @@ struct RedistPlan {
 /// are left to the consumer (the cluster model treats them as local
 /// copies).
 RedistPlan plan_block_redistribution(int n, int p_src, int p_dst);
-
-/// The overlap in *columns* between source rank i and destination rank j.
-int overlap_columns(const BlockLayout1D& src, const BlockLayout1D& dst, int i,
-                    int j);
 
 }  // namespace mtsched::redist

@@ -3,11 +3,10 @@
 #include <algorithm>
 
 #include "mtsched/core/error.hpp"
-#include "mtsched/core/units.hpp"
 
 namespace mtsched::redist {
 
-BlockLayout1D::BlockLayout1D(int n, int p) : n_(n), p_(p) {
+BlockLayout1D::BlockLayout1D(int n, int p) : p_(p) {
   MTSCHED_REQUIRE(n >= 1, "matrix dimension must be >= 1");
   MTSCHED_REQUIRE(p >= 1, "processor count must be >= 1");
   MTSCHED_REQUIRE(p <= n, "cannot give every processor at least one column");
@@ -25,24 +24,6 @@ std::pair<int, int> BlockLayout1D::columns_of(int rank) const {
   }
   const int len = rank < extra_ ? base_ + 1 : base_;
   return {begin, begin + len};
-}
-
-int BlockLayout1D::num_columns(int rank) const {
-  const auto [b, e] = columns_of(rank);
-  return e - b;
-}
-
-int BlockLayout1D::owner(int col) const {
-  MTSCHED_REQUIRE(col >= 0 && col < n_, "column out of range");
-  const int wide = base_ + 1;
-  const int boundary = extra_ * wide;
-  if (col < boundary) return col / wide;
-  return extra_ + (col - boundary) / base_;
-}
-
-double BlockLayout1D::bytes_of(int rank) const {
-  return static_cast<double>(num_columns(rank)) * static_cast<double>(n_) *
-         core::kElemBytes;
 }
 
 int interval_overlap(std::pair<int, int> a, std::pair<int, int> b) {

@@ -3,38 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "mtsched/core/error.hpp"
 #include "mtsched/core/units.hpp"
 
 namespace mtsched::redist {
-
-double RedistPlan::row_total(int i) const {
-  MTSCHED_REQUIRE(i >= 0 && i < p_src, "source rank out of range");
-  double s = 0.0;
-  for (const Message& m : messages)
-    if (m.src == i) s += m.bytes;
-  return s;
-}
-
-double RedistPlan::col_total(int j) const {
-  MTSCHED_REQUIRE(j >= 0 && j < p_dst, "destination rank out of range");
-  double s = 0.0;
-  for (const Message& m : messages)
-    if (m.dst == j) s += m.bytes;
-  return s;
-}
 
 double RedistPlan::total_bytes() const {
   double s = 0.0;
   for (const Message& m : messages) s += m.bytes;
   return s;
-}
-
-int overlap_columns(const BlockLayout1D& src, const BlockLayout1D& dst, int i,
-                    int j) {
-  MTSCHED_REQUIRE(src.n() == dst.n(),
-                  "layouts must describe the same matrix dimension");
-  return interval_overlap(src.columns_of(i), dst.columns_of(j));
 }
 
 RedistPlan plan_block_redistribution(int n, int p_src, int p_dst) {

@@ -115,13 +115,4 @@ class MaxParAllocator final : public Allocator {
 /// Factory by name ("CPA", "HCPA", "MCPA", "SEQ", "MAXPAR").
 std::unique_ptr<Allocator> make_allocator(const std::string& name);
 
-/// Diagnostics shared with tests: critical-path length and average area for
-/// a given allocation under a cost model.
-struct CpaMetrics {
-  double t_cp = 0.0;  ///< critical path length (computation only)
-  double t_a = 0.0;   ///< average area
-};
-CpaMetrics cpa_metrics(const dag::Dag& g, const SchedCost& cost,
-                       const std::vector<int>& alloc, int P);
-
 }  // namespace mtsched::sched

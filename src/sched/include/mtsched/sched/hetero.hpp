@@ -31,7 +31,6 @@ class VirtualCluster {
   /// (floor(total/reference), at least 1).
   int virtual_procs() const { return virtual_procs_; }
 
-  double reference_flops() const { return spec_.node.flops; }
   const platform::ClusterSpec& spec() const { return spec_; }
 
   /// Translates a virtual allocation into physical nodes, considering

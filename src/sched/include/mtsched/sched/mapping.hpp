@@ -65,15 +65,10 @@ class ListMapper {
   Schedule map(const dag::Dag& g, const std::vector<int>& alloc,
                const SchedCost& cost, int P) const;
 
-  MappingStrategy strategy() const { return strategy_; }
-
   /// The same-rack bonus weight in [0, 1): the uplink's share of the
   /// per-byte cross-rack path cost. 0 on star platforms (and whenever no
   /// platform was given).
   double rack_sigma() const { return sigma_; }
-  /// Rack of processor `pr` (0 when no platform/topology was given).
-  int rack_of(int pr) const;
-  int num_racks() const { return num_racks_; }
 
  private:
   MappingStrategy strategy_;

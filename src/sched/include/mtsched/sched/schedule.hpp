@@ -29,7 +29,6 @@ struct Schedule {
   std::vector<std::vector<dag::TaskId>> proc_order;  ///< per node id
   double est_makespan = 0.0;
 
-  int num_procs() const { return static_cast<int>(proc_order.size()); }
   const TaskPlacement& placement(dag::TaskId t) const;
 
   /// Allocation sizes per task (convenience).

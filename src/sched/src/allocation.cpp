@@ -21,18 +21,6 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-/// Per-task times under the current allocation (arena-scratch backed).
-std::span<double> task_times(const dag::Dag& g, const SchedCost& cost,
-                             const std::vector<int>& alloc,
-                             core::Arena& arena) {
-  auto tau = arena.make_span<double>(g.num_tasks());
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    tau[t] = cost.task_time(g.task(t), alloc[t]);
-    MTSCHED_INVARIANT(tau[t] > 0.0, "task time must be positive");
-  }
-  return tau;
-}
-
 /// Top/bottom levels with zero edge weights (classic CPA uses computation
 /// times only during allocation), stored by topological position.
 ///
@@ -144,15 +132,6 @@ class LevelTracker {
   double t_cp_ = 0.0;
 };
 
-double average_area(const dag::Dag& g, const SchedCost& cost,
-                    const std::vector<int>& alloc, int P) {
-  double area = 0.0;
-  for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    area += static_cast<double>(alloc[t]) * cost.task_time(g.task(t), alloc[t]);
-  }
-  return area / static_cast<double>(P);
-}
-
 /// The three algorithms differ only in their growth gate:
 /// `may_grow(t, new_p)` must be a pure predicate, and `on_grow(t)` is
 /// invoked once per actual growth. Both are template parameters, so the
@@ -246,19 +225,6 @@ std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
 }
 
 }  // namespace
-
-CpaMetrics cpa_metrics(const dag::Dag& g, const SchedCost& cost,
-                       const std::vector<int>& alloc, int P) {
-  MTSCHED_REQUIRE(alloc.size() == g.num_tasks(),
-                  "allocation vector size mismatch");
-  core::ArenaScope scratch(core::scratch_arena());
-  const auto tau = task_times(g, cost, alloc, scratch.arena());
-  const LevelTracker lv(g, tau, scratch.arena());
-  CpaMetrics m;
-  m.t_cp = lv.t_cp();
-  m.t_a = average_area(g, cost, alloc, P);
-  return m;
-}
 
 std::vector<int> CpaAllocator::allocate(const dag::Dag& g,
                                         const SchedCost& cost, int P) const {

@@ -28,10 +28,8 @@ namespace mtsched::sched::detail {
 
 /// Computation-only bottom levels (bl[t] = tau[t] + max bl over
 /// successors), evaluated over the Dag's cached topological order and CSR
-/// adjacency. Successors are folded in the same per-task order as
-/// Dag::successors(), so every max chain sees identical operands in
-/// identical order as the adjacency-list walk it replaces. The result
-/// lives in the caller's arena scope.
+/// adjacency, successors folded in edge insertion order. The result lives
+/// in the caller's arena scope.
 inline std::span<double> bottom_levels(const dag::Dag& g,
                                        std::span<const double> tau,
                                        core::Arena& arena) {

@@ -62,14 +62,6 @@ ListMapper::ListMapper(MappingStrategy strategy,
   }
 }
 
-int ListMapper::rack_of(int pr) const {
-  MTSCHED_REQUIRE(pr >= 0, "processor out of range");
-  if (rack_of_.empty()) return 0;
-  MTSCHED_REQUIRE(pr < static_cast<int>(rack_of_.size()),
-                  "processor out of range");
-  return rack_of_[static_cast<std::size_t>(pr)];
-}
-
 Schedule ListMapper::map(const dag::Dag& g, const std::vector<int>& alloc,
                          const SchedCost& cost, int P) const {
   const obs::Span obs_span(

@@ -47,14 +47,12 @@ class Simulator {
 
   /// Simulates `plan` on `runner`; the trace is the runner's, valid until
   /// its next run(). Throws core::InvalidArgument when the plan was
-  /// compiled for a platform other than model().spec().
+  /// compiled for a platform other than the model's spec().
   sched::RunTrace& run(simcore::ReplayRunner& runner,
                        const simcore::ReplayPlan& plan) const;
 
   /// Convenience: simulated makespan only.
   double makespan(const dag::Dag& g, const sched::Schedule& s) const;
-
-  const models::CostModel& model() const { return model_; }
 
  private:
   const models::CostModel& model_;

@@ -81,22 +81,6 @@ class ClusterSim {
   ClusterSim(Engine& engine, const platform::ClusterSpec& spec);
 
   const platform::ClusterSpec& spec() const { return spec_; }
-  Engine& engine() { return engine_; }
-
-  ResourceId cpu(int node) const;
-  ResourceId uplink(int node) const;
-  ResourceId downlink(int node) const;
-  /// Rack owning `node`.
-  int rack_of(int node) const;
-  /// The rack's shared ToR fabric (a star's switch); only valid when the
-  /// rack's ToR is shared (throws otherwise).
-  ResourceId tor(int rack) const;
-  /// The rack's core uplink / downlink resources (multi-rack only).
-  ResourceId rack_uplink(int rack) const;
-  ResourceId rack_downlink(int rack) const;
-  /// True when a multi-rack platform's core fabric is shared.
-  bool has_core() const;
-  ResourceId core_switch() const;
 
   /// Submits a parallel task; `on_complete` fires when all of its
   /// computation and communication has finished. Returns the activity id.
@@ -119,10 +103,6 @@ class ClusterSim {
   double redistribution_usage(int n, std::span<const int> src_nodes,
                               std::span<const int> dst_nodes,
                               std::vector<Use>& pool);
-
-  /// The duration the ptask would take if it ran alone on the cluster
-  /// (bottleneck formula + latency). Useful for cost estimation.
-  double solo_duration(const Ptask& task);
 
  private:
   void charge(ResourceId r, double w);

@@ -42,10 +42,8 @@
 //     indexed and only touched at submit/transition/completion; a copied
 //     usage list is bump-allocated from the engine's core::Arena, a
 //     borrowed one (submit_borrowed) is referenced where it lives.
-//   * Names are lazy: resources carry a (kind, index) ResourceTag and
-//     activities a (kind, index) Tag; strings are formatted only when a
-//     trace track is attached (activities, through the namer) or when
-//     resource_name() is asked.
+//   * Names are lazy: activities carry a (kind, index) Tag; strings are
+//     formatted only when a trace track is attached (through the namer).
 // reset() rewinds the clock and drops every activity but keeps the
 // resources and every buffer's capacity, so an engine replayed again and
 // again (a simcore::ReplayRunner) runs with no steady-state heap allocation.
@@ -57,7 +55,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,14 +72,6 @@ using ActivityId = std::uint64_t;
 /// Called when an activity completes; receives the completion time.
 using CompletionFn = std::function<void(double now)>;
 
-/// Names a resource without storing a string: `kind` (static storage),
-/// followed by `index` in decimal when it is >= 0 ("cpu" 3 -> "cpu3").
-struct ResourceTag {
-  ResourceTag(const char* k = nullptr, int i = -1) : kind(k), index(i) {}
-  const char* kind;
-  int index;
-};
-
 /// Names an activity in traces. The engine only stores it; the namer
 /// (Engine::set_namer) turns it into a string, and only when a trace track
 /// is attached. Kind 0 is an unnamed activity ("activity#<id>").
@@ -95,16 +84,12 @@ using Namer = std::function<std::string(Tag)>;
 class Engine {
  public:
   /// Captures the calling thread's ambient obs context: activity
-  /// state-transition and reshare events go to obs::current_track()
-  /// (override with set_trace), event/reshare totals to
-  /// obs::current_metrics(). Both default to disabled, which costs one
-  /// branch per emission site.
+  /// state-transition and reshare events go to obs::current_track(),
+  /// event/reshare totals to obs::current_metrics(). Both default to
+  /// disabled, which costs one branch per emission site.
   Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Redirects trace events to `t` (pass {} to silence them).
-  void set_trace(obs::Track t) { trace_ = t; }
 
   /// Formats activity tags into trace names (see Tag).
   void set_namer(Namer namer) { namer_ = std::move(namer); }
@@ -115,12 +100,10 @@ class Engine {
   void reset();
 
   /// Registers a resource with the given positive capacity.
-  ResourceId add_resource(double capacity, ResourceTag tag = {});
+  ResourceId add_resource(double capacity);
 
   std::size_t num_resources() const { return capacities_.size(); }
   double capacity(ResourceId r) const;
-  /// The tag's name; "res<id>" for an untagged resource.
-  std::string resource_name(ResourceId r) const;
 
   /// Submits an activity. `uses` lists resource usage weights (all > 0),
   /// `amount` is the work in the same units as the weights' numerators
@@ -129,11 +112,6 @@ class Engine {
   /// copied into the engine's pool.
   ActivityId submit(std::span<const Use> uses, double amount, double delay,
                     CompletionFn on_complete, Tag tag = {});
-  ActivityId submit(std::initializer_list<Use> uses, double amount,
-                    double delay, CompletionFn on_complete, Tag tag = {}) {
-    return submit(std::span<const Use>(uses.begin(), uses.size()), amount,
-                  delay, std::move(on_complete), tag);
-  }
 
   /// Like submit, but the engine refers to `uses` instead of copying them:
   /// they must stay valid and unchanged until the activity completes or
@@ -157,16 +135,8 @@ class Engine {
   std::size_t num_active() const { return live_; }
   std::uint64_t events_processed() const { return events_; }
 
-  /// Instantaneous max-min rate of an active activity (for tests; infinite
-  /// for activities without resource usage, 0 while in the delay phase).
-  double current_rate(ActivityId id) const;
-
   /// Total units consumed on a resource so far (flops or bytes).
   double resource_usage(ResourceId r) const;
-
-  /// Time-average utilization of a resource over [0, now]: consumed units
-  /// divided by capacity * now. Zero when no time has passed.
-  double utilization(ResourceId r) const;
 
  private:
   /// Reshare bookkeeping at the head of a step: emits the reshare
@@ -198,7 +168,6 @@ class Engine {
   std::uint64_t events_ = 0;
   std::vector<double> capacities_;
   std::vector<double> usage_;
-  std::vector<ResourceTag> resource_tags_;
 
   /// Bump arena backing copied usage lists and the solver's CSR build;
   /// rewound by reset().

@@ -8,7 +8,6 @@
 // jobs without heap allocation.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "mtsched/simcore/engine.hpp"
@@ -24,24 +23,16 @@ class FifoServer {
   /// finishes service (arrival order is service order).
   void enqueue(double service_time, CompletionFn done);
 
-  /// Drops every job and the statistics; pair with Engine::reset().
+  /// Drops every job; pair with Engine::reset().
   void reset();
-
-  std::size_t queue_length() const { return queue_.size() - head_; }
-  bool busy() const { return busy_; }
-  std::uint64_t jobs_served() const { return served_; }
-
-  /// Total time jobs spent waiting before service began (queueing delay).
-  double total_wait_time() const { return total_wait_; }
 
  private:
   struct Job {
     double service_time;
-    double arrival;
     CompletionFn done;
   };
 
-  void start_next(double now);
+  void start_next();
   void finish_service(double now);
 
   Engine& engine_;
@@ -50,8 +41,6 @@ class FifoServer {
   std::size_t head_ = 0;
   CompletionFn in_service_;  ///< `done` of the job being served
   bool busy_ = false;
-  std::uint64_t served_ = 0;
-  double total_wait_ = 0.0;
 };
 
 }  // namespace mtsched::simcore

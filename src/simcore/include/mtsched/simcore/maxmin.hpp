@@ -10,7 +10,7 @@
 //
 // Two entry points share the algorithm:
 //   * solve_max_min() — one-shot, validating, allocates its own workspace.
-//     Kept for tests and ad-hoc callers.
+//     Used by tests and the solver micro-bench.
 //   * MaxMinSolver — the engine's hot path. The primary overload takes the
 //     usage lists as one CSR view (offsets + flat resource/weight arrays):
 //     the free-capacity sweep and the binding/freeze relaxation then
@@ -93,11 +93,5 @@ class MaxMinSolver {
 /// std::numeric_limits<double>::infinity(). Throws core::InvalidArgument on
 /// non-positive capacities or weights, or out-of-range resource indices.
 std::vector<double> solve_max_min(const MaxMinProblem& problem);
-
-/// Verifies a rate vector against the problem: no capacity exceeded (up to
-/// `tol` relative slack) and every activity with usage has a finite positive
-/// rate. Used by tests and available for debugging.
-bool feasible(const MaxMinProblem& problem, const std::vector<double>& rates,
-              double tol = 1e-9);
 
 }  // namespace mtsched::simcore

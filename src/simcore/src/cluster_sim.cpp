@@ -44,29 +44,25 @@ ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
   for (std::size_t r = 0; r < racks; ++r) {
     const platform::RackSpec& rk = topo.racks[r];
     for (int k = 0; k < rk.nodes; ++k, ++node) {
-      cpus_.push_back(
-          engine_.add_resource(spec_.flops_of(node), {"cpu", node}));
-      up_.push_back(engine_.add_resource(rk.link_bandwidth, {"up", node}));
-      down_.push_back(engine_.add_resource(rk.link_bandwidth, {"down", node}));
+      cpus_.push_back(engine_.add_resource(spec_.flops_of(node)));
+      up_.push_back(engine_.add_resource(rk.link_bandwidth));
+      down_.push_back(engine_.add_resource(rk.link_bandwidth));
       rack_of_.push_back(static_cast<int>(r));
     }
-    const int rack = static_cast<int>(r);
-    tor_.push_back(rk.shared_tor
-                       ? engine_.add_resource(rk.tor_bandwidth, {"tor", rack})
-                       : static_cast<ResourceId>(-1));
+    tor_.push_back(rk.shared_tor ? engine_.add_resource(rk.tor_bandwidth)
+                                 : static_cast<ResourceId>(-1));
     if (racks > 1) {
-      torup_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth(),
-                                            {"torup", rack}));
-      tordown_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth(),
-                                              {"tordown", rack}));
+      torup_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth()));
+      tordown_.push_back(
+          engine_.add_resource(rk.effective_uplink_bandwidth()));
     }
   }
   has_core_ = racks > 1 && topo.core.shared;
   if (has_core_) {
-    core_ = engine_.add_resource(topo.core.bandwidth, "core");
+    core_ = engine_.add_resource(topo.core.bandwidth);
   }
-  // Precompute per-rack-pair route latencies (same expressions as
-  // Topology::route_latency, hoisted out of build_uses).
+  // Precompute per-rack-pair route latencies: two links and the ToR
+  // within a rack; link, ToR, core, ToR and link across racks.
   rack_lat_.assign(racks * racks, 0.0);
   for (std::size_t a = 0; a < racks; ++a) {
     for (std::size_t b = 0; b < racks; ++b) {
@@ -78,55 +74,6 @@ ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
     }
   }
   weight_.assign(engine_.num_resources(), 0.0);
-}
-
-ResourceId ClusterSim::cpu(int node) const {
-  MTSCHED_REQUIRE(node >= 0 && node < spec_.num_nodes, "node out of range");
-  return cpus_[static_cast<std::size_t>(node)];
-}
-
-ResourceId ClusterSim::uplink(int node) const {
-  MTSCHED_REQUIRE(node >= 0 && node < spec_.num_nodes, "node out of range");
-  return up_[static_cast<std::size_t>(node)];
-}
-
-ResourceId ClusterSim::downlink(int node) const {
-  MTSCHED_REQUIRE(node >= 0 && node < spec_.num_nodes, "node out of range");
-  return down_[static_cast<std::size_t>(node)];
-}
-
-int ClusterSim::rack_of(int node) const {
-  MTSCHED_REQUIRE(node >= 0 && node < spec_.num_nodes, "node out of range");
-  return rack_of_[static_cast<std::size_t>(node)];
-}
-
-ResourceId ClusterSim::tor(int rack) const {
-  MTSCHED_REQUIRE(rack >= 0 && rack < static_cast<int>(tor_.size()),
-                  "rack out of range");
-  const ResourceId id = tor_[static_cast<std::size_t>(rack)];
-  MTSCHED_REQUIRE(id != static_cast<ResourceId>(-1),
-                  "rack has a non-blocking ToR (no fabric resource)");
-  return id;
-}
-
-ResourceId ClusterSim::rack_uplink(int rack) const {
-  MTSCHED_REQUIRE(rack >= 0 && rack < static_cast<int>(torup_.size()),
-                  "no such rack uplink (one-rack platforms have none)");
-  return torup_[static_cast<std::size_t>(rack)];
-}
-
-ResourceId ClusterSim::rack_downlink(int rack) const {
-  MTSCHED_REQUIRE(rack >= 0 && rack < static_cast<int>(tordown_.size()),
-                  "no such rack downlink (one-rack platforms have none)");
-  return tordown_[static_cast<std::size_t>(rack)];
-}
-
-bool ClusterSim::has_core() const { return has_core_; }
-
-ResourceId ClusterSim::core_switch() const {
-  MTSCHED_REQUIRE(has_core_,
-                  "platform has a non-blocking core (no fabric resource)");
-  return core_;
 }
 
 void ClusterSim::charge(ResourceId r, double w) {
@@ -244,15 +191,6 @@ ActivityId ClusterSim::submit_ptask(const Ptask& task,
   // Empty usage (zero flops, zero bytes) degenerates to an instant timer.
   const double amount = uses.empty() ? 0.0 : 1.0;
   return engine_.submit(uses, amount, latency, std::move(on_complete), tag);
-}
-
-double ClusterSim::solo_duration(const Ptask& task) {
-  const auto [uses, latency] = usage(task);
-  double bottleneck = 0.0;
-  for (const auto& u : uses) {
-    bottleneck = std::max(bottleneck, u.weight / engine_.capacity(u.resource));
-  }
-  return bottleneck + latency;
 }
 
 }  // namespace mtsched::simcore

@@ -79,26 +79,16 @@ void Engine::trace_state(std::uint32_t slot, const char* state) {
                  {{"state", state}, {"vt", core::fmt_roundtrip(now_)}});
 }
 
-ResourceId Engine::add_resource(double capacity, ResourceTag tag) {
+ResourceId Engine::add_resource(double capacity) {
   MTSCHED_REQUIRE(capacity > 0.0, "resource capacity must be positive");
   capacities_.push_back(capacity);
   usage_.push_back(0.0);
-  resource_tags_.push_back(tag);
   return capacities_.size() - 1;
 }
 
 double Engine::capacity(ResourceId r) const {
   MTSCHED_REQUIRE(r < capacities_.size(), "unknown resource");
   return capacities_[r];
-}
-
-std::string Engine::resource_name(ResourceId r) const {
-  MTSCHED_REQUIRE(r < resource_tags_.size(), "unknown resource");
-  const ResourceTag& tag = resource_tags_[r];
-  if (tag.kind == nullptr) return "res" + std::to_string(r);
-  std::string name = tag.kind;
-  if (tag.index >= 0) name += std::to_string(tag.index);
-  return name;
 }
 
 ActivityId Engine::submit(std::span<const Use> uses, double amount,
@@ -503,41 +493,6 @@ void Engine::run(std::uint64_t max_events) {
 double Engine::resource_usage(ResourceId r) const {
   MTSCHED_REQUIRE(r < usage_.size(), "unknown resource");
   return usage_[r];
-}
-
-double Engine::utilization(ResourceId r) const {
-  MTSCHED_REQUIRE(r < usage_.size(), "unknown resource");
-  if (now_ <= 0.0) return 0.0;
-  return usage_[r] / (capacities_[r] * now_);
-}
-
-double Engine::current_rate(ActivityId id) const {
-  bool in_latency = false;
-  bool found = false;
-  std::size_t work_idx = 0;
-  for (std::size_t i = 0; i < pend_slot_.size() && !found; ++i) {
-    if (slot_id_[pend_slot_[i]] == id) {
-      in_latency = true;
-      found = true;
-    }
-  }
-  for (std::size_t i = d_head_; i < d_slot_.size() && !found; ++i) {
-    if (slot_id_[d_slot_[i]] == id) {
-      in_latency = true;
-      found = true;
-    }
-  }
-  if (!found) {
-    const auto it = std::lower_bound(w_id_.begin(), w_id_.end(), id);
-    if (it != w_id_.end() && *it == id) {
-      work_idx = static_cast<std::size_t>(it - w_id_.begin());
-      found = true;
-    }
-  }
-  MTSCHED_REQUIRE(found, "activity is not active");
-  MTSCHED_REQUIRE(!rates_dirty_, "rates not computed yet; call step() first");
-  if (in_latency) return 0.0;
-  return w_len_[work_idx] == 0 ? kInf : w_rate_[work_idx];
 }
 
 }  // namespace mtsched::simcore

@@ -9,8 +9,8 @@ FifoServer::FifoServer(Engine& engine, Tag job_tag)
 
 void FifoServer::enqueue(double service_time, CompletionFn done) {
   MTSCHED_REQUIRE(service_time >= 0.0, "service time must be >= 0");
-  queue_.push_back(Job{service_time, engine_.now(), std::move(done)});
-  if (!busy_) start_next(engine_.now());
+  queue_.push_back(Job{service_time, std::move(done)});
+  if (!busy_) start_next();
 }
 
 void FifoServer::reset() {
@@ -18,11 +18,9 @@ void FifoServer::reset() {
   head_ = 0;
   in_service_ = nullptr;
   busy_ = false;
-  served_ = 0;
-  total_wait_ = 0.0;
 }
 
-void FifoServer::start_next(double now) {
+void FifoServer::start_next() {
   if (head_ == queue_.size()) {
     queue_.clear();  // keeps the capacity
     head_ = 0;
@@ -31,19 +29,17 @@ void FifoServer::start_next(double now) {
   }
   busy_ = true;
   Job& job = queue_[head_++];
-  total_wait_ += now - job.arrival;
   in_service_ = std::move(job.done);
   engine_.submit_timer(
       job.service_time, [this](double t) { finish_service(t); }, job_tag_);
 }
 
 void FifoServer::finish_service(double now) {
-  ++served_;
   // Moved out first: `done` may enqueue, which must not see it in service.
   const CompletionFn done = std::move(in_service_);
   in_service_ = nullptr;
   if (done) done(now);
-  start_next(now);
+  start_next();
 }
 
 }  // namespace mtsched::simcore

@@ -1,7 +1,6 @@
 #include "mtsched/simcore/maxmin.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "mtsched/core/error.hpp"
@@ -131,23 +130,6 @@ std::vector<double> solve_max_min(const MaxMinProblem& problem) {
   std::vector<double> rates;
   solver.solve(problem.capacities, views, rates);
   return rates;
-}
-
-bool feasible(const MaxMinProblem& problem, const std::vector<double>& rates,
-              double tol) {
-  if (rates.size() != problem.activities.size()) return false;
-  std::vector<double> usage(problem.capacities.size(), 0.0);
-  for (std::size_t i = 0; i < problem.activities.size(); ++i) {
-    const auto& uses = problem.activities[i];
-    if (!uses.empty()) {
-      if (!(rates[i] > 0.0) || std::isinf(rates[i])) return false;
-      for (const auto& u : uses) usage[u.resource] += u.weight * rates[i];
-    }
-  }
-  for (std::size_t r = 0; r < usage.size(); ++r) {
-    if (usage[r] > problem.capacities[r] * (1.0 + tol)) return false;
-  }
-  return true;
 }
 
 }  // namespace mtsched::simcore

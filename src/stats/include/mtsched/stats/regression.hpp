@@ -62,11 +62,4 @@ struct PiecewiseFit {
   std::string describe() const;
 };
 
-/// Fits the piecewise model from (p, y) samples: points with p <= split feed
-/// the hyperbolic branch, points with p > split feed the linear branch. The
-/// hyperbolic branch requires >= 2 points; the linear branch is optional
-/// (pure-hyperbolic models are used for matrix addition in the paper).
-PiecewiseFit fit_piecewise(const std::vector<double>& p,
-                           const std::vector<double>& y, int split = 16);
-
 }  // namespace mtsched::stats

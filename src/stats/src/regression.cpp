@@ -147,30 +147,4 @@ std::string PiecewiseFit::describe() const {
   return os.str();
 }
 
-PiecewiseFit fit_piecewise(const std::vector<double>& p,
-                           const std::vector<double>& y, int split) {
-  MTSCHED_REQUIRE(p.size() == y.size(), "p/y size mismatch");
-  std::vector<double> ps, ys, pl, yl;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    MTSCHED_REQUIRE(p[i] >= 1.0, "processor count must be >= 1");
-    if (p[i] <= static_cast<double>(split)) {
-      ps.push_back(p[i]);
-      ys.push_back(y[i]);
-    } else {
-      pl.push_back(p[i]);
-      yl.push_back(y[i]);
-    }
-  }
-  MTSCHED_REQUIRE(ps.size() >= 2,
-                  "piecewise fit needs >= 2 points at or below the split");
-  PiecewiseFit pw;
-  pw.split = split;
-  pw.small_p = fit_hyperbolic(ps, ys);
-  if (pl.size() >= 2) {
-    pw.large_p = fit_linear(pl, yl);
-    pw.has_large = true;
-  }
-  return pw;
-}
-
 }  // namespace mtsched::stats

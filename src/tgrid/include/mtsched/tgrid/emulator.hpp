@@ -89,7 +89,6 @@ class TGridEmulator {
                                  std::uint64_t seed) const;
 
   const platform::ClusterSpec& spec() const { return spec_; }
-  const machine::MachineModel& machine_model() const { return machine_; }
 
  private:
   const machine::MachineModel& machine_;

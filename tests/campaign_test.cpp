@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <sstream>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
@@ -43,6 +45,55 @@ exp::SuiteSpec mini_suite(std::uint64_t suite_seed = 7) {
     suite.dags.push_back(dag::generate_random_dag(p));
   }
   return suite;
+}
+
+/// The inverse of exp::to_csv, the oracle of the CSV round trip: every
+/// field except the derived sim_error_percent. Throws core::ParseError on
+/// a missing header, a wrong field count or a malformed number.
+std::vector<std::string> split_csv(const std::string& line, char sep) {
+  std::vector<std::string> out;
+  std::string item;
+  std::istringstream is(line);
+  while (std::getline(is, item, sep)) out.push_back(item);
+  return out;
+}
+
+template <typename T>
+T parse_csv_number(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || p != end) {
+    throw core::ParseError("campaign CSV: bad number '" + s + "'");
+  }
+  return v;
+}
+
+std::vector<exp::RunRecord> parse_campaign_csv(const std::string& csv) {
+  std::istringstream is(csv);
+  std::string line;
+  if (!std::getline(is, line) || line + '\n' != exp::to_csv({})) {
+    throw core::ParseError("campaign CSV: missing or unexpected header");
+  }
+  std::vector<exp::RunRecord> out;
+  while (std::getline(is, line)) {
+    const auto f = split_csv(line, ',');
+    if (f.size() != 11) throw core::ParseError("campaign CSV: field count");
+    exp::RunRecord& r = out.emplace_back();
+    r.suite_seed = parse_csv_number<std::uint64_t>(f[0]);
+    r.dag = f[1];
+    r.matrix_dim = parse_csv_number<int>(f[2]);
+    r.model = f[3];
+    r.algorithm = f[4];
+    r.exp_seed = parse_csv_number<std::uint64_t>(f[5]);
+    r.run_seed = parse_csv_number<std::uint64_t>(f[6]);
+    for (const auto& p : split_csv(f[7], '|')) {
+      r.allocation.push_back(parse_csv_number<int>(p));
+    }
+    r.makespan_sim = parse_csv_number<double>(f[8]);
+    r.makespan_exp = parse_csv_number<double>(f[9]);
+  }
+  return out;
 }
 
 exp::CampaignSpec mini_spec() {
@@ -192,7 +243,7 @@ TEST(Campaign, CsvRoundTripsThroughTheStatsSummary) {
   spec.exp_seeds = {42, 43};
   const auto result = exp::Campaign(lab().rig()).run(spec);
 
-  const auto parsed = exp::parse_campaign_csv(exp::to_csv(result.records));
+  const auto parsed = parse_campaign_csv(exp::to_csv(result.records));
   ASSERT_EQ(parsed.size(), result.records.size());
 
   const auto makespans = [](const std::vector<exp::RunRecord>& rs) {
@@ -225,15 +276,15 @@ TEST(Campaign, CsvRoundTripsThroughTheStatsSummary) {
 }
 
 TEST(Campaign, CsvParserRejectsMalformedInput) {
-  EXPECT_THROW(exp::parse_campaign_csv(""), core::ParseError);
-  EXPECT_THROW(exp::parse_campaign_csv("wrong,header\n"), core::ParseError);
+  EXPECT_THROW(parse_campaign_csv(""), core::ParseError);
+  EXPECT_THROW(parse_campaign_csv("wrong,header\n"), core::ParseError);
   const std::string header =
       "suite_seed,dag,dim,model,algorithm,exp_seed,run_seed,allocation,"
       "makespan_sim,makespan_exp,sim_error_percent\n";
-  EXPECT_THROW(exp::parse_campaign_csv(header + "1,d,2000\n"),
+  EXPECT_THROW(parse_campaign_csv(header + "1,d,2000\n"),
                core::ParseError);
   EXPECT_THROW(
-      exp::parse_campaign_csv(header +
+      parse_campaign_csv(header +
                               "1,d,2000,m,a,42,43,1|x,1.0,2.0,100\n"),
       core::ParseError);
 }

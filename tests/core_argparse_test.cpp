@@ -32,7 +32,6 @@ TEST(ArgParser, DefaultsApplyWhenNotGiven) {
   EXPECT_EQ(args.uint64("seed"), 42u);
   EXPECT_DOUBLE_EQ(args.number("ratio"), 0.5);
   EXPECT_FALSE(args.flag("verbose"));
-  EXPECT_FALSE(args.given("name"));
   EXPECT_FALSE(args.help_requested());
 }
 
@@ -45,8 +44,6 @@ TEST(ArgParser, ParsesBothValueSyntaxes) {
   EXPECT_EQ(args.uint64("seed"), 9u);
   EXPECT_DOUBLE_EQ(args.number("ratio"), 0.25);
   EXPECT_TRUE(args.flag("verbose"));
-  EXPECT_TRUE(args.given("name"));
-  EXPECT_TRUE(args.given("verbose"));
 }
 
 TEST(ArgParser, RejectsUnknownOptionListingValidOnes) {
@@ -134,7 +131,6 @@ TEST(ArgParser, PositionalsFillInDeclarationOrder) {
   EXPECT_EQ(args.str("a"), "first.json");
   EXPECT_EQ(args.str("b"), "second.json");
   EXPECT_DOUBLE_EQ(args.number("threshold"), 5.0);
-  EXPECT_TRUE(args.given("a"));
 }
 
 TEST(ArgParser, MissingPositionalIsAnError) {

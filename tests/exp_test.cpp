@@ -40,7 +40,8 @@ std::vector<dag::GeneratedDag> mini_suite() {
 TEST(Lab, WiresAllThreeModels) {
   EXPECT_EQ(lab().analytical().kind(), models::CostModelKind::Analytical);
   EXPECT_EQ(lab().profile().kind(), models::CostModelKind::Profile);
-  EXPECT_EQ(lab().empirical().kind(), models::CostModelKind::Empirical);
+  EXPECT_EQ(lab().model(models::CostModelKind::Empirical).kind(),
+            models::CostModelKind::Empirical);
   EXPECT_EQ(&lab().model(models::CostModelKind::Profile), &lab().profile());
   EXPECT_EQ(lab().spec().num_nodes, 32);
 }

@@ -22,12 +22,16 @@
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/tgrid/emulator.hpp"
 
+#include "platform_util.hpp"
+
 namespace {
 
 using namespace mtsched;
 using namespace mtsched::platform;
 using mtsched::core::InvalidArgument;
 using mtsched::sched::VirtualCluster;
+using mtsched::test_util::solo_duration;
+using mtsched::test_util::to_text;
 
 ClusterSpec skewed4() {
   RackSpec rack = bayreuth32().topology().racks.front();
@@ -43,8 +47,10 @@ TEST(HeteroSpec, AccessorsAndValidation) {
   EXPECT_DOUBLE_EQ(c.flops_of(0), 200.0);
   EXPECT_DOUBLE_EQ(c.flops_of(3), 50.0);
   EXPECT_DOUBLE_EQ(c.total_flops(), 450.0);
-  EXPECT_DOUBLE_EQ(c.min_flops(), 50.0);
-  EXPECT_DOUBLE_EQ(c.max_flops(), 200.0);
+  EXPECT_EQ(*std::min_element(c.node_speeds.begin(), c.node_speeds.end()),
+            50.0);
+  EXPECT_EQ(*std::max_element(c.node_speeds.begin(), c.node_speeds.end()),
+            200.0);
   EXPECT_NO_THROW(c.validate());
 
   auto bad = skewed4();
@@ -60,7 +66,6 @@ TEST(HeteroSpec, HomogeneousDefaults) {
   EXPECT_FALSE(c.heterogeneous());
   EXPECT_DOUBLE_EQ(c.flops_of(5), c.node.flops);
   EXPECT_DOUBLE_EQ(c.total_flops(), 32.0 * 250e6);
-  EXPECT_DOUBLE_EQ(c.min_flops(), c.max_flops());
 }
 
 TEST(HeteroSpec, GeneratorProducesSeededSpeeds) {
@@ -69,8 +74,10 @@ TEST(HeteroSpec, GeneratorProducesSeededSpeeds) {
   const auto c = heterogeneous_cluster(16, 100e6, 400e6, 8);
   EXPECT_EQ(a.node_speeds, b.node_speeds);
   EXPECT_NE(a.node_speeds, c.node_speeds);
-  EXPECT_GE(a.min_flops(), 100e6);
-  EXPECT_LE(a.max_flops(), 400e6);
+  for (double s : a.node_speeds) {
+    EXPECT_GE(s, 100e6);
+    EXPECT_LE(s, 400e6);
+  }
   // Reference speed is the mean.
   EXPECT_NEAR(a.node.flops, a.total_flops() / 16.0, 1e-6);
 }
@@ -98,7 +105,7 @@ TEST(HeteroSimcore, PtaskBoundBySlowestCpu) {
   simcore::Ptask t;
   t.host_of_rank = {0, 3};       // 200 and 50 flop/s
   t.flops = {100.0, 100.0};      // equal 1-D shares
-  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 2.0);  // 100 / 50
+  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 2.0);  // 100 / 50
 }
 
 TEST(VirtualCluster, SizesFromAggregateSpeed) {
@@ -169,11 +176,13 @@ sched::Schedule reference_hetero_map(const ClusterSpec& spec,
   for (dag::TaskId t = 0; t < n; ++t) {
     tau[t] = cost.task_time(g.task(t), valloc[t]);
   }
+  std::vector<std::vector<dag::TaskId>> succs(n);
+  for (const dag::Edge& e : g.edges()) succs[e.src].push_back(e.dst);
   const auto topo = g.topological_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const dag::TaskId t = *it;
     bl[t] = tau[t];
-    for (dag::TaskId s : g.successors(t)) {
+    for (dag::TaskId s : succs[t]) {
       bl[t] = std::max(bl[t], tau[t] + bl[s]);
     }
   }
@@ -248,7 +257,8 @@ TEST(HeteroMapper, Table1SuiteSliceMatchesScalarReference) {
   // The second platform takes its slowest node as the reference speed,
   // so it has more virtual processors than physical nodes.
   auto slow_ref = heterogeneous_cluster(8, 100e6, 400e6, 5);
-  slow_ref.node.flops = slow_ref.min_flops();
+  slow_ref.node.flops = *std::min_element(slow_ref.node_speeds.begin(),
+                                          slow_ref.node_speeds.end());
   ASSERT_GT(VirtualCluster(slow_ref).virtual_procs(), slow_ref.num_nodes);
   // The lab's models answer for p = 1..32.
   const models::SchedCostAdapter analytical_cost(

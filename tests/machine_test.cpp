@@ -16,8 +16,8 @@ using mtsched::dag::TaskKernel;
 using mtsched::core::InvalidArgument;
 
 TEST(JavaCluster, EfficiencyWithinConfiguredBounds) {
-  JavaClusterModel m;
-  const auto& cfg = m.config();
+  const JavaClusterConfig cfg;
+  const JavaClusterModel m(cfg);
   for (TaskKernel k : {TaskKernel::MatMul, TaskKernel::MatAdd}) {
     for (int n : {2000, 3000}) {
       for (int p = 1; p <= 32; ++p) {

@@ -10,11 +10,14 @@
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/platform/topology.hpp"
 
+#include "platform_util.hpp"
+
 namespace {
 
 using namespace mtsched::models;
 using namespace mtsched::dag;
 using mtsched::core::InvalidArgument;
+using mtsched::test_util::route_latency;
 
 Task mm_task(int n = 2000) {
   Task t;
@@ -80,7 +83,8 @@ TEST(Analytical, ExecEstimateMatchesBottleneckFormula) {
   // Parallel: compute dominates at small p; latency added once.
   const double comp4 =
       kernel_flops(TaskKernel::MatMul, 2000) / 4.0 / spec.node.flops;
-  EXPECT_NEAR(m.exec_estimate(mm_task(), 4), comp4 + spec.topology().route_latency(0, 1),
+  EXPECT_NEAR(m.exec_estimate(mm_task(), 4),
+              comp4 + route_latency(spec.topology(), 0, 1),
               1e-9);
 }
 
@@ -200,7 +204,7 @@ TEST(RedistPayloadEstimate, ScalesWithMatrixAndRespectsLatency) {
   const double small = redist_payload_estimate(spec, 1000, 4, 8);
   const double large = redist_payload_estimate(spec, 3000, 4, 8);
   EXPECT_GT(large, small);
-  EXPECT_GE(small, spec.topology().route_latency(0, 1));
+  EXPECT_GE(small, route_latency(spec.topology(), 0, 1));
 }
 
 TEST(RedistEstimate, AddsOverheadToPayload) {

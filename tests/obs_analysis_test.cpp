@@ -44,10 +44,26 @@ TraceProfile profile_of(const std::string& events) {
   return TraceProfile::from_chrome(parse_chrome_json(doc_json(events)));
 }
 
+/// Profiles a live tracer the way `mtsched_cli trace-report` does: through
+/// its Chrome export.
+TraceProfile profile_of(const Tracer& tracer) {
+  return TraceProfile::from_chrome(parse_chrome_json(to_chrome_json(tracer)));
+}
+
+/// The stats of one (category, name) pair, or nullptr.
+const SpanStats* find_span(const TraceProfile& profile,
+                           const std::string& category,
+                           const std::string& name) {
+  for (const auto& s : profile.spans) {
+    if (s.category == category && s.name == name) return &s;
+  }
+  return nullptr;
+}
+
 constexpr double kTol = 1e-12;
 
 TEST(TraceProfile, EmptyTraceProfilesToNothing) {
-  const auto profile = TraceProfile::from_snapshot({});
+  const auto profile = TraceProfile::from_chrome(ChromeTrace{});
   EXPECT_TRUE(profile.spans.empty());
   EXPECT_TRUE(profile.categories.empty());
   EXPECT_TRUE(profile.tracks.empty());
@@ -61,7 +77,7 @@ TEST(TraceProfile, EmptyTraceProfilesToNothing) {
 TEST(TraceProfile, SingleEventTrack) {
   Tracer tracer;
   tracer.root().instant("cat", "tick");
-  const auto profile = TraceProfile::from_tracer(tracer);
+  const auto profile = profile_of(tracer);
   EXPECT_EQ(profile.total_events, 1u);
   EXPECT_EQ(profile.instant_events, 1u);
   EXPECT_TRUE(profile.spans.empty());
@@ -85,10 +101,10 @@ TEST(TraceProfile, NestedSpansSelfTimeAndCriticalPath) {
       event_json('E', "ph", "child2", 90) + event_json('E', "ph", "outer", 100));
 
   ASSERT_EQ(profile.spans.size(), 4u);
-  const SpanStats* outer = profile.find("ph", "outer");
-  const SpanStats* child1 = profile.find("ph", "child1");
-  const SpanStats* child2 = profile.find("ph", "child2");
-  const SpanStats* grandchild = profile.find("ph", "grandchild");
+  const SpanStats* outer = find_span(profile, "ph", "outer");
+  const SpanStats* child1 = find_span(profile, "ph", "child1");
+  const SpanStats* child2 = find_span(profile, "ph", "child2");
+  const SpanStats* grandchild = find_span(profile, "ph", "grandchild");
   ASSERT_TRUE(outer && child1 && child2 && grandchild);
 
   EXPECT_NEAR(outer->total_seconds, 100e-6, kTol);
@@ -143,14 +159,14 @@ TEST(TraceProfile, SelfTimesSumToTotalOnLiveTracer) {
     }
     const Span d(tracer.root(), "cat", "d");
   }
-  const auto profile = TraceProfile::from_tracer(tracer);
+  const auto profile = profile_of(tracer);
   ASSERT_EQ(profile.spans.size(), 4u);
   EXPECT_EQ(profile.incomplete_spans, 0u);
   double self_sum = 0.0;
   for (const auto& s : profile.spans) self_sum += s.self_seconds;
   ASSERT_EQ(profile.tracks.size(), 1u);
   EXPECT_NEAR(self_sum, profile.tracks[0].span_seconds, 1e-9);
-  const SpanStats* a = profile.find("cat", "a");
+  const SpanStats* a = find_span(profile, "cat", "a");
   ASSERT_NE(a, nullptr);
   EXPECT_NEAR(a->total_seconds, profile.tracks[0].span_seconds, 1e-9);
 }
@@ -162,12 +178,12 @@ TEST(TraceProfile, UnbalancedSpansAreHealed) {
       event_json('B', "ph", "open", 0) + event_json('B', "ph", "inner", 10) +
       event_json('E', "ph", "inner", 40) +
       event_json('E', "ph", "never_begun", 50));
-  const SpanStats* open = profile.find("ph", "open");
+  const SpanStats* open = find_span(profile, "ph", "open");
   ASSERT_NE(open, nullptr);
   EXPECT_EQ(open->incomplete, 1u);
   EXPECT_NEAR(open->total_seconds, 50e-6, kTol);  // closed at ts = 50
   EXPECT_EQ(profile.incomplete_spans, 1u);
-  EXPECT_EQ(profile.find("ph", "never_begun"), nullptr);
+  EXPECT_EQ(find_span(profile, "ph", "never_begun"), nullptr);
   EXPECT_NE(render_profile(profile).find("WARNING"), std::string::npos);
 }
 
@@ -178,7 +194,7 @@ TEST(TraceProfile, FromChromeReadsDroppedEventsCounter) {
       "\"name\":\"trace.dropped_events\",\"args\":{\"value\":17}}");
   EXPECT_EQ(profile.dropped_events, 17u);
   // The marker is bookkeeping, not a span or a regular counter sample.
-  EXPECT_EQ(profile.find("trace", "trace.dropped_events"), nullptr);
+  EXPECT_EQ(find_span(profile, "trace", "trace.dropped_events"), nullptr);
   EXPECT_NE(render_profile(profile).find("17"), std::string::npos);
 }
 

@@ -24,14 +24,6 @@ TEST(Metrics, CounterFindOrCreateReturnsSameInstrument) {
   EXPECT_EQ(a.value(), 5u);
 }
 
-TEST(Metrics, GaugeKeepsLastValue) {
-  MetricsRegistry reg;
-  Gauge& g = reg.gauge("depth");
-  g.set(2.0);
-  g.set(-1.5);
-  EXPECT_DOUBLE_EQ(g.value(), -1.5);
-}
-
 TEST(Metrics, HistogramNearestRankPercentiles) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("latency");
@@ -65,21 +57,22 @@ TEST(Metrics, SingleSampleHistogram) {
 TEST(Metrics, NameTypeMismatchThrows) {
   MetricsRegistry reg;
   reg.counter("x");
-  EXPECT_THROW(reg.gauge("x"), InvalidArgument);
   EXPECT_THROW(reg.histogram("x"), InvalidArgument);
+  reg.histogram("y");
+  EXPECT_THROW(reg.counter("y"), InvalidArgument);
 }
 
 TEST(Metrics, RenderIsNameSortedAndDeterministic) {
   MetricsRegistry reg;
   reg.histogram("b.hist").observe(1.0);
   reg.counter("a.count").add(3);
-  reg.gauge("c.gauge").set(0.25);
+  reg.counter("c.count").add(2);
   const std::string r1 = reg.render();
   const std::string r2 = reg.render();
   EXPECT_EQ(r1, r2);
   // Name order, independent of creation order.
   EXPECT_LT(r1.find("a.count"), r1.find("b.hist"));
-  EXPECT_LT(r1.find("b.hist"), r1.find("c.gauge"));
+  EXPECT_LT(r1.find("b.hist"), r1.find("c.count"));
   EXPECT_NE(r1.find("3"), std::string::npos);
 }
 
@@ -97,12 +90,14 @@ TEST(Metrics, ConcurrentUpdatesAreSafe) {
       for (int i = 0; i < kOps; ++i) {
         c.add();
         h.observe(static_cast<double>(i));
-        reg.gauge("shared.gauge").set(static_cast<double>(i));
+        reg.counter("shared.lookups").add();
       }
     });
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(reg.counter("shared.count").value(),
+            static_cast<std::uint64_t>(kThreads * kOps));
+  EXPECT_EQ(reg.counter("shared.lookups").value(),
             static_cast<std::uint64_t>(kThreads * kOps));
   EXPECT_EQ(reg.histogram("shared.hist").summary().count,
             static_cast<std::size_t>(kThreads * kOps));

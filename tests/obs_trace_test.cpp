@@ -23,7 +23,7 @@ TEST(Trace, RootTrackRecordsEventsInOrder) {
   root.counter("cat", "gauge", 3.5);
   root.end("cat", "outer");
 
-  ASSERT_EQ(tracer.num_tracks(), 1u);
+  ASSERT_EQ(tracer.snapshot().size(), 1u);
   EXPECT_EQ(tracer.num_events(), 4u);
   const auto snap = tracer.snapshot();
   ASSERT_EQ(snap.size(), 1u);
@@ -141,7 +141,7 @@ TEST(Trace, ConcurrentEmissionIsSafe) {
   }
   for (auto& w : workers) w.join();
 
-  EXPECT_EQ(tracer.num_tracks(), 2u + kThreads);
+  EXPECT_EQ(tracer.snapshot().size(), 2u + kThreads);
   EXPECT_EQ(tracer.num_events(),
             static_cast<std::size_t>(2 * kThreads * kEvents));
   const auto snap = tracer.snapshot();

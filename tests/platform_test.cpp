@@ -9,11 +9,15 @@
 #include "mtsched/platform/parser.hpp"
 #include "mtsched/platform/topology.hpp"
 
+#include "platform_util.hpp"
+
 namespace {
 
 using namespace mtsched::platform;
 using mtsched::core::InvalidArgument;
 using mtsched::core::ParseError;
+using mtsched::test_util::to_text;
+using mtsched::test_util::route_latency;
 
 const std::string kHead = std::string(kPlatformSchema) + "\n";
 
@@ -43,7 +47,7 @@ TEST(RouteLatency, TwoLinksPlusBackbone) {
   rack.link_latency = 1e-4;
   rack.tor_latency = 5e-5;
   const Topology star = one_rack("star4", rack);
-  EXPECT_DOUBLE_EQ(star.route_latency(0, 1), 2.5e-4);
+  EXPECT_DOUBLE_EQ(route_latency(star, 0, 1), 2.5e-4);
   EXPECT_DOUBLE_EQ(star.max_route_latency(), 2.5e-4);
 }
 

@@ -18,11 +18,16 @@
 #include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 
+#include "platform_util.hpp"
+
 namespace {
 
 using namespace mtsched::platform;
 using mtsched::core::InvalidArgument;
 using mtsched::core::ParseError;
+using mtsched::test_util::to_text;
+using mtsched::test_util::route_latency;
+using mtsched::test_util::solo_duration;
 
 /// Two tiny racks with hand-checkable numbers: 2 nodes each, 10 B/s node
 /// links with 0.5 s latency, 40 B/s ToR and core fabrics.
@@ -68,14 +73,14 @@ TEST(Topology, RouteLatencyFormulas) {
   t.racks[1].tor_latency = 4e-5;
   t.core.latency = 5e-5;
   // Same node: no network.
-  EXPECT_DOUBLE_EQ(t.route_latency(1, 1), 0.0);
+  EXPECT_DOUBLE_EQ(route_latency(t, 1, 1), 0.0);
   // Intra-rack: the star expression over the rack's own link and ToR.
-  EXPECT_DOUBLE_EQ(t.route_latency(0, 1), 2.0 * 1e-4 + 2e-5);
-  EXPECT_DOUBLE_EQ(t.route_latency(2, 3), 2.0 * 3e-4 + 4e-5);
+  EXPECT_DOUBLE_EQ(route_latency(t, 0, 1), 2.0 * 1e-4 + 2e-5);
+  EXPECT_DOUBLE_EQ(route_latency(t, 2, 3), 2.0 * 3e-4 + 4e-5);
   // Cross-rack: src link + src ToR + core + dst ToR + dst link.
   const double cross = 1e-4 + 2e-5 + 5e-5 + 4e-5 + 3e-4;
-  EXPECT_DOUBLE_EQ(t.route_latency(0, 2), cross);
-  EXPECT_DOUBLE_EQ(t.route_latency(3, 1), cross);
+  EXPECT_DOUBLE_EQ(route_latency(t, 0, 2), cross);
+  EXPECT_DOUBLE_EQ(route_latency(t, 3, 1), cross);
   // The worst pair is what placement-blind estimators charge — here rack
   // 1's own intra-rack route, which beats the cross-rack path.
   EXPECT_DOUBLE_EQ(t.max_route_latency(), 2.0 * 3e-4 + 4e-5);
@@ -264,7 +269,7 @@ TEST(TopologyCluster, OneRackFlattensToExactStarFields) {
   EXPECT_EQ(net.uplink_bandwidth, 0.0);
   // Route latencies are the star formula, bit for bit.
   const double star_route = 2.0 * rack.link_latency + rack.tor_latency;
-  EXPECT_EQ(star.topology().route_latency(0, 1), star_route);
+  EXPECT_EQ(route_latency(star.topology(), 0, 1), star_route);
   EXPECT_EQ(star.topology().max_route_latency(), star_route);
   // Transfers are bound by the slower of link and fabric.
   EXPECT_EQ(net.transfer_time(125e6, 0.0, 1e30), 1.0);
@@ -303,17 +308,12 @@ TEST(TopologySim, OneRackSimulationIsBitIdenticalToStar) {
   mtsched::simcore::Engine e;
   mtsched::simcore::ClusterSim cs(e, star);
   EXPECT_EQ(e.num_resources(), 13u);  // 4 x (cpu, up, down) + fabric
-  for (int n = 0; n < 4; ++n) {
-    EXPECT_EQ(cs.cpu(n), static_cast<mtsched::simcore::ResourceId>(3 * n));
-    EXPECT_EQ(cs.uplink(n),
-              static_cast<mtsched::simcore::ResourceId>(3 * n + 1));
-    EXPECT_EQ(cs.downlink(n),
-              static_cast<mtsched::simcore::ResourceId>(3 * n + 2));
-    EXPECT_EQ(cs.rack_of(n), 0);
+  for (std::size_t n = 0; n < 4; ++n) {
+    EXPECT_EQ(e.capacity(3 * n), 100.0);     // cpu
+    EXPECT_EQ(e.capacity(3 * n + 1), 10.0);  // uplink
+    EXPECT_EQ(e.capacity(3 * n + 2), 10.0);  // downlink
   }
-  EXPECT_EQ(cs.tor(0), 12u);
-  EXPECT_FALSE(cs.has_core());
-  EXPECT_THROW(cs.rack_uplink(0), InvalidArgument);
+  EXPECT_EQ(e.capacity(12), 15.0);  // the switch fabric
 
   mtsched::simcore::Ptask compute;
   compute.host_of_rank = {0, 1};
@@ -344,14 +344,15 @@ TEST(TopologySim, CrossRackTransfersPayTheOversubscribedUplink) {
   cross.host_of_rank = {0, 2};
 
   // Intra-rack: the 10 B/s node links bound -> 30/10 + 1 = 4 s.
-  EXPECT_DOUBLE_EQ(cs.solo_duration(intra), 4.0);
+  EXPECT_DOUBLE_EQ(solo_duration(cs, e, intra), 4.0);
   // Cross-rack: the 5 B/s uplink bounds -> 30/5 + 1 = 7 s.
-  EXPECT_DOUBLE_EQ(cs.solo_duration(cross), 7.0);
+  EXPECT_DOUBLE_EQ(solo_duration(cs, e, cross), 7.0);
 
   // At 1:1 the uplink (20 B/s) no longer binds and cross == intra.
   mtsched::simcore::Engine e1;
   mtsched::simcore::ClusterSim cs1(e1, to_cluster(two_racks(1.0)));
-  EXPECT_DOUBLE_EQ(cs1.solo_duration(cross), cs1.solo_duration(intra));
+  EXPECT_DOUBLE_EQ(solo_duration(cs1, e1, cross),
+                   solo_duration(cs1, e1, intra));
 
   // The engine runs agree with the solo estimates.
   double when_cross = -1.0;
@@ -394,10 +395,9 @@ TEST(TopologySim, IntraRackRedistributionUsesOnHier4x8) {
                                   {17, 288.0},
                                   {20, 288.0},
                                   {24, 1152.0}}));
-  EXPECT_EQ(cs.tor(0), 24u);
   EXPECT_EQ(u.latency, 2.0 * rack.link_latency + rack.tor_latency);
   // The source node links bind.
-  EXPECT_EQ(cs.solo_duration(pt),
+  EXPECT_EQ(solo_duration(cs, e, pt),
             384.0 / rack.link_bandwidth + 2.0 * rack.link_latency +
                 rack.tor_latency);
 }
@@ -424,33 +424,26 @@ TEST(TopologySim, CrossRackRedistributionUsesOnHier4x8) {
                                   {51, 1152.0},
                                   {53, 1152.0},
                                   {108, 1152.0}}));
-  EXPECT_EQ(cs.rack_uplink(0), 25u);
-  EXPECT_EQ(cs.rack_downlink(1), 53u);
-  EXPECT_EQ(cs.core_switch(), 108u);
   const double latency = rack.link_latency + rack.tor_latency + core.latency +
                          rack.tor_latency + rack.link_latency;
   EXPECT_EQ(u.latency, latency);
   // The 4:1 oversubscribed rack uplink (8 links / 4) binds.
-  EXPECT_EQ(cs.solo_duration(pt),
+  EXPECT_EQ(solo_duration(cs, e, pt),
             1152.0 / rack.effective_uplink_bandwidth() + latency);
 }
 
 TEST(TopologySim, HierarchicalWiringExposesRackResources) {
+  // Per rack: its nodes' cpu/up/down, then tor, torup and tordown; the
+  // shared core last. Rack 0 is ids 0..8, rack 1 is 9..17, the core 18.
   const auto spec = to_cluster(two_racks(4.0));
   mtsched::simcore::Engine e;
   mtsched::simcore::ClusterSim cs(e, spec);
-  EXPECT_EQ(cs.rack_of(0), 0);
-  EXPECT_EQ(cs.rack_of(1), 0);
-  EXPECT_EQ(cs.rack_of(2), 1);
-  EXPECT_EQ(cs.rack_of(3), 1);
-  EXPECT_THROW(cs.rack_of(4), InvalidArgument);
-  for (int rack = 0; rack < 2; ++rack) {
-    EXPECT_DOUBLE_EQ(e.capacity(cs.tor(rack)), 40.0);
-    EXPECT_DOUBLE_EQ(e.capacity(cs.rack_uplink(rack)), 5.0);
-    EXPECT_DOUBLE_EQ(e.capacity(cs.rack_downlink(rack)), 5.0);
+  for (std::size_t rack = 0; rack < 2; ++rack) {
+    EXPECT_DOUBLE_EQ(e.capacity(9 * rack + 6), 40.0);  // tor
+    EXPECT_DOUBLE_EQ(e.capacity(9 * rack + 7), 5.0);   // torup
+    EXPECT_DOUBLE_EQ(e.capacity(9 * rack + 8), 5.0);   // tordown
   }
-  ASSERT_TRUE(cs.has_core());
-  EXPECT_DOUBLE_EQ(e.capacity(cs.core_switch()), 40.0);
+  EXPECT_DOUBLE_EQ(e.capacity(18), 40.0);
   // 4 x (cpu, up, down) + 2 x (tor, torup, tordown) + core.
   EXPECT_EQ(e.num_resources(), 19u);
 }

@@ -57,6 +57,36 @@ Dag fork_join(int width, int n = 2000) {
   return g;
 }
 
+/// Independent reference for CPA's stopping criterion under `alloc`: the
+/// computation-only critical path T_CP (a plain longest path with zero
+/// edge weights) and the average area T_A = sum(p * tau) / P.
+struct CpaMetrics {
+  double t_cp = 0.0;
+  double t_a = 0.0;
+};
+
+CpaMetrics cpa_metrics(const Dag& g, const SchedCost& cost,
+                       const std::vector<int>& alloc, int P) {
+  if (alloc.size() != g.num_tasks()) {
+    throw InvalidArgument("allocation vector size mismatch");
+  }
+  CpaMetrics m;
+  std::vector<double> finish(g.num_tasks(), 0.0);
+  double area = 0.0;
+  for (const TaskId t : g.topological_order()) {
+    double start = 0.0;
+    for (const TaskId p : g.predecessors(t)) {
+      start = std::max(start, finish[p]);
+    }
+    const double tau = cost.task_time(g.task(t), alloc[t]);
+    finish[t] = start + tau;
+    m.t_cp = std::max(m.t_cp, finish[t]);
+    area += static_cast<double>(alloc[t]) * tau;
+  }
+  m.t_a = area / static_cast<double>(P);
+  return m;
+}
+
 TEST(Cpa, ChainGrowsAllocationsOnIdealCurves) {
   // A pure chain is all critical path; with ideal speedup and no area
   // penalty (area constant in p), CPA grows until T_CP <= T_A.
@@ -298,6 +328,8 @@ std::vector<int> reference_allocation(const std::string& algo, const Dag& g,
   std::vector<int> alloc(n, 1);
   std::vector<double> tau(n);
   for (TaskId t = 0; t < n; ++t) tau[t] = tt(t, 1);
+  std::vector<std::vector<TaskId>> succs(n);
+  for (const Edge& e : g.edges()) succs[e.src].push_back(e.dst);
   const std::size_t max_iter = n * static_cast<std::size_t>(P);
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
     // Full top/bottom-level DP.
@@ -312,7 +344,7 @@ std::vector<int> reference_allocation(const std::string& algo, const Dag& g,
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const TaskId t = *it;
       bottom[t] = tau[t];
-      for (TaskId s : g.successors(t)) {
+      for (TaskId s : succs[t]) {
         bottom[t] = std::max(bottom[t], tau[t] + bottom[s]);
       }
       t_cp = std::max(t_cp, top[t] + bottom[t]);

@@ -146,12 +146,14 @@ INSTANTIATE_TEST_SUITE_P(Table1, MHeftSuite,
 Schedule reference_mheft(const Dag& g, const SchedCost& cost, int P) {
   const std::size_t n = g.num_tasks();
   std::vector<double> bl(n, 0.0);
+  std::vector<std::vector<TaskId>> succs(n);
+  for (const Edge& e : g.edges()) succs[e.src].push_back(e.dst);
   const auto topo = g.topological_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const TaskId t = *it;
     const double tau = cost.task_time(g.task(t), 1);
     bl[t] = tau;
-    for (TaskId s : g.successors(t)) bl[t] = std::max(bl[t], tau + bl[s]);
+    for (TaskId s : succs[t]) bl[t] = std::max(bl[t], tau + bl[s]);
   }
   std::vector<TaskId> order(n);
   std::iota(order.begin(), order.end(), 0);

@@ -10,10 +10,13 @@
 #include "mtsched/sched/mapping.hpp"
 #include "mtsched/sim/simulator.hpp"
 
+#include "platform_util.hpp"
+
 namespace {
 
 using namespace mtsched;
 using dag::TaskKernel;
+using mtsched::test_util::route_latency;
 
 platform::ClusterSpec small_cluster() { return platform::bayreuth32(8); }
 
@@ -76,7 +79,7 @@ TEST(SimulatorAnalytical, ParallelTaskBottleneck) {
       manual_schedule(g, {{{0, 1, 2, 3}, {0.0, 16.0}}}, spec.num_nodes);
   const double mk = sim::Simulator(model).makespan(g, s);
   // Compute 16 s per rank; ring comm far below it; latency once.
-  EXPECT_NEAR(mk, 16.0 + spec.topology().route_latency(0, 1), 1e-9);
+  EXPECT_NEAR(mk, 16.0 + route_latency(spec.topology(), 0, 1), 1e-9);
 }
 
 TEST(SimulatorAnalytical, ChainIncludesRedistributionTransfer) {
@@ -91,7 +94,8 @@ TEST(SimulatorAnalytical, ChainIncludesRedistributionTransfer) {
       g, {{{0}, {0.0, 8.0}}, {{1}, {9.0, 17.1}}}, spec.num_nodes);
   const auto trace = sim::Simulator(model).run(g, s);
   const double t_add = 500.0 * 4e6 / 250e6;  // 8 s
-  const double t_xfer = 2000.0 * 2000.0 * 8.0 / 125e6 + spec.topology().route_latency(0, 1);
+  const double t_xfer = 2000.0 * 2000.0 * 8.0 / 125e6 +
+                        route_latency(spec.topology(), 0, 1);
   EXPECT_NEAR(trace.makespan, 2 * t_add + t_xfer, 1e-6);
   EXPECT_NEAR(trace.edges[0].request, t_add, 1e-9);
   EXPECT_NEAR(trace.edges[0].transfer, t_add, 1e-9);  // no overhead

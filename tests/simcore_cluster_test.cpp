@@ -8,10 +8,13 @@
 #include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 
+#include "platform_util.hpp"
+
 namespace {
 
 using namespace mtsched::simcore;
 using mtsched::core::InvalidArgument;
+using mtsched::test_util::solo_duration;
 
 mtsched::platform::ClusterSpec tiny(bool shared_switch = true) {
   mtsched::platform::RackSpec rack;
@@ -25,22 +28,35 @@ mtsched::platform::ClusterSpec tiny(bool shared_switch = true) {
   return to_cluster(mtsched::platform::one_rack("tiny", rack));
 }
 
+// Resource ids follow registration order: node n's cpu, uplink and
+// downlink are 3n, 3n + 1 and 3n + 2; the switch fabric, when shared, is 12.
+
 TEST(ClusterSim, RegistersResourcesPerNode) {
   Engine e;
   ClusterSim cs(e, tiny());
   // 4 nodes x (cpu + up + down) + switch fabric.
   EXPECT_EQ(e.num_resources(), 13u);
-  EXPECT_DOUBLE_EQ(e.capacity(cs.cpu(0)), 100.0);
-  EXPECT_DOUBLE_EQ(e.capacity(cs.uplink(3)), 10.0);
-  EXPECT_DOUBLE_EQ(e.capacity(cs.tor(0)), 15.0);
-  EXPECT_THROW(cs.cpu(4), InvalidArgument);
+  EXPECT_DOUBLE_EQ(e.capacity(0), 100.0);   // cpu of node 0
+  EXPECT_DOUBLE_EQ(e.capacity(10), 10.0);   // uplink of node 3
+  EXPECT_DOUBLE_EQ(e.capacity(12), 15.0);   // the fabric
+  Ptask t;
+  t.host_of_rank = {4};  // no such node
+  t.flops = {1.0};
+  EXPECT_THROW(cs.usage(t), InvalidArgument);
 }
 
 TEST(ClusterSim, NoBackboneResourceForNonBlockingSwitch) {
   Engine e;
   ClusterSim cs(e, tiny(/*shared_switch=*/false));
   EXPECT_EQ(e.num_resources(), 12u);
-  EXPECT_THROW(cs.tor(0), InvalidArgument);
+  // A transfer charges the two node links and no fabric.
+  Ptask t;
+  t.host_of_rank = {0, 1};
+  t.flows = {{0, 1, 30.0}};
+  const PtaskUsage u = cs.usage(t);
+  ASSERT_EQ(u.uses.size(), 2u);
+  EXPECT_EQ(u.uses[0].resource, 1u);  // uplink of node 0
+  EXPECT_EQ(u.uses[1].resource, 5u);  // downlink of node 1
 }
 
 TEST(Ptask, ComputeOnlySoloDuration) {
@@ -49,7 +65,7 @@ TEST(Ptask, ComputeOnlySoloDuration) {
   Ptask t;
   t.host_of_rank = {0, 1};
   t.flops = {200.0, 100.0};  // bottleneck: 200/100 = 2 s
-  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 2.0);
+  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 2.0);
   double done = -1.0;
   cs.submit_ptask(t, [&](double when) { done = when; });
   e.run();
@@ -62,7 +78,7 @@ TEST(Ptask, CommOnlyIncludesLatencyOnce) {
   Ptask t;
   t.host_of_rank = {0, 1};
   t.flows = {{0, 1, 30.0}};  // 30 B over 10 B/s links -> 3 s + 1 s latency
-  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 4.0);
+  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 4.0);
   double done = -1.0;
   cs.submit_ptask(t, [&](double when) { done = when; });
   e.run();
@@ -77,7 +93,7 @@ TEST(Ptask, ComputationAndCommunicationOverlap) {
   t.host_of_rank = {0, 1};
   t.flops = {500.0, 0.0};  // 5 s of compute on node 0
   t.flows = {{0, 1, 20.0}};  // 2 s of transfer
-  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 5.0 + 1.0);  // compute + latency
+  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 5.0 + 1.0);  // compute + latency
 }
 
 TEST(Ptask, LocalCopiesUseNoNetwork) {
@@ -86,7 +102,7 @@ TEST(Ptask, LocalCopiesUseNoNetwork) {
   Ptask t;
   t.host_of_rank = {2, 2};  // both ranks on node 2
   t.flows = {{0, 1, 1e9}};  // huge, but local
-  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 0.0);
+  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 0.0);
 }
 
 TEST(Ptask, BackboneLimitsAggregateTraffic) {
@@ -145,10 +161,10 @@ TEST(Ptask, ValidationErrors) {
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
   t.flows = {{0, 1, 1.0}, {1, 0, -1.0}};  // negative bytes
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
-  EXPECT_THROW(cs.solo_duration(t), InvalidArgument);
+  EXPECT_THROW(solo_duration(cs, e, t), InvalidArgument);
   // A rejected ptask leaves no trace: the next one is charged afresh.
   t.flows = {{0, 1, 30.0}};
-  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 4.0);
+  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 4.0);
 }
 
 TEST(Ptask, FlowsOnOneResourceSumInListOrder) {
@@ -163,8 +179,7 @@ TEST(Ptask, FlowsOnOneResourceSumInListOrder) {
   // down1 10; down2 5; fabric 15. Ascending ids, zero-byte flow skipped.
   ASSERT_EQ(u.uses.size(), 5u);
   const std::vector<std::pair<ResourceId, double>> want = {
-      {cs.cpu(0), 150.0},     {cs.uplink(0), 15.0}, {cs.downlink(1), 10.0},
-      {cs.downlink(2), 5.0}, {cs.tor(0), 15.0}};
+      {0, 150.0}, {1, 15.0}, {5, 10.0}, {8, 5.0}, {12, 15.0}};
   for (std::size_t k = 0; k < want.size(); ++k) {
     EXPECT_EQ(u.uses[k].resource, want[k].first) << k;
     EXPECT_EQ(u.uses[k].weight, want[k].second) << k;

@@ -34,17 +34,19 @@ TEST(Fifo, JobsSerialize) {
   EXPECT_DOUBLE_EQ(done[0], 2.0);
   EXPECT_DOUBLE_EQ(done[1], 5.0);
   EXPECT_DOUBLE_EQ(done[2], 6.0);
-  EXPECT_EQ(f.jobs_served(), 3u);
 }
 
 TEST(Fifo, WaitTimeAccounted) {
   Engine e;
   FifoServer f(e);
-  f.enqueue(2.0, nullptr);
-  f.enqueue(2.0, nullptr);  // waits 2 s
-  f.enqueue(2.0, nullptr);  // waits 4 s
+  // All three arrive at t = 0; a job waits from arrival until its service
+  // begins, which is its completion time minus its service time.
+  double total_wait = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    f.enqueue(2.0, [&](double t) { total_wait += t - 2.0; });
+  }
   e.run();
-  EXPECT_DOUBLE_EQ(f.total_wait_time(), 6.0);
+  EXPECT_DOUBLE_EQ(total_wait, 0.0 + 2.0 + 4.0);
 }
 
 TEST(Fifo, IdleBetweenBursts) {
@@ -60,7 +62,11 @@ TEST(Fifo, IdleBetweenBursts) {
   ASSERT_EQ(done.size(), 2u);
   EXPECT_DOUBLE_EQ(done[0], 1.0);
   EXPECT_DOUBLE_EQ(done[1], 11.0);
-  EXPECT_FALSE(f.busy());
+  // The server is idle again: a new job starts at once.
+  f.enqueue(1.0, [&](double t) { done.push_back(t); });
+  e.run();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_DOUBLE_EQ(done[2], 12.0);
 }
 
 TEST(Fifo, EnqueueFromCompletionCallback) {
@@ -94,14 +100,17 @@ TEST(Fifo, NegativeServiceTimeRejected) {
 TEST(Fifo, QueueLengthVisible) {
   Engine e;
   FifoServer f(e);
-  f.enqueue(5.0, nullptr);
-  f.enqueue(5.0, nullptr);
-  f.enqueue(5.0, nullptr);
-  // First job is in service, two are queued.
-  EXPECT_EQ(f.queue_length(), 2u);
-  EXPECT_TRUE(f.busy());
+  std::vector<double> done;
+  for (int i = 0; i < 3; ++i) {
+    f.enqueue(5.0, [&](double t) { done.push_back(t); });
+  }
+  // First job is in service, two are queued behind it; the queue drains,
+  // so a job arriving afterwards is served at once.
   e.run();
-  EXPECT_EQ(f.queue_length(), 0u);
+  EXPECT_EQ(done, (std::vector<double>{5.0, 10.0, 15.0}));
+  f.enqueue(5.0, [&](double t) { done.push_back(t); });
+  e.run();
+  EXPECT_DOUBLE_EQ(done.back(), 20.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
@@ -13,6 +14,26 @@ namespace {
 
 using namespace mtsched::simcore;
 using mtsched::core::InvalidArgument;
+
+/// The oracle of the property sweeps: no capacity exceeded (up to `tol`
+/// relative slack) and every activity with usage has a finite positive
+/// rate.
+bool feasible(const MaxMinProblem& problem, const std::vector<double>& rates,
+              double tol = 1e-9) {
+  if (rates.size() != problem.activities.size()) return false;
+  std::vector<double> usage(problem.capacities.size(), 0.0);
+  for (std::size_t i = 0; i < problem.activities.size(); ++i) {
+    const auto& uses = problem.activities[i];
+    if (!uses.empty()) {
+      if (!(rates[i] > 0.0) || std::isinf(rates[i])) return false;
+      for (const auto& u : uses) usage[u.resource] += u.weight * rates[i];
+    }
+  }
+  for (std::size_t r = 0; r < usage.size(); ++r) {
+    if (usage[r] > problem.capacities[r] * (1.0 + tol)) return false;
+  }
+  return true;
+}
 
 TEST(MaxMin, SingleActivityGetsFullCapacity) {
   MaxMinProblem p;

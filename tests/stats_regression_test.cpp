@@ -60,29 +60,45 @@ TEST(EvalHyperbolic, UndefinedAtZero) {
   EXPECT_THROW(eval_hyperbolic(f, 0.0), InvalidArgument);
 }
 
+/// The piecewise model as the regression builder assembles it: each
+/// branch fitted over its own point set.
+PiecewiseFit piecewise(const std::vector<double>& ps,
+                       const std::vector<double>& ys,
+                       const std::vector<double>& pl = {},
+                       const std::vector<double>& yl = {}) {
+  PiecewiseFit pw;
+  pw.small_p = fit_hyperbolic(ps, ys);
+  if (!pl.empty()) {
+    pw.large_p = fit_linear(pl, yl);
+    pw.has_large = true;
+  }
+  return pw;
+}
+
 TEST(FitPiecewise, RoutesPointsBySplit) {
   // Hyperbolic below 16, linear above.
-  std::vector<double> p, y;
+  std::vector<double> ps, ys, pl, yl;
   for (double v : {2.0, 4.0, 8.0, 15.0}) {
-    p.push_back(v);
-    y.push_back(240.0 / v + 2.0);
+    ps.push_back(v);
+    ys.push_back(240.0 / v + 2.0);
   }
   for (double v : {20.0, 26.0, 32.0}) {
-    p.push_back(v);
-    y.push_back(0.1 * v + 5.0);
+    pl.push_back(v);
+    yl.push_back(0.1 * v + 5.0);
   }
-  const auto pw = fit_piecewise(p, y, 16);
-  ASSERT_TRUE(pw.has_large);
+  const auto pw = piecewise(ps, ys, pl, yl);
+  ASSERT_EQ(pw.split, 16);
   EXPECT_NEAR(pw.small_p.a, 240.0, 1e-9);
   EXPECT_NEAR(pw.small_p.b, 2.0, 1e-9);
   EXPECT_NEAR(pw.large_p.a, 0.1, 1e-9);
   EXPECT_NEAR(pw.large_p.b, 5.0, 1e-9);
   EXPECT_NEAR(pw.eval(4.0), 62.0, 1e-9);
+  EXPECT_NEAR(pw.eval(16.0), 17.0, 1e-9);
   EXPECT_NEAR(pw.eval(30.0), 8.0, 1e-9);
 }
 
 TEST(FitPiecewise, HyperbolicOnlyWhenNoLargePoints) {
-  const auto pw = fit_piecewise({2, 4, 8}, {50, 25, 12.5}, 16);
+  const auto pw = piecewise({2, 4, 8}, {50, 25, 12.5});
   EXPECT_FALSE(pw.has_large);
   // The hyperbolic branch extends beyond the split when no linear branch
   // exists.
@@ -90,17 +106,12 @@ TEST(FitPiecewise, HyperbolicOnlyWhenNoLargePoints) {
 }
 
 TEST(FitPiecewise, EvalRejectsBelowOne) {
-  const auto pw = fit_piecewise({2, 4, 8}, {50, 25, 12.5}, 16);
+  const auto pw = piecewise({2, 4, 8}, {50, 25, 12.5});
   EXPECT_THROW(pw.eval(0.5), InvalidArgument);
 }
 
-TEST(FitPiecewise, NeedsTwoSmallPoints) {
-  EXPECT_THROW(fit_piecewise({20, 24}, {1, 2}, 16), InvalidArgument);
-}
-
 TEST(FitPiecewise, DescribeMentionsBothBranches) {
-  std::vector<double> p{2, 4, 20, 30}, y{10, 5, 3, 4};
-  const auto pw = fit_piecewise(p, y, 16);
+  const auto pw = piecewise({2, 4}, {10, 5}, {20, 30}, {3, 4});
   const auto s = pw.describe();
   EXPECT_NE(s.find("/p"), std::string::npos);
   EXPECT_NE(s.find("*p"), std::string::npos);

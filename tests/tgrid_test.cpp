@@ -7,10 +7,13 @@
 #include "mtsched/platform/topology.hpp"
 #include "mtsched/tgrid/emulator.hpp"
 
+#include "platform_util.hpp"
+
 namespace {
 
 using namespace mtsched;
 using dag::TaskKernel;
+using mtsched::test_util::route_latency;
 
 /// A deterministic machine for exact-arithmetic tests: no noise, flat
 /// efficiency, fixed overheads.
@@ -93,7 +96,8 @@ TEST(TGrid, ChainPaysRegistrationAndTransfer) {
   // 32 MB over 125 MB/s + latency; then 16 s of compute.
   EXPECT_DOUBLE_EQ(trace.edges[0].request, 17.0);
   EXPECT_DOUBLE_EQ(trace.edges[0].transfer, 17.5);
-  const double xfer = 2000.0 * 2000.0 * 8.0 / 125e6 + spec.topology().route_latency(0, 1);
+  const double xfer = 2000.0 * 2000.0 * 8.0 / 125e6 +
+                      route_latency(spec.topology(), 0, 1);
   EXPECT_NEAR(trace.edges[0].done, 17.5 + xfer, 1e-6);
   EXPECT_NEAR(trace.tasks[b].finish, 17.5 + xfer + 16.0, 1e-6);
 }
