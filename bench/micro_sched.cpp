@@ -42,8 +42,10 @@ void BM_Allocation(benchmark::State& state, const std::string& algo_name) {
 }
 // The n=2000 points guard the constant factor of the CPA skeleton's
 // growth step: one sequential top/bottom-level sweep in topological
-// position order, cached per-task gains and task times read from the
-// cost table's per-shape rows.
+// position order over adjacency rows padded to fixed-width chunks (one
+// well-predicted chunk for most rows), a branch-free compaction of the
+// critical tasks before the candidate scan, cached per-task gains and
+// task times read from the cost table's per-shape rows.
 // Exact allocation is quadratic by construction — there are n/3 to n/2
 // growth steps, and each moves about 3/4 of all levels — so the step
 // must stay one cheap O(n) pass rather than several. The n=50000 tier

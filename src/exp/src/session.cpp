@@ -8,15 +8,31 @@ namespace mtsched::exp {
 
 namespace {
 
-/// FNV-1a over the canonical DAG text: the request's cache identity.
-/// Canonicalizing through parse + to_text first makes two textual
-/// spellings of the same DAG (whitespace, task order preserved by the
-/// format) share a cell only when their canonical forms match.
-std::uint64_t fnv1a(const std::string& s) {
+/// FNV-1a over the parsed DAG: every task's id, kernel, matrix dimension
+/// and name (its length first), then every edge, each field as its
+/// little-endian bytes. The request's cache identity: texts that parse to
+/// the same DAG (comments, blank lines, spacing) share a cell, and the
+/// DAG is never serialised again to find it.
+std::uint64_t dag_hash(const dag::Dag& g) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i, v >>= 8) {
+      h ^= v & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(g.num_tasks(), 8);
+  for (const dag::Task& t : g.tasks()) {
+    mix(t.id, 4);
+    mix(static_cast<std::uint64_t>(t.kernel), 1);
+    mix(static_cast<std::uint32_t>(t.matrix_dim), 4);
+    mix(t.name.size(), 8);
+    for (const unsigned char c : t.name) mix(c, 1);
+  }
+  mix(g.edges().size(), 8);
+  for (const dag::Edge& e : g.edges()) {
+    mix(e.src, 4);
+    mix(e.dst, 4);
   }
   return h;
 }
@@ -149,7 +165,7 @@ ScheduleResponse Session::serve(const ScheduleRequest& req,
     const auto allocator = sched::make_allocator(req.algorithm);
     dag::Dag g = dag::from_text(req.dag_text);
 
-    const std::string key = hex64(fnv1a(dag::to_text(g))) + "/" + resp.model +
+    const std::string key = hex64(dag_hash(g)) + "/" + resp.model +
                             "/" + req.algorithm + "/" +
                             sched::mapping_name(req.mapping) + "/" +
                             resp.platform;

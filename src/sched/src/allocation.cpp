@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 
@@ -33,43 +34,78 @@ constexpr double kEps = 1e-12;
 /// T_CP. Levels are max-plus expressions over exact operands, so the
 /// values do not depend on which tasks a refresh revisits: they are
 /// bit-identical to a from-scratch rebuild.
+///
+/// The sweeps are shaped for the branch predictor rather than for the
+/// fewest loads. Out-degrees on Table-I DAGs spread over 0 to 7 and
+/// more, and a variable-length inner loop mispredicts on most rows, so
+/// every adjacency row is padded to whole chunks of kSuccChunk successors
+/// or kPredChunk predecessors (at least one chunk per row). Padding slots
+/// hold the sentinel position n, whose bottom and finish are +0.0, and
+/// each chunk is one fixed-width max: about 90 % of rows are one chunk.
+/// This stays exact: levels are sums of positive task times, so every
+/// operand is +0.0 or positive (never NaN or -0.0), and the max over such
+/// a set is one of its members whatever the order and however many extra
+/// +0.0s join it.
 class LevelTracker {
  public:
+  static constexpr std::size_t kSuccChunk = 4;
+  static constexpr std::size_t kPredChunk = 2;
+
   LevelTracker(const dag::Dag& g, std::span<const double> tau,
                core::Arena& arena)
-      : order_(g.topology().order),
-        pos_(g.topology().positions),
-        pred_off_(arena.make_span<std::size_t>(g.num_tasks() + 1)),
-        preds_(arena.make_span<std::size_t>(g.topology().preds.size())),
-        succ_off_(arena.make_span<std::size_t>(g.num_tasks() + 1)),
-        succs_(arena.make_span<std::size_t>(g.topology().succs.size())),
-        tau_(arena.make_span<double>(g.num_tasks())),
-        top_(arena.make_span<double>(g.num_tasks())),
-        finish_(arena.make_span<double>(g.num_tasks())),
-        bottom_(arena.make_span<double>(g.num_tasks())),
-        path_(arena.make_span<double>(g.num_tasks())) {
-    // Remap the Dag's cached CSR adjacency from task ids to positions,
-    // keeping each task's edge order, so the sweeps walk contiguous
-    // memory with no id -> position indirection.
+      : order_(g.topology().order), pos_(g.topology().positions) {
     const auto topo = g.topology();
+    const std::size_t n = order_.size();
+    const auto padded = [](std::size_t degree, std::size_t chunk) {
+      return std::max<std::size_t>(1, (degree + chunk - 1) / chunk) * chunk;
+    };
+    // Count the padded slots first so the spans are sized exactly.
     std::size_t np = 0, ns = 0;
-    for (std::size_t i = 0; i < order_.size(); ++i) {
+    for (dag::TaskId t = 0; t < n; ++t) {
+      np += padded(topo.pred_offsets[t + 1] - topo.pred_offsets[t],
+                   kPredChunk);
+      ns += padded(topo.succ_offsets[t + 1] - topo.succ_offsets[t],
+                   kSuccChunk);
+    }
+    MTSCHED_REQUIRE(std::max(np, ns) <= UINT32_MAX,
+                    "DAG too large for 32-bit level sweeps");
+    pred_off_ = arena.make_span<std::uint32_t>(n + 1);
+    preds_ = arena.make_span<std::uint32_t>(np);
+    succ_off_ = arena.make_span<std::uint32_t>(n + 1);
+    succs_ = arena.make_span<std::uint32_t>(ns);
+    tau_ = arena.make_span<double>(n);
+    top_ = arena.make_span<double>(n);
+    finish_ = arena.make_span<double>(n + 1);
+    bottom_ = arena.make_span<double>(n + 1);
+    path_ = arena.make_span<double>(n);
+    // Remap the Dag's cached CSR adjacency from task ids to positions,
+    // keeping each task's edge order and padding each row with the
+    // sentinel, so the sweeps walk contiguous memory with no id ->
+    // position indirection.
+    const auto sentinel = static_cast<std::uint32_t>(n);
+    const auto remap = [&](std::span<const dag::TaskId> row, std::size_t chunk,
+                           std::span<std::uint32_t> out, std::size_t& end) {
+      const std::size_t stop = end + padded(row.size(), chunk);
+      for (const dag::TaskId v : row) {
+        out[end++] = static_cast<std::uint32_t>(pos_[v]);
+      }
+      while (end < stop) out[end++] = sentinel;
+    };
+    np = ns = 0;
+    for (std::size_t i = 0; i < n; ++i) {
       const dag::TaskId t = order_[i];
-      for (std::size_t e = topo.pred_offsets[t]; e < topo.pred_offsets[t + 1];
-           ++e) {
-        preds_[np++] = pos_[topo.preds[e]];
-      }
-      for (std::size_t e = topo.succ_offsets[t]; e < topo.succ_offsets[t + 1];
-           ++e) {
-        succs_[ns++] = pos_[topo.succs[e]];
-      }
-      pred_off_[i + 1] = np;
-      succ_off_[i + 1] = ns;
+      remap({topo.preds.data() + topo.pred_offsets[t],
+             topo.preds.data() + topo.pred_offsets[t + 1]},
+            kPredChunk, preds_, np);
+      remap({topo.succs.data() + topo.succ_offsets[t],
+             topo.succs.data() + topo.succ_offsets[t + 1]},
+            kSuccChunk, succs_, ns);
+      pred_off_[i + 1] = static_cast<std::uint32_t>(np);
+      succ_off_[i + 1] = static_cast<std::uint32_t>(ns);
       tau_[i] = tau[t];
     }
-    sweep_tops(0);
-    t_cp_ = 0.0;
-    sweep_bottoms(order_.size());
+    sweep_tops(0, 0.0);
+    t_cp_ = sweep_bottoms(n, 0.0);
   }
 
   /// Sets task t's time to `tau` and refreshes every level it can move.
@@ -77,9 +113,7 @@ class LevelTracker {
     const std::size_t c = pos_[t];
     tau_[c] = tau;
     finish_[c] = top_[c] + tau;
-    t_cp_ = 0.0;
-    sweep_bottoms(c + 1);
-    sweep_tops(c + 1);
+    t_cp_ = sweep_tops(c + 1, sweep_bottoms(c + 1, 0.0));
   }
 
   /// T_CP: the longest top + bottom over all tasks.
@@ -90,40 +124,55 @@ class LevelTracker {
  private:
   /// Bottom levels of positions [0, end), descending: each reads only its
   /// successors', which sit at higher positions. fl(tau + max b) equals
-  /// the max of fl(tau + b) because rounding is monotone.
-  void sweep_bottoms(std::size_t end) {
+  /// the max of fl(tau + b) because rounding is monotone. Returns the max
+  /// of `t_cp` and every refreshed path length; the running max is a
+  /// local, not a member the path_ stores could alias.
+  double sweep_bottoms(std::size_t end, double t_cp) {
+    const double* const bottom = bottom_.data();
     for (std::size_t i = end; i-- > 0;) {
-      double succ_max = 0.0;
-      for (std::size_t e = succ_off_[i]; e < succ_off_[i + 1]; ++e) {
-        succ_max = std::max(succ_max, bottom_[succs_[e]]);
+      const std::uint32_t* s = succs_.data() + succ_off_[i];
+      const std::uint32_t* const last = succs_.data() + succ_off_[i + 1];
+      const auto chunk_max = [&] {
+        return std::max(std::max(bottom[s[0]], bottom[s[1]]),
+                        std::max(bottom[s[2]], bottom[s[3]]));
+      };
+      double succ_max = chunk_max();
+      for (s += kSuccChunk; s != last; s += kSuccChunk) {
+        succ_max = std::max(succ_max, chunk_max());
       }
       bottom_[i] = tau_[i] + succ_max;
-      note(i, top_[i] + bottom_[i]);
+      t_cp = note(i, top_[i] + bottom_[i], t_cp);
     }
+    return t_cp;
   }
 
   /// Top levels of positions [begin, n), ascending.
-  void sweep_tops(std::size_t begin) {
+  double sweep_tops(std::size_t begin, double t_cp) {
+    const double* const finish = finish_.data();
     for (std::size_t i = begin; i < order_.size(); ++i) {
-      double top = 0.0;
-      for (std::size_t e = pred_off_[i]; e < pred_off_[i + 1]; ++e) {
-        top = std::max(top, finish_[preds_[e]]);
+      const std::uint32_t* p = preds_.data() + pred_off_[i];
+      const std::uint32_t* const last = preds_.data() + pred_off_[i + 1];
+      double top = std::max(finish[p[0]], finish[p[1]]);
+      for (p += kPredChunk; p != last; p += kPredChunk) {
+        top = std::max(top, std::max(finish[p[0]], finish[p[1]]));
       }
       top_[i] = top;
       finish_[i] = top + tau_[i];
-      note(i, top + bottom_[i]);
+      t_cp = note(i, top + bottom_[i], t_cp);
     }
+    return t_cp;
   }
 
-  void note(std::size_t i, double path) {
+  double note(std::size_t i, double path, double t_cp) {
     path_[order_[i]] = path;
-    t_cp_ = std::max(t_cp_, path);
+    return std::max(t_cp, path);
   }
 
   const std::vector<dag::TaskId>& order_;  ///< cached in the Dag
   const std::vector<std::size_t>& pos_;    ///< cached in the Dag
-  // Everything below is indexed by topological position, except path_.
-  std::span<std::size_t> pred_off_, preds_, succ_off_, succs_;
+  // Everything below is indexed by topological position, except path_;
+  // finish_ and bottom_ also hold the sentinel's +0.0 at position n.
+  std::span<std::uint32_t> pred_off_, preds_, succ_off_, succs_;
   std::span<double> tau_;
   std::span<double> top_;     ///< longest path length ending before i
   std::span<double> finish_;  ///< top + tau
@@ -182,6 +231,9 @@ std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
   double area_run = 0.0;
   for (dag::TaskId t = 0; t < n; ++t) area_run += area_term[t];
 
+  // The critical tasks of one growth step, in id order.
+  auto crit = arena.make_span<dag::TaskId>(n);
+
   // Each iteration adds one processor to one task; the loop is bounded by
   // the total allocation head-room.
   const std::size_t max_iter = n * static_cast<std::size_t>(P);
@@ -201,12 +253,22 @@ std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
     // is exactly how CPA comes to over-allocate. Ties resolve in id order:
     // a task replaces the running best only if it beats it by more than
     // kEps. The gate is pure, so asking it last changes no decision.
+    //
+    // About one task in ten is critical, scattered over the ids, so a
+    // branch on `path[t] >= cut` mispredicts constantly. A branch-free
+    // pass first compacts the critical ids, still in id order, and the
+    // sequential rule then runs over those alone.
     const double cut = t_cp - 1e-9 * t_cp;
     const auto path = lv.path_lengths();
+    std::size_t num_crit = 0;
+    for (dag::TaskId t = 0; t < n; ++t) {
+      crit[num_crit] = t;
+      num_crit += path[t] >= cut;
+    }
     dag::TaskId best = dag::kInvalidTask;
     double best_gain = -std::numeric_limits<double>::infinity();
-    for (dag::TaskId t = 0; t < n; ++t) {
-      if (path[t] < cut || !(gain[t] > best_gain + kEps)) continue;
+    for (const dag::TaskId t : crit.first(num_crit)) {
+      if (!(gain[t] > best_gain + kEps)) continue;
       if (!may_grow(t, alloc[t] + 1)) continue;
       best_gain = gain[t];
       best = t;

@@ -74,23 +74,24 @@ struct PtaskUsage {
   double latency = 0.0;
 };
 
-class ClusterSim {
+/// A platform's engine resources and what a ptask charges them, without an
+/// engine: ids follow the order ClusterSim registers the resources in, so
+/// they depend only on the spec and a plan can charge transfers through a
+/// layout that any engine wired by ClusterSim agrees with. Not thread-safe:
+/// charging uses per-layout scratch.
+class ClusterLayout {
  public:
-  /// Registers all resources of `spec` with `engine`. Both references must
-  /// outlive this object.
-  ClusterSim(Engine& engine, const platform::ClusterSpec& spec);
+  /// Lays out the resources of `spec` (validated) from id 0 up.
+  explicit ClusterLayout(const platform::ClusterSpec& spec);
 
   const platform::ClusterSpec& spec() const { return spec_; }
-
-  /// Submits a parallel task; `on_complete` fires when all of its
-  /// computation and communication has finished. Returns the activity id.
-  /// Throws core::InvalidArgument on malformed ptasks (bad node ids, size
-  /// mismatches, negative entries, flow ranks out of range).
-  ActivityId submit_ptask(const Ptask& task, CompletionFn on_complete,
-                          Tag tag = {});
+  /// Capacity per resource, indexed by resource id.
+  std::span<const double> capacities() const { return capacity_; }
 
   /// Aggregates a ptask into its usage weights and latency (what
-  /// submit_ptask hands the engine). Same validation as submit_ptask.
+  /// ClusterSim::submit_ptask hands the engine). Throws
+  /// core::InvalidArgument on malformed ptasks (bad node ids, size
+  /// mismatches, negative entries, flow ranks out of range).
   PtaskUsage usage(const Ptask& task);
 
   /// What the block redistribution of an n-by-n matrix from `src_nodes`
@@ -105,6 +106,7 @@ class ClusterSim {
                               std::vector<Use>& pool);
 
  private:
+  ResourceId add(double capacity);
   void charge(ResourceId r, double w);
   /// Charges `bytes` sent from node `src` to node `dst` to every link of
   /// the route (nothing for a local copy); returns the route latency, 0
@@ -114,8 +116,8 @@ class ClusterSim {
   /// clears the scratch.
   void flush(std::vector<Use>& out);
 
-  Engine& engine_;
   platform::ClusterSpec spec_;
+  std::vector<double> capacity_;    ///< per resource id
   std::vector<ResourceId> cpus_;
   std::vector<ResourceId> up_;
   std::vector<ResourceId> down_;
@@ -127,10 +129,31 @@ class ClusterSim {
   std::vector<double> rack_lat_;    ///< (racks x racks) route latencies
   ResourceId core_ = static_cast<ResourceId>(-1);
   bool has_core_ = false;
-  // usage() scratch: a weight per engine resource (all zero between calls)
-  // and the ids it touched, in first-touch order.
+  // usage() scratch: a weight per resource (all zero between calls) and
+  // the ids it touched, in first-touch order.
   std::vector<double> weight_;
   std::vector<ResourceId> touched_;
+};
+
+/// A ClusterLayout registered with an engine.
+class ClusterSim {
+ public:
+  /// Registers all resources of `spec` with `engine`, which must have none
+  /// yet, so the ids are the layout's. `engine` must outlive this object.
+  ClusterSim(Engine& engine, const platform::ClusterSpec& spec);
+
+  const platform::ClusterSpec& spec() const { return layout_.spec(); }
+
+  /// Submits a parallel task; `on_complete` fires when all of its
+  /// computation and communication has finished. Returns the activity id.
+  /// Throws core::InvalidArgument on malformed ptasks (see
+  /// ClusterLayout::usage).
+  ActivityId submit_ptask(const Ptask& task, CompletionFn on_complete,
+                          Tag tag = {});
+
+ private:
+  Engine& engine_;
+  ClusterLayout layout_;
 };
 
 }  // namespace mtsched::simcore

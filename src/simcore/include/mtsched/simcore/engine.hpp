@@ -33,7 +33,7 @@
 //     streams them linearly, and the max-min solve consumes the usage
 //     lists as one CSR view (see maxmin.hpp). When exactly one working
 //     activity has a usage list — most solves of a schedule replay — and
-//     its resource ids strictly ascend (as ClusterSim emits them), its
+//     its resource ids strictly ascend (as ClusterLayout emits them), its
 //     rate is the minimum of capacity / weight over its uses: exactly
 //     what progressive filling computes in its first and only round over
 //     distinct resources, so the gather and the solver are skipped. Any

@@ -31,35 +31,34 @@ Ptask make_redistribution_ptask(const std::vector<int>& src_nodes,
   return t;
 }
 
-ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
-    : engine_(engine), spec_(spec) {
+ClusterLayout::ClusterLayout(const platform::ClusterSpec& spec)
+    : spec_(spec) {
   spec_.validate();
   const platform::Topology& topo = spec_.topology();
   const std::size_t racks = topo.racks.size();
-  // Resource ids follow registration order: per rack its nodes' cpu/up/
-  // down, the shared ToR fabric and — only when routes can leave the rack
-  // — the uplink pair; the shared core last. A star thus registers
-  // cpu/up/down per node followed by its switch fabric if shared.
+  // Resource ids follow this order: per rack its nodes' cpu/up/down, the
+  // shared ToR fabric and — only when routes can leave the rack — the
+  // uplink pair; the shared core last. A star thus lays out cpu/up/down
+  // per node followed by its switch fabric if shared.
   int node = 0;
   for (std::size_t r = 0; r < racks; ++r) {
     const platform::RackSpec& rk = topo.racks[r];
     for (int k = 0; k < rk.nodes; ++k, ++node) {
-      cpus_.push_back(engine_.add_resource(spec_.flops_of(node)));
-      up_.push_back(engine_.add_resource(rk.link_bandwidth));
-      down_.push_back(engine_.add_resource(rk.link_bandwidth));
+      cpus_.push_back(add(spec_.flops_of(node)));
+      up_.push_back(add(rk.link_bandwidth));
+      down_.push_back(add(rk.link_bandwidth));
       rack_of_.push_back(static_cast<int>(r));
     }
-    tor_.push_back(rk.shared_tor ? engine_.add_resource(rk.tor_bandwidth)
+    tor_.push_back(rk.shared_tor ? add(rk.tor_bandwidth)
                                  : static_cast<ResourceId>(-1));
     if (racks > 1) {
-      torup_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth()));
-      tordown_.push_back(
-          engine_.add_resource(rk.effective_uplink_bandwidth()));
+      torup_.push_back(add(rk.effective_uplink_bandwidth()));
+      tordown_.push_back(add(rk.effective_uplink_bandwidth()));
     }
   }
   has_core_ = racks > 1 && topo.core.shared;
   if (has_core_) {
-    core_ = engine_.add_resource(topo.core.bandwidth);
+    core_ = add(topo.core.bandwidth);
   }
   // Precompute per-rack-pair route latencies: two links and the ToR
   // within a rack; link, ToR, core, ToR and link across racks.
@@ -73,16 +72,22 @@ ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
                        topo.racks[b].link_latency;
     }
   }
-  weight_.assign(engine_.num_resources(), 0.0);
+  weight_.assign(capacity_.size(), 0.0);
 }
 
-void ClusterSim::charge(ResourceId r, double w) {
+ResourceId ClusterLayout::add(double capacity) {
+  MTSCHED_REQUIRE(capacity > 0.0, "resource capacity must be positive");
+  capacity_.push_back(capacity);
+  return capacity_.size() - 1;
+}
+
+void ClusterLayout::charge(ResourceId r, double w) {
   // Weights charged are > 0, so a zero weight marks an untouched resource.
   if (weight_[r] == 0.0) touched_.push_back(r);
   weight_[r] += w;
 }
 
-PtaskUsage ClusterSim::usage(const Ptask& task) {
+PtaskUsage ClusterLayout::usage(const Ptask& task) {
   const std::size_t p = task.host_of_rank.size();
   MTSCHED_REQUIRE(p > 0, "ptask needs at least one rank");
   for (int h : task.host_of_rank) {
@@ -117,7 +122,7 @@ PtaskUsage ClusterSim::usage(const Ptask& task) {
   return out;
 }
 
-double ClusterSim::charge_flow(int src_node, int dst_node, double b) {
+double ClusterLayout::charge_flow(int src_node, int dst_node, double b) {
   if (src_node == dst_node) return 0.0;  // local copy, no network usage
   const auto src = static_cast<std::size_t>(src_node);
   const auto dst = static_cast<std::size_t>(dst_node);
@@ -139,7 +144,7 @@ double ClusterSim::charge_flow(int src_node, int dst_node, double b) {
   return rack_lat_[ra * tor_.size() + rb];
 }
 
-void ClusterSim::flush(std::vector<Use>& out) {
+void ClusterLayout::flush(std::vector<Use>& out) {
   std::sort(touched_.begin(), touched_.end());
   for (ResourceId r : touched_) {
     out.push_back(Use{r, weight_[r]});
@@ -148,9 +153,10 @@ void ClusterSim::flush(std::vector<Use>& out) {
   touched_.clear();
 }
 
-double ClusterSim::redistribution_usage(int n, std::span<const int> src_nodes,
-                                        std::span<const int> dst_nodes,
-                                        std::vector<Use>& pool) {
+double ClusterLayout::redistribution_usage(int n,
+                                           std::span<const int> src_nodes,
+                                           std::span<const int> dst_nodes,
+                                           std::vector<Use>& pool) {
   for (const auto nodes : {src_nodes, dst_nodes}) {
     MTSCHED_REQUIRE(!nodes.empty(), "redistribution needs ranks on both sides");
     for (int h : nodes) {
@@ -185,9 +191,16 @@ double ClusterSim::redistribution_usage(int n, std::span<const int> src_nodes,
   return latency;
 }
 
+ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
+    : engine_(engine), layout_(spec) {
+  MTSCHED_REQUIRE(engine_.num_resources() == 0,
+                  "a cluster's resources must be the engine's first");
+  for (const double c : layout_.capacities()) engine_.add_resource(c);
+}
+
 ActivityId ClusterSim::submit_ptask(const Ptask& task,
                                     CompletionFn on_complete, Tag tag) {
-  const auto [uses, latency] = usage(task);
+  const auto [uses, latency] = layout_.usage(task);
   // Empty usage (zero flops, zero bytes) degenerates to an instant timer.
   const double amount = uses.empty() ? 0.0 : 1.0;
   return engine_.submit(uses, amount, latency, std::move(on_complete), tag);

@@ -51,13 +51,12 @@ ReplayPlan::ReplayPlan(const dag::Dag& g, const sched::Schedule& s,
 
   // Every transfer's usage, charged straight into one pool. Resource ids
   // depend only on the spec, so any runner's wiring of it agrees.
-  Engine engine;
-  ClusterSim cluster(engine, spec);
+  ClusterLayout layout(spec);
   edge_uses_off_.reserve(edges.size() + 1);
   edge_uses_off_.push_back(0);
   edge_latency_.reserve(edges.size());
   for (const auto& e : edges) {
-    edge_latency_.push_back(cluster.redistribution_usage(
+    edge_latency_.push_back(layout.redistribution_usage(
         g.task(e.src).matrix_dim, s.placement(e.src).procs,
         s.placement(e.dst).procs, edge_uses_));
     edge_uses_off_.push_back(edge_uses_.size());

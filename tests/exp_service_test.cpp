@@ -102,6 +102,25 @@ TEST(Session, MemoizesCompatibleRequests) {
   EXPECT_EQ(session.cache_misses(), 3u);
 }
 
+TEST(Session, CacheKeyIgnoresTextFormatting) {
+  const exp::Session session(lab());
+  auto req = sample_request();
+  ASSERT_TRUE(session.run(req).ok());
+  // The same DAG with a comment before every line and blank lines
+  // between them.
+  std::string spelled = "# the sample DAG\n\n";
+  for (std::size_t at = 0; at < req.dag_text.size();) {
+    const std::size_t end = req.dag_text.find('\n', at);
+    spelled += "# next line\n" + req.dag_text.substr(at, end - at) + "\n\n";
+    at = end + 1;
+  }
+  ASSERT_NE(spelled, req.dag_text);
+  req.dag_text = spelled;
+  ASSERT_TRUE(session.run(req).ok());
+  EXPECT_EQ(session.cache_misses(), 1u);
+  EXPECT_EQ(session.cache_hits(), 1u);
+}
+
 TEST(Session, SkipsExecutionOnRequest) {
   const exp::Session session(lab());
   auto req = sample_request();

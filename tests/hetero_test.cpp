@@ -100,12 +100,11 @@ TEST(ExecSlowdown, SlowestMemberPaces) {
 TEST(HeteroSimcore, PtaskBoundBySlowestCpu) {
   // Equal flop shares on a fast and a slow node: the fluid activity is
   // bottlenecked by the slow node's cpu.
-  simcore::Engine e;
-  simcore::ClusterSim cs(e, skewed4());
+  simcore::ClusterLayout layout(skewed4());
   simcore::Ptask t;
   t.host_of_rank = {0, 3};       // 200 and 50 flop/s
   t.flops = {100.0, 100.0};      // equal 1-D shares
-  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 2.0);  // 100 / 50
+  EXPECT_DOUBLE_EQ(solo_duration(layout, t), 2.0);  // 100 / 50
 }
 
 TEST(VirtualCluster, SizesFromAggregateSpeed) {

@@ -336,6 +336,7 @@ TEST(TopologySim, CrossRackTransfersPayTheOversubscribedUplink) {
   const auto spec = to_cluster(two_racks(4.0));
   mtsched::simcore::Engine e;
   mtsched::simcore::ClusterSim cs(e, spec);
+  mtsched::simcore::ClusterLayout layout(spec);
 
   mtsched::simcore::Ptask intra;
   intra.host_of_rank = {0, 1};
@@ -344,15 +345,14 @@ TEST(TopologySim, CrossRackTransfersPayTheOversubscribedUplink) {
   cross.host_of_rank = {0, 2};
 
   // Intra-rack: the 10 B/s node links bound -> 30/10 + 1 = 4 s.
-  EXPECT_DOUBLE_EQ(solo_duration(cs, e, intra), 4.0);
+  EXPECT_DOUBLE_EQ(solo_duration(layout, intra), 4.0);
   // Cross-rack: the 5 B/s uplink bounds -> 30/5 + 1 = 7 s.
-  EXPECT_DOUBLE_EQ(solo_duration(cs, e, cross), 7.0);
+  EXPECT_DOUBLE_EQ(solo_duration(layout, cross), 7.0);
 
   // At 1:1 the uplink (20 B/s) no longer binds and cross == intra.
-  mtsched::simcore::Engine e1;
-  mtsched::simcore::ClusterSim cs1(e1, to_cluster(two_racks(1.0)));
-  EXPECT_DOUBLE_EQ(solo_duration(cs1, e1, cross),
-                   solo_duration(cs1, e1, intra));
+  mtsched::simcore::ClusterLayout layout1(to_cluster(two_racks(1.0)));
+  EXPECT_DOUBLE_EQ(solo_duration(layout1, cross),
+                   solo_duration(layout1, intra));
 
   // The engine runs agree with the solo estimates.
   double when_cross = -1.0;
@@ -381,10 +381,9 @@ UseList use_list(const mtsched::simcore::PtaskUsage& u) {
 TEST(TopologySim, IntraRackRedistributionUsesOnHier4x8) {
   const auto spec = to_cluster(hierarchical_topology(4, 8, 4.0));
   const RackSpec& rack = spec.topology().racks[0];
-  mtsched::simcore::Engine e;
-  mtsched::simcore::ClusterSim cs(e, spec);
+  mtsched::simcore::ClusterLayout layout(spec);
   const auto pt = hier_redistribution({3, 4, 5, 6});
-  const auto u = cs.usage(pt);
+  const auto u = layout.usage(pt);
   // Each source sends 384 B, each destination receives 288 B, and the
   // whole 1152 B crosses rack 0's ToR fabric.
   EXPECT_EQ(use_list(u), (UseList{{1, 384.0},
@@ -397,7 +396,7 @@ TEST(TopologySim, IntraRackRedistributionUsesOnHier4x8) {
                                   {24, 1152.0}}));
   EXPECT_EQ(u.latency, 2.0 * rack.link_latency + rack.tor_latency);
   // The source node links bind.
-  EXPECT_EQ(solo_duration(cs, e, pt),
+  EXPECT_EQ(solo_duration(layout, pt),
             384.0 / rack.link_bandwidth + 2.0 * rack.link_latency +
                 rack.tor_latency);
 }
@@ -406,10 +405,9 @@ TEST(TopologySim, CrossRackRedistributionUsesOnHier4x8) {
   const auto spec = to_cluster(hierarchical_topology(4, 8, 4.0));
   const RackSpec& rack = spec.topology().racks[0];
   const CoreSpec& core = spec.topology().core;
-  mtsched::simcore::Engine e;
-  mtsched::simcore::ClusterSim cs(e, spec);
+  mtsched::simcore::ClusterLayout layout(spec);
   const auto pt = hier_redistribution({8, 9, 10, 11});
-  const auto u = cs.usage(pt);
+  const auto u = layout.usage(pt);
   // Rack 0's node uplinks, ToR and core uplink; the core; rack 1's core
   // downlink, ToR and node downlinks.
   EXPECT_EQ(use_list(u), (UseList{{1, 384.0},
@@ -428,7 +426,7 @@ TEST(TopologySim, CrossRackRedistributionUsesOnHier4x8) {
                          rack.tor_latency + rack.link_latency;
   EXPECT_EQ(u.latency, latency);
   // The 4:1 oversubscribed rack uplink (8 links / 4) binds.
-  EXPECT_EQ(solo_duration(cs, e, pt),
+  EXPECT_EQ(solo_duration(layout, pt),
             1152.0 / rack.effective_uplink_bandwidth() + latency);
 }
 

@@ -50,27 +50,26 @@ inline std::string to_text(const platform::Topology& topo) {
   return os.str();
 }
 
-/// The latency simcore::ClusterSim charges a transfer from node `a` to
+/// The latency simcore::ClusterLayout charges a transfer from node `a` to
 /// node `b` (0 when a == b: a local copy uses no network).
 inline double route_latency(const platform::Topology& topo, int a, int b) {
-  simcore::Engine engine;
-  simcore::ClusterSim cs(engine, platform::to_cluster(topo));
+  simcore::ClusterLayout layout(platform::to_cluster(topo));
   simcore::Ptask transfer;
   transfer.host_of_rank = {a, b};
   transfer.flows = {{0, 1, 1.0}};
-  return cs.usage(transfer).latency;
+  return layout.usage(transfer).latency;
 }
 
-/// How long `task` takes alone on `cs`'s cluster (registered with
-/// `engine`): the largest weight / capacity over its uses (L07 progress is
-/// bound by the bottleneck resource) plus the route latency.
-inline double solo_duration(simcore::ClusterSim& cs,
-                            const simcore::Engine& engine,
+/// How long `task` takes alone on `layout`'s cluster: the largest weight /
+/// capacity over its uses (L07 progress is bound by the bottleneck
+/// resource) plus the route latency.
+inline double solo_duration(simcore::ClusterLayout& layout,
                             const simcore::Ptask& task) {
-  const auto [uses, latency] = cs.usage(task);
+  const auto [uses, latency] = layout.usage(task);
   double bottleneck = 0.0;
   for (const auto& u : uses) {
-    bottleneck = std::max(bottleneck, u.weight / engine.capacity(u.resource));
+    bottleneck =
+        std::max(bottleneck, u.weight / layout.capacities()[u.resource]);
   }
   return bottleneck + latency;
 }

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/dag/daggen.hpp"
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/sched/allocation.hpp"
 
@@ -418,6 +419,112 @@ TEST(CpaFamilyReference, Table1SuiteSliceMatchesNaiveReference) {
                              suite[i].name);
     expect_matches_reference(suite[i].graph, BumpyCost{},
                              suite[i].name + " bumpy");
+  }
+}
+
+/// A root fanning out to hubs of out-degree 0..10, hub d feeding the
+/// first d tasks of a layer (whose fan-ins therefore run 10 down to 0),
+/// and a sink joining five of them: every chunk boundary of the level
+/// sweeps' padded rows, which generate_random_dag (fan-in 2, out-degrees
+/// spread over 0..7) does not reach.
+Dag chunk_boundary_dag() {
+  constexpr int kHubs = 11;
+  Dag g;
+  const TaskId root = g.add_task(TaskKernel::MatMul, 2000);
+  std::vector<TaskId> hubs, layer;
+  for (int d = 0; d < kHubs; ++d) {
+    hubs.push_back(g.add_task(d % 2 ? TaskKernel::MatAdd : TaskKernel::MatMul,
+                              d % 3 ? 2000 : 1000));
+    g.add_edge(root, hubs.back());
+  }
+  for (int j = 0; j <= kHubs; ++j) {
+    layer.push_back(g.add_task(j % 2 ? TaskKernel::MatMul : TaskKernel::MatAdd,
+                               1500));
+  }
+  for (int d = 0; d < kHubs; ++d) {
+    for (int j = 0; j < d; ++j) g.add_edge(hubs[d], layer[j]);
+  }
+  const TaskId sink = g.add_task(TaskKernel::MatMul, 1000);
+  for (int j = 0; j < 5; ++j) g.add_edge(layer[j], sink);
+  return g;
+}
+
+/// `g` with task i renamed to new_id[i]: tasks are re-added in new-id
+/// order and edges in their original order.
+Dag relabel(const Dag& g, const std::vector<TaskId>& new_id) {
+  std::vector<TaskId> old_of(g.num_tasks());
+  for (TaskId t = 0; t < g.num_tasks(); ++t) old_of[new_id[t]] = t;
+  Dag r;
+  for (const TaskId t : old_of) {
+    r.add_task(g.task(t).kernel, g.task(t).matrix_dim, g.task(t).name);
+  }
+  for (const Edge& e : g.edges()) r.add_edge(new_id[e.src], new_id[e.dst]);
+  return r;
+}
+
+/// Reverses the ids, so every edge points from a larger id to a smaller.
+Dag reversed_ids(const Dag& g) {
+  std::vector<TaskId> new_id(g.num_tasks());
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    new_id[t] = static_cast<TaskId>(g.num_tasks() - 1 - t);
+  }
+  return relabel(g, new_id);
+}
+
+/// Interleaves the ids (task i becomes 7i mod n, n not a multiple of 7).
+Dag strided_ids(const Dag& g) {
+  const std::size_t n = g.num_tasks();
+  EXPECT_NE(n % 7, 0u);
+  std::vector<TaskId> new_id(n);
+  for (TaskId t = 0; t < n; ++t) new_id[t] = static_cast<TaskId>(7 * t % n);
+  return relabel(g, new_id);
+}
+
+TEST(CpaFamilyReference, PaddedRowsAndRelabelledIdsMatchNaiveReference) {
+  const Dag boundary = chunk_boundary_dag();
+  DaggenParams dp;
+  dp.num_tasks = 60;
+  dp.fat = 0.4;
+  dp.density = 0.9;
+  dp.jump = 3;
+  dp.seed = 17;
+  const Dag daggen = generate_daggen(dp);
+  const Dag random =
+      generate_random_dag({.num_tasks = 121, .width = 8, .seed = 11}).graph;
+
+  // The boundary DAG reaches every out-degree the padded successor rows
+  // split on, and fan-ins of 3 and more (DAGGEN, like the Table-I
+  // generator, caps fan-in at 2: its kernels are binary).
+  std::vector<int> in(boundary.num_tasks(), 0), out(boundary.num_tasks(), 0);
+  for (const Edge& e : boundary.edges()) {
+    ++out[e.src];
+    ++in[e.dst];
+  }
+  for (int d : {0, 4, 5, 8, 9, 10, 11}) {
+    EXPECT_NE(std::count(out.begin(), out.end(), d), 0) << "out-degree " << d;
+  }
+  EXPECT_GE(*std::max_element(in.begin(), in.end()), 10);
+
+  struct Case {
+    std::string label;
+    Dag g;
+    bool relabelled;
+  };
+  const Case cases[] = {
+      {"boundary", boundary, false},
+      {"boundary reversed", reversed_ids(boundary), true},
+      {"daggen", daggen, false},
+      {"daggen strided", strided_ids(daggen), true},
+      {"random reversed", reversed_ids(random), true},
+      {"random strided", strided_ids(random), true},
+  };
+  for (const auto& [label, g, relabelled] : cases) {
+    if (relabelled) {
+      const auto& order = g.topological_order();
+      EXPECT_FALSE(std::is_sorted(order.begin(), order.end())) << label;
+    }
+    expect_matches_reference(g, IdealCost(/*startup=*/0.2), label);
+    expect_matches_reference(g, BumpyCost{}, label + " bumpy");
   }
 }
 

@@ -39,10 +39,21 @@ TEST(ClusterSim, RegistersResourcesPerNode) {
   EXPECT_DOUBLE_EQ(e.capacity(0), 100.0);   // cpu of node 0
   EXPECT_DOUBLE_EQ(e.capacity(10), 10.0);   // uplink of node 3
   EXPECT_DOUBLE_EQ(e.capacity(12), 15.0);   // the fabric
+  ClusterLayout layout(tiny());
+  // The layout has the same resources without an engine.
+  const auto caps = layout.capacities();
+  EXPECT_EQ(std::vector<double>(caps.begin(), caps.end()),
+            (std::vector<double>{100, 10, 10, 100, 10, 10, 100, 10, 10, 100,
+                                 10, 10, 15}));
   Ptask t;
   t.host_of_rank = {4};  // no such node
   t.flops = {1.0};
-  EXPECT_THROW(cs.usage(t), InvalidArgument);
+  EXPECT_THROW(layout.usage(t), InvalidArgument);
+  // The ids are the layout's only on an engine that has no other
+  // resources.
+  Engine used;
+  used.add_resource(1.0);
+  EXPECT_THROW(ClusterSim(used, tiny()), InvalidArgument);
 }
 
 TEST(ClusterSim, NoBackboneResourceForNonBlockingSwitch) {
@@ -50,10 +61,11 @@ TEST(ClusterSim, NoBackboneResourceForNonBlockingSwitch) {
   ClusterSim cs(e, tiny(/*shared_switch=*/false));
   EXPECT_EQ(e.num_resources(), 12u);
   // A transfer charges the two node links and no fabric.
+  ClusterLayout layout(tiny(/*shared_switch=*/false));
   Ptask t;
   t.host_of_rank = {0, 1};
   t.flows = {{0, 1, 30.0}};
-  const PtaskUsage u = cs.usage(t);
+  const PtaskUsage u = layout.usage(t);
   ASSERT_EQ(u.uses.size(), 2u);
   EXPECT_EQ(u.uses[0].resource, 1u);  // uplink of node 0
   EXPECT_EQ(u.uses[1].resource, 5u);  // downlink of node 1
@@ -62,10 +74,11 @@ TEST(ClusterSim, NoBackboneResourceForNonBlockingSwitch) {
 TEST(Ptask, ComputeOnlySoloDuration) {
   Engine e;
   ClusterSim cs(e, tiny());
+  ClusterLayout layout(tiny());
   Ptask t;
   t.host_of_rank = {0, 1};
   t.flops = {200.0, 100.0};  // bottleneck: 200/100 = 2 s
-  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 2.0);
+  EXPECT_DOUBLE_EQ(solo_duration(layout, t), 2.0);
   double done = -1.0;
   cs.submit_ptask(t, [&](double when) { done = when; });
   e.run();
@@ -75,10 +88,11 @@ TEST(Ptask, ComputeOnlySoloDuration) {
 TEST(Ptask, CommOnlyIncludesLatencyOnce) {
   Engine e;
   ClusterSim cs(e, tiny());
+  ClusterLayout layout(tiny());
   Ptask t;
   t.host_of_rank = {0, 1};
   t.flows = {{0, 1, 30.0}};  // 30 B over 10 B/s links -> 3 s + 1 s latency
-  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 4.0);
+  EXPECT_DOUBLE_EQ(solo_duration(layout, t), 4.0);
   double done = -1.0;
   cs.submit_ptask(t, [&](double when) { done = when; });
   e.run();
@@ -87,22 +101,20 @@ TEST(Ptask, CommOnlyIncludesLatencyOnce) {
 
 TEST(Ptask, ComputationAndCommunicationOverlap) {
   // L07: progress is bound by the bottleneck, not the sum.
-  Engine e;
-  ClusterSim cs(e, tiny());
+  ClusterLayout layout(tiny());
   Ptask t;
   t.host_of_rank = {0, 1};
   t.flops = {500.0, 0.0};  // 5 s of compute on node 0
   t.flows = {{0, 1, 20.0}};  // 2 s of transfer
-  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 5.0 + 1.0);  // compute + latency
+  EXPECT_DOUBLE_EQ(solo_duration(layout, t), 5.0 + 1.0);  // compute + latency
 }
 
 TEST(Ptask, LocalCopiesUseNoNetwork) {
-  Engine e;
-  ClusterSim cs(e, tiny());
+  ClusterLayout layout(tiny());
   Ptask t;
   t.host_of_rank = {2, 2};  // both ranks on node 2
   t.flows = {{0, 1, 1e9}};  // huge, but local
-  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 0.0);
+  EXPECT_DOUBLE_EQ(solo_duration(layout, t), 0.0);
 }
 
 TEST(Ptask, BackboneLimitsAggregateTraffic) {
@@ -145,6 +157,7 @@ TEST(Ptask, LinkContentionBetweenTransfersFromOneNode) {
 TEST(Ptask, ValidationErrors) {
   Engine e;
   ClusterSim cs(e, tiny());
+  ClusterLayout layout(tiny());
   Ptask t;
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);  // no ranks
   t.host_of_rank = {0, 9};  // bad node
@@ -161,20 +174,19 @@ TEST(Ptask, ValidationErrors) {
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
   t.flows = {{0, 1, 1.0}, {1, 0, -1.0}};  // negative bytes
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
-  EXPECT_THROW(solo_duration(cs, e, t), InvalidArgument);
+  EXPECT_THROW(solo_duration(layout, t), InvalidArgument);
   // A rejected ptask leaves no trace: the next one is charged afresh.
   t.flows = {{0, 1, 30.0}};
-  EXPECT_DOUBLE_EQ(solo_duration(cs, e, t), 4.0);
+  EXPECT_DOUBLE_EQ(solo_duration(layout, t), 4.0);
 }
 
 TEST(Ptask, FlowsOnOneResourceSumInListOrder) {
-  Engine e;
-  ClusterSim cs(e, tiny());
+  ClusterLayout layout(tiny());
   Ptask t;
   t.host_of_rank = {0, 1, 2, 0};
   t.flops = {100.0, 0.0, 0.0, 50.0};  // ranks 0 and 3 share node 0's cpu
   t.flows = {{0, 1, 10.0}, {0, 2, 0.0}, {3, 2, 5.0}, {0, 3, 7.0}};
-  const PtaskUsage u = cs.usage(t);
+  const PtaskUsage u = layout.usage(t);
   // cpu0 150; up0 10 + 5 (rank 3 is on node 0; the 0 -> 3 flow is local);
   // down1 10; down2 5; fabric 15. Ascending ids, zero-byte flow skipped.
   ASSERT_EQ(u.uses.size(), 5u);
@@ -206,8 +218,7 @@ TEST(RedistributionPtask, ShapeMismatchThrows) {
 /// exactly (same weights, same order, same latency) for every pair of
 /// allocation sizes, with placements that share nodes (local copies).
 void expect_fused_charge_exact(const mtsched::platform::ClusterSpec& spec) {
-  Engine e;
-  ClusterSim cs(e, spec);
+  ClusterLayout layout(spec);
   const int P = spec.num_nodes;
   std::vector<Use> pool;
   for (const int n : {2000, 3001}) {
@@ -219,11 +230,11 @@ void expect_fused_charge_exact(const mtsched::platform::ClusterSpec& spec) {
           std::vector<int> src, dst;
           for (int k = 0; k < p_src; ++k) src.push_back(k);
           for (int k = 0; k < p_dst; ++k) dst.push_back((k + shift) % P);
-          const auto want = cs.usage(make_redistribution_ptask(
+          const auto want = layout.usage(make_redistribution_ptask(
               src, dst,
               mtsched::redist::plan_block_redistribution(n, p_src, p_dst)));
           pool.assign(1, Use{0, -1.0});  // appends after existing entries
-          const double latency = cs.redistribution_usage(n, src, dst, pool);
+          const double latency = layout.redistribution_usage(n, src, dst, pool);
           ASSERT_EQ(pool.size(), want.uses.size() + 1)
               << n << " " << p_src << " " << p_dst << " " << shift;
           for (std::size_t k = 0; k < want.uses.size(); ++k) {
@@ -246,15 +257,14 @@ TEST(FusedCharge, MatchesPtaskUsageOnHier4x8) {
 }
 
 TEST(FusedCharge, AllLocalCopiesChargeNothing) {
-  Engine e;
-  ClusterSim cs(e, tiny());
+  ClusterLayout layout(tiny());
   std::vector<Use> pool;
-  EXPECT_EQ(cs.redistribution_usage(100, std::vector<int>{2, 1},
-                                    std::vector<int>{2, 1}, pool),
+  EXPECT_EQ(layout.redistribution_usage(100, std::vector<int>{2, 1},
+                                        std::vector<int>{2, 1}, pool),
             0.0);
   EXPECT_TRUE(pool.empty());
-  EXPECT_THROW(cs.redistribution_usage(100, std::vector<int>{4},
-                                       std::vector<int>{0}, pool),
+  EXPECT_THROW(layout.redistribution_usage(100, std::vector<int>{4},
+                                           std::vector<int>{0}, pool),
                InvalidArgument);
 }
 
