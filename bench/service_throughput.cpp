@@ -158,7 +158,8 @@ BENCHMARK(BM_ServiceRpcLoopback)->UseRealTime();
 /// observes. With window 1 and one connection this degenerates to the
 /// strict request/response tier (the "no p50 regression" guard); the
 /// deep tiers measure how much of the per-request socket overhead the
-/// event loop and the service micro-batcher amortize away.
+/// event loop and pipelining amortize away, with every request its own
+/// task on the service's worker pool.
 void BM_ServiceRpcPipelined(benchmark::State& state, int connections,
                             std::size_t window, bool execute,
                             const std::string& label) {

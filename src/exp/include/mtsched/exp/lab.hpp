@@ -85,10 +85,6 @@ class Lab {
   std::array<std::unique_ptr<const models::CostModel>, 3> models_;
 };
 
-/// The calling thread's replay runner, which every cell simulates and
-/// runs its experiment seeds on.
-simcore::ReplayRunner& thread_runner();
-
 /// The schedule stage of a cell: `alloc`'s processor counts, list-mapped
 /// by sched::ListMapper(strategy, spec) on all of spec's nodes.
 sched::Schedule allocate_and_map(const sched::Allocator& alloc,
@@ -98,7 +94,8 @@ sched::Schedule allocate_and_map(const sched::Allocator& alloc,
                                  const platform::ClusterSpec& spec);
 
 /// What one (DAG, model, algorithm) computes once for all of its
-/// experiment seeds; a seed is rig.run(thread_runner(), cell.plan, seed).
+/// experiment seeds; a seed is
+/// rig.run(simcore::thread_runner(), cell.plan, seed).
 struct Cell {
   /// Compiles `schedule` for `rig`'s platform (throws
   /// core::InvalidArgument when it is invalid) and simulates it under

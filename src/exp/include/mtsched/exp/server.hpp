@@ -66,10 +66,10 @@ struct RpcServerStats {
   /// Times a connection was paused for reading because it hit
   /// max_conn_inflight or max_write_buffer_bytes.
   std::uint64_t backpressure_pauses = 0;
-  /// Service micro-batcher counters (see ServiceBatchStats).
+  /// Both hold the count of schedule requests served, each its own batch
+  /// of one; kept while perfbench derives service.mean_batch from them.
   std::uint64_t batches = 0;
   std::uint64_t batched_requests = 0;
-  std::uint64_t max_batch = 0;
 };
 
 class RpcServer {
@@ -189,6 +189,7 @@ class RpcServer {
   std::atomic<std::size_t> open_connections_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> served_{0};  ///< schedule responses delivered
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> backpressure_pauses_{0};
 };

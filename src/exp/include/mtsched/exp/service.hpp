@@ -1,7 +1,6 @@
 // The scheduling service: a Session fronted by a worker pool with
-// admission control and a dynamic micro-batcher — what `mtsched serve`
-// runs behind its socket, usable in-process by benches and tests without
-// any transport.
+// admission control — what `mtsched serve` runs behind its socket, usable
+// in-process by benches and tests without any transport.
 //
 // Requests are admitted up to a bounded number in flight (queued +
 // executing); beyond that submit() rejects immediately with an
@@ -9,30 +8,20 @@
 // daemon stays responsive and callers get an actionable signal to back
 // off.
 //
-// Admitted requests land in a pending queue drained by core::ThreadPool
-// workers in dynamic micro-batches: each drain takes *everything*
-// pending (up to max_batch) and serves it through one
-// Session::BatchScope, so compatible requests — same platform and cost
-// model — share one sched::CostCurveTable per batch. The flush policy is
-// "batch whatever is ready, never wait on a timer": an idle service
-// serves each request alone with no added latency, while a saturated
-// service coalesces the backlog that piled up behind the busy workers.
-// Responses stay byte-identical to sequential Session::run calls (the
-// BatchScope contract).
+// Every admitted request is its own core::ThreadPool task: the first free
+// worker runs it through Session::run and delivers its response, so a
+// burst spreads over every idle worker. Responses are byte-identical to
+// sequential Session::run calls.
 //
 // Observation goes through the usual obs::Sink: one trace lane per
-// request, service.{accepted,rejected,completed,batches,
-// batched_requests} counters, a service.batch_size histogram and a
+// request, service.{accepted,rejected,completed} counters and a
 // service.latency_seconds histogram (admission to delivery, queue time
 // included).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 
 #include "mtsched/core/thread_pool.hpp"
@@ -50,20 +39,6 @@ struct ServiceConfig {
   /// Maximum requests in flight (queued + executing + delivering their
   /// response). submit() beyond this rejects with Overloaded.
   std::size_t queue_limit = 64;
-
-  /// Most requests one drain coalesces into a single micro-batch
-  /// (clamped below by 1). Bounds the delivery latency of the last
-  /// request in a batch under backlog; the queue_limit bounds the
-  /// backlog itself.
-  std::size_t max_batch = 16;
-};
-
-/// Cumulative micro-batcher statistics (monotone counters except
-/// max_batch, readable live).
-struct ServiceBatchStats {
-  std::uint64_t batches = 0;           ///< non-empty drains
-  std::uint64_t batched_requests = 0;  ///< requests served through drains
-  std::uint64_t max_batch = 0;         ///< largest single batch so far
 };
 
 /// Thread-safe service façade over one Session. Submitting threads and
@@ -115,43 +90,18 @@ class Service {
     return in_flight_.load(std::memory_order_relaxed);
   }
 
-  ServiceBatchStats batch_stats() const;
-
   const Session& session() const { return session_; }
 
  private:
-  /// One admitted request waiting in the pending queue.
-  struct Pending {
-    ScheduleRequest req;
-    Done done;
-    obs::Track track;
-    std::chrono::steady_clock::time_point admitted_at;
-  };
-
-  /// Pool task: serve whatever is pending (up to max_batch) through one
-  /// BatchScope. One drain is scheduled per admitted request, so every
-  /// request has a worker coming for it; drains that find the queue
-  /// empty (an earlier drain swept their request into its batch) return
-  /// immediately.
-  void drain();
-
   const ServiceConfig cfg_;
   Session session_;
   obs::Sink* sink_;
   obs::Counter* accepted_ = nullptr;
   obs::Counter* rejected_ = nullptr;
   obs::Counter* completed_ = nullptr;
-  obs::Counter* batches_counter_ = nullptr;
-  obs::Counter* batched_counter_ = nullptr;
-  obs::Histogram* batch_size_ = nullptr;
   obs::Histogram* latency_ = nullptr;
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> next_request_id_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_requests_{0};
-  std::atomic<std::uint64_t> max_batch_{0};
-  std::mutex pending_mutex_;
-  std::deque<Pending> pending_;
   core::ThreadPool pool_;  ///< last member: joins before the rest dies
 };
 

@@ -32,7 +32,6 @@
 
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/models/factory.hpp"
-#include "mtsched/sched/cost.hpp"
 #include "mtsched/sched/mapping.hpp"
 #include "mtsched/sched/schedule.hpp"
 #include "mtsched/sched/trace.hpp"
@@ -163,39 +162,6 @@ class Session {
   ScheduleResponse run(const ScheduleRequest& req,
                        RunArtifacts* artifacts = nullptr) const;
 
-  /// A batch of requests served one at a time on the calling thread (the
-  /// service's micro-batcher). Every run() through one scope shares one
-  /// sched::CostCurveTable per (platform, model), so each distinct
-  /// (kernel, matrix_dim) curve is resolved once per batch, not once per
-  /// DAG. Responses are bit-identical to Session::run (the SchedCost
-  /// purity contract) and land in the same cache cells. A scope belongs
-  /// to one thread and must not outlive the session's labs.
-  class BatchScope {
-   public:
-    explicit BatchScope(const Session& session) : session_(session) {}
-
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-
-    /// Serves one request of the batch (see Session::run).
-    ScheduleResponse run(const ScheduleRequest& req,
-                         RunArtifacts* artifacts = nullptr);
-
-   private:
-    /// One curve table per (platform lab, resolved model) pair seen so
-    /// far; a handful of entries, so identity by linear scan. The
-    /// adapter is heap-held because the table keeps a reference to it.
-    struct TableEntry {
-      const Lab* lab;
-      const models::CostModel* model;
-      std::unique_ptr<models::SchedCostAdapter> adapter;
-      std::unique_ptr<sched::CostCurveTable> table;
-    };
-
-    const Session& session_;
-    std::vector<TableEntry> tables_;
-  };
-
   /// Cumulative cell-cache statistics across all requests.
   std::uint64_t cache_hits() const {
     return hits_.load(std::memory_order_relaxed);
@@ -205,12 +171,6 @@ class Session {
   }
 
  private:
-  /// The pipeline behind run() and BatchScope::run(). `shared_cost`, when
-  /// non-null, replaces the per-request cost adapter (a BatchScope passes
-  /// its curve table; it must wrap the request's resolved model).
-  ScheduleResponse serve(const ScheduleRequest& req, RunArtifacts* artifacts,
-                         const sched::SchedCost* shared_cost) const;
-
   const Lab& lab_;
   /// Registered (name, lab) platforms; linear scan — registries hold a
   /// handful of entries and are read-only while serving.

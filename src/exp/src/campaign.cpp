@@ -348,7 +348,7 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
       {
         const obs::ScopedContext obs_ctx(run.track, mreg);
         makespan_exp =
-            rig_.run(thread_runner(), cell.plan, run.run_seed).makespan;
+            rig_.run(simcore::thread_runner(), cell.plan, run.run_seed).makespan;
       }
       const double execute_seconds = seconds_since(t1);
       if (exec_hist != nullptr) exec_hist->observe(execute_seconds);

@@ -53,11 +53,6 @@ const models::CostModel& Lab::model(models::CostModelKind kind) const {
   return *models_[idx];
 }
 
-simcore::ReplayRunner& thread_runner() {
-  thread_local simcore::ReplayRunner runner;
-  return runner;
-}
-
 sched::Schedule allocate_and_map(const sched::Allocator& alloc,
                                  sched::MappingStrategy strategy,
                                  const dag::Dag& g,
@@ -73,10 +68,10 @@ Cell::Cell(const dag::Dag& g, sched::Schedule s,
     : schedule(std::move(s)), plan(g, schedule, rig.spec()) {
   const sim::Simulator simulator(model);
   if (model.spec() == plan.spec()) {
-    makespan_sim = simulator.run(thread_runner(), plan).makespan;
+    makespan_sim = simulator.run(simcore::thread_runner(), plan).makespan;
   } else {
     const simcore::ReplayPlan own(g, schedule, model.spec());
-    makespan_sim = simulator.run(thread_runner(), own).makespan;
+    makespan_sim = simulator.run(simcore::thread_runner(), own).makespan;
   }
 }
 

@@ -46,10 +46,7 @@ RpcServerStats RpcServer::stats() const {
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.backpressure_pauses =
       backpressure_pauses_.load(std::memory_order_relaxed);
-  const ServiceBatchStats b = service_.batch_stats();
-  s.batches = b.batches;
-  s.batched_requests = b.batched_requests;
-  s.max_batch = b.max_batch;
+  s.batches = s.batched_requests = served_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -304,6 +301,7 @@ void RpcServer::handle_frame(Conn& c, const std::string& payload) {
   const bool admitted = service_.submit(
       std::move(req.schedule),
       [this, conn_id, seq](const ScheduleResponse& resp) {
+        served_.fetch_add(1, std::memory_order_relaxed);
         std::string bytes = encode_response(resp);
         {
           std::unique_lock lock(completions_mutex_);

@@ -114,44 +114,6 @@ const Lab& Session::resolve_lab(const std::string& platform) const {
 
 ScheduleResponse Session::run(const ScheduleRequest& req,
                               RunArtifacts* artifacts) const {
-  return serve(req, artifacts, nullptr);
-}
-
-ScheduleResponse Session::BatchScope::run(const ScheduleRequest& req,
-                                          RunArtifacts* artifacts) {
-  const sched::SchedCost* shared = nullptr;
-  try {
-    const Lab& lab = session_.resolve_lab(req.platform);
-    const models::CostModel& model = lab.model(req.model);
-    TableEntry* entry = nullptr;
-    for (auto& t : tables_) {
-      if (t.lab == &lab && t.model == &model) {
-        entry = &t;
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      TableEntry e;
-      e.lab = &lab;
-      e.model = &model;
-      e.adapter = std::make_unique<models::SchedCostAdapter>(model);
-      e.table = std::make_unique<sched::CostCurveTable>(*e.adapter,
-                                                        lab.spec().num_nodes);
-      tables_.push_back(std::move(e));
-      entry = &tables_.back();
-    }
-    shared = entry->table.get();
-  } catch (...) {
-    // Resolution failed; serve() re-resolves and reports the error as
-    // this request's response without touching the rest of the batch.
-    shared = nullptr;
-  }
-  return session_.serve(req, artifacts, shared);
-}
-
-ScheduleResponse Session::serve(const ScheduleRequest& req,
-                                RunArtifacts* artifacts,
-                                const sched::SchedCost* shared_cost) const {
   ScheduleResponse resp;
   resp.algorithm = req.algorithm;
   resp.exp_seed = req.exp_seed;
@@ -173,10 +135,9 @@ ScheduleResponse Session::serve(const ScheduleRequest& req,
     const auto cached = cache_.get_or_compute(
         key,
         [&] {
-          const models::SchedCostAdapter local_cost(model);
-          sched::Schedule s = allocate_and_map(
-              *allocator, req.mapping, g,
-              shared_cost != nullptr ? *shared_cost : local_cost, lab.spec());
+          const models::SchedCostAdapter cost(model);
+          sched::Schedule s = allocate_and_map(*allocator, req.mapping, g,
+                                               cost, lab.spec());
           return std::make_shared<const CachedCell>(std::move(g), std::move(s),
                                                     model, lab.rig());
         },
@@ -191,7 +152,7 @@ ScheduleResponse Session::serve(const ScheduleRequest& req,
     if (req.execute) {
       // Moved out: a worker keeps no request's trace between requests.
       sched::RunTrace trace =
-          std::move(lab.rig().run(thread_runner(), cell.plan, req.exp_seed));
+          std::move(lab.rig().run(simcore::thread_runner(), cell.plan, req.exp_seed));
       resp.makespan_exp = trace.makespan;
       if (artifacts != nullptr) artifacts->exp_trace = std::move(trace);
       resp.executed = true;

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mtsched/core/error.hpp"
@@ -19,7 +18,7 @@ namespace mtsched::sched {
 /// Every estimate below may read a task only through its shape, the
 /// (kernel, matrix_dim) pair: two tasks of one shape get bit-identical
 /// answers. CostCurveTable memoizes on that key and serves one task's
-/// answers to every same-shaped task, across DAGs too.
+/// answers to every same-shaped task of its DAG.
 class SchedCost {
  public:
   virtual ~SchedCost() = default;
@@ -75,47 +74,27 @@ class SchedCost {
   }
 };
 
-/// The one memo of scheduler estimates: a shape-indexed table over a base
-/// SchedCost for processor counts 1..P. Each distinct (kernel, matrix_dim)
-/// task row is filled whole with one task_time_curve call; redistribution
-/// entries are filled per (shape, p_src, p_dst) cell on first scalar use
-/// (a prefix curve call fills a p_dst sweep at once); startup and
-/// overhead values are filled per p. Every value is resolved against the
-/// base model once and then served from the table, no matter how many
-/// tasks — across how many DAGs — share the shape.
-///
-/// Two uses: a shared table (exp::Session::BatchScope) answers the
-/// SchedCost interface for many DAGs, so the second and later DAGs of a
-/// Table-I-style suite never touch the model; and every scheduler builds
-/// one local table bound to its DAG, whose dense task -> shape index
-/// turns the TaskId queries below into array loads. A local table
-/// stacked on a shared one only copies the shared rows and cells.
+/// The one memo of scheduler estimates: a table over a base SchedCost for
+/// processor counts 1..P, bound to one DAG. It interns every task's
+/// (kernel, matrix_dim) shape up front and fills each distinct shape's
+/// task row with one task_time_curve call; redistribution entries are
+/// filled per (shape, p_src, p_dst) cell on first scalar use (a prefix
+/// curve query fills a p_dst sweep at once) and overhead values per
+/// (p_src, p_dst). Every value is resolved against the base model once
+/// and then served from the table, however many tasks share the shape.
+/// Every allocator and mapper builds one over the cost it receives; the
+/// dense task -> shape index turns the TaskId queries below into array
+/// loads.
 ///
 /// Correctness rests on the SchedCost shape-purity and curve
 /// bit-identity contracts, so served values are bit-identical to direct
-/// base-model calls. Every entry point rejects p outside [1, P] with
+/// base-model calls. Every query rejects p outside [1, P] with
 /// core::InvalidArgument. Not thread-safe: one table per thread.
-class CostCurveTable final : public SchedCost {
+class CostCurveTable {
  public:
-  /// `base` must outlive the table; `P` bounds every processor count the
-  /// table will be asked about.
-  CostCurveTable(const SchedCost& base, int P);
-  /// A table bound to `g` (which must outlive it): interns the shape of
-  /// every task and fills their task rows up front.
+  /// `base` and `g` must outlive the table; `P` bounds every processor
+  /// count the table will be asked about.
   CostCurveTable(const SchedCost& base, int P, const dag::Dag& g);
-
-  double exec_time(const dag::Task& t, int p) const override;
-  double startup_time(int p) const override;
-  double redist_time(const dag::Task& producer, int p_src,
-                     int p_dst) const override;
-  double redist_overhead_time(int p_src, int p_dst) const override;
-  void task_time_curve(const dag::Task& t,
-                       std::span<double> out) const override;
-  void redist_time_curve(const dag::Task& producer, int p_src,
-                         std::span<double> out) const override;
-
-  // Queries by task id of the bound DAG. Returned spans stay valid until
-  // a query interns a new shape.
 
   /// task_time(t, 1..P).
   std::span<const double> task_row(dag::TaskId t) const {
@@ -131,24 +110,15 @@ class CostCurveTable final : public SchedCost {
   /// redist_time(q, p_src, p_dst), filled on first use.
   double redist(dag::TaskId q, int p_src, int p_dst) const;
   /// redist_time(q, p_src, 1..len), filled with one redist_time_curve
-  /// call unless every entry is already known.
+  /// call unless every entry is already known. The span stays valid as
+  /// long as the table.
   std::span<const double> redist_curve(dag::TaskId q, int p_src,
                                        std::size_t len) const;
-
-  /// Distinct (kernel, matrix_dim) shapes seen so far.
-  std::size_t num_shapes() const { return shape_of_.size(); }
-  /// Base-model curve calls performed (cache misses).
-  std::uint64_t curve_fills() const { return fills_; }
+  /// redist_overhead_time(p_src, p_dst), filled on first use.
+  double redist_overhead_time(int p_src, int p_dst) const;
 
  private:
-  std::uint32_t intern(const dag::Task& t) const;
-  const double* task_row_of(std::uint32_t shape, const dag::Task& t) const;
-  double& redist_cell(std::uint32_t shape, int p_src, int p_dst) const;
-  double redist_of(std::uint32_t shape, const dag::Task& producer, int p_src,
-                   int p_dst) const;
-  std::span<const double> redist_prefix(std::uint32_t shape,
-                                        const dag::Task& producer, int p_src,
-                                        std::size_t len) const;
+  double* redist_row(dag::TaskId q, int p_src) const;
   void check_p(int p) const {
     MTSCHED_REQUIRE(p >= 1 && static_cast<std::size_t>(p) <= procs_,
                     "processor count outside the cost table's [1, P]");
@@ -156,17 +126,14 @@ class CostCurveTable final : public SchedCost {
 
   const SchedCost& base_;
   std::size_t procs_;
-  const dag::Dag* dag_ = nullptr;
-  std::vector<std::uint32_t> shape_of_task_;  ///< bound DAG's task -> shape
-  /// (kernel, dim) packed to a 64-bit key -> dense shape index.
-  mutable std::unordered_map<std::uint64_t, std::uint32_t> shape_of_;
-  // Flat arrays, indexed [shape][p - 1], [shape][p_src - 1][p_dst - 1],
-  // [p - 1] and [p_src - 1][p_dst - 1]; NaN marks an entry not yet filled.
-  mutable std::vector<double> task_rows_;
+  const dag::Dag& dag_;
+  std::vector<std::uint32_t> shape_of_task_;  ///< task -> dense shape index
+  // Flat arrays, indexed [shape][p - 1], [shape][p_src - 1][p_dst - 1]
+  // and [p_src - 1][p_dst - 1]; NaN marks an entry not yet filled. The
+  // last two are sized on first use: allocators never ask for them.
+  std::vector<double> task_rows_;
   mutable std::vector<double> redist_;
-  mutable std::vector<double> startup_;
   mutable std::vector<double> overhead_;
-  mutable std::uint64_t fills_ = 0;
 };
 
 }  // namespace mtsched::sched

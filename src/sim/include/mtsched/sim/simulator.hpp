@@ -16,9 +16,10 @@
 //     startup overhead);
 //   * the makespan is the completion time of the last task.
 //
-// run(g, s) compiles a simcore::ReplayPlan and replays it once;
-// run(runner, plan) replays a shared plan on the caller's runner. The
-// simulator holds no mutable state: threads share it, each with a runner.
+// run(g, s) and makespan(g, s) compile a simcore::ReplayPlan and replay it
+// once on the calling thread's simcore::thread_runner(); run(runner, plan)
+// replays a shared plan on the caller's runner. The simulator holds no
+// mutable state: threads share it, each with a runner.
 //
 // The simulator is deterministic: no randomness exists in any cost model.
 #pragma once

@@ -14,8 +14,8 @@ Simulator::Simulator(const models::CostModel& model, obs::Track trace)
 sched::RunTrace Simulator::run(const dag::Dag& g,
                                const sched::Schedule& s) const {
   const simcore::ReplayPlan plan(g, s, model_.spec());
-  simcore::ReplayRunner runner;
-  return std::move(run(runner, plan));
+  // Moved out: the thread's runner keeps no caller's trace.
+  return std::move(run(simcore::thread_runner(), plan));
 }
 
 sched::RunTrace& Simulator::run(simcore::ReplayRunner& runner,
@@ -96,7 +96,8 @@ sched::RunTrace& Simulator::run(simcore::ReplayRunner& runner,
 }
 
 double Simulator::makespan(const dag::Dag& g, const sched::Schedule& s) const {
-  return run(g, s).makespan;
+  const simcore::ReplayPlan plan(g, s, model_.spec());
+  return run(simcore::thread_runner(), plan).makespan;
 }
 
 }  // namespace mtsched::sim

@@ -170,4 +170,10 @@ class ReplayRunner {
   std::vector<int> edges_left_;        ///< inbound redistributions not done
 };
 
+/// The calling thread's runner: every replay of the library runs on it
+/// (an experiment cell's simulation and seeds, the single-replay
+/// overloads of sim::Simulator and tgrid::TGridEmulator), so a thread
+/// wires its engine once per platform instead of once per replay.
+ReplayRunner& thread_runner();
+
 }  // namespace mtsched::simcore

@@ -84,6 +84,11 @@ std::string ReplayPlan::name(Tag tag) const {
   }
 }
 
+ReplayRunner& thread_runner() {
+  thread_local ReplayRunner runner;
+  return runner;
+}
+
 ReplayRunner::Wiring::Wiring(const platform::ClusterSpec& spec)
     : cluster(engine, spec), fifo(engine, replay_tag(kSubnetJobTag)) {}
 

@@ -27,7 +27,8 @@
 // The paper re-runs every schedule several times (Section VII-A).
 // run(runner, plan, seed) runs one experiment of a shared
 // simcore::ReplayPlan on the caller's runner with no steady-state heap
-// allocation; run(g, s, seed) compiles a plan and runs it once. The
+// allocation; run(g, s, seed) and makespan(g, s, seed) compile a plan and
+// run it once on the calling thread's simcore::thread_runner(). The
 // emulator holds no mutable state: threads share it, each with a runner.
 //
 // This module deliberately has no dependency on mtsched::models — the

@@ -89,13 +89,14 @@ sched::RunTrace& TGridEmulator::run(simcore::ReplayRunner& runner,
 sched::RunTrace TGridEmulator::run(const dag::Dag& g, const sched::Schedule& s,
                                    std::uint64_t seed) const {
   const simcore::ReplayPlan plan(g, s, spec_);
-  simcore::ReplayRunner runner;
-  return std::move(run(runner, plan, seed));
+  // Moved out: the thread's runner keeps no caller's trace.
+  return std::move(run(simcore::thread_runner(), plan, seed));
 }
 
 double TGridEmulator::makespan(const dag::Dag& g, const sched::Schedule& s,
                                std::uint64_t seed) const {
-  return run(g, s, seed).makespan;
+  const simcore::ReplayPlan plan(g, s, spec_);
+  return run(simcore::thread_runner(), plan, seed).makespan;
 }
 
 double TGridEmulator::measure_startup(int p, std::uint64_t seed) const {

@@ -293,6 +293,33 @@ TEST(Service, AdmissionControlRejectsBeyondTheQueueLimit) {
   EXPECT_TRUE(service.call(sample_request()).ok());
 }
 
+TEST(Service, FreeWorkerServesWhileAnotherDelivers) {
+  // Two workers, two requests, and A's delivery blocks until B's delivery
+  // has run. That ends only if a free worker takes B while A's worker
+  // still delivers A; a worker that served both in turn would wait out
+  // the timeout.
+  exp::ServiceConfig cfg;
+  cfg.threads = 2;
+  exp::Service service(lab(), cfg);
+  std::promise<void> b_delivered;
+  auto b_done = b_delivered.get_future();
+  std::promise<bool> a_saw_b;
+  auto a_result = a_saw_b.get_future();
+  auto b_req = sample_request();
+  b_req.exp_seed = 7;
+  ASSERT_TRUE(service.submit(
+      sample_request(), [&](const exp::ScheduleResponse& resp) {
+        EXPECT_TRUE(resp.ok());
+        a_saw_b.set_value(b_done.wait_for(std::chrono::seconds(20)) ==
+                          std::future_status::ready);
+      }));
+  ASSERT_TRUE(service.submit(b_req, [&](const exp::ScheduleResponse& resp) {
+    EXPECT_TRUE(resp.ok());
+    b_delivered.set_value();
+  }));
+  EXPECT_TRUE(a_result.get()) << "B was not delivered while A delivered";
+}
+
 TEST(Service, ReportsMetricsThroughTheSink) {
   obs::MetricsRegistry metrics;
   obs::BasicSink sink(nullptr, &metrics);

@@ -2,7 +2,9 @@
 // a warmed-up runner (TGridEmulator::run(runner, plan, seed)) makes at
 // most a small constant number of heap allocations, the same for a
 // 10-task and a 100-task DAG — the per-event cost of an experiment seed is
-// the events, not the heap.
+// the events, not the heap. A single replay (TGridEmulator::makespan)
+// reuses the calling thread's runner, so only its first call on a thread
+// pays for wiring one.
 //
 // This is its own executable because it replaces the global operator new
 // with a counting one.
@@ -11,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "mtsched/dag/generator.hpp"
@@ -85,6 +88,45 @@ TEST(ReplayAllocations, WarmRunIsBoundedAndSizeIndependent) {
   const std::size_t large = allocations_per_run(100);
   EXPECT_LE(small, 4u);
   EXPECT_EQ(small, large);
+}
+
+TEST(ReplayAllocations, SingleReplaysReuseTheThreadsRunner) {
+  // TGridEmulator::makespan(g, s, seed) compiles a plan per call but runs
+  // it on simcore::thread_runner(): only the first call on a thread wires
+  // the runner's engine and grows its buffers. A fresh thread makes that
+  // first call the runner's first use.
+  const platform::ClusterSpec spec = platform::bayreuth32();
+  const machine::JavaClusterModel machine;
+  const tgrid::TGridEmulator rig(machine, spec);
+  const models::AnalyticalModel model(spec);
+  const models::SchedCostAdapter cost(model);
+  dag::DagGenParams params;
+  params.num_tasks = 30;
+  params.width = 4;
+  params.seed = 11;
+  const dag::Dag g = dag::generate_random_dag(params).graph;
+  const sched::Schedule s = sched::ListMapper().map(
+      g, sched::make_allocator("HCPA")->allocate(g, cost, spec.num_nodes),
+      cost, spec.num_nodes);
+
+  std::size_t first = 0;
+  std::size_t second = 0;
+  double makespans[2] = {0.0, 0.0};
+  std::thread([&] {
+    allocations = 0;
+    counting = true;
+    makespans[0] = rig.makespan(g, s, 7);
+    counting = false;
+    first = allocations.load();
+    allocations = 0;
+    counting = true;
+    makespans[1] = rig.makespan(g, s, 7);
+    counting = false;
+    second = allocations.load();
+  }).join();
+  EXPECT_GT(makespans[0], 0.0);
+  EXPECT_EQ(makespans[0], makespans[1]);
+  EXPECT_LT(second, first);
 }
 
 TEST(ReplayAllocations, CounterSeesAllocations) {

@@ -545,11 +545,8 @@ int cmd_serve(int argc, char** argv) {
   std::cout << "mtsched serve: shut down after " << stats.requests
             << " requests on " << stats.connections << " connections ("
             << stats.rejected << " rejected, " << stats.protocol_errors
-            << " protocol errors)\n"
-            << "mtsched serve: " << stats.batched_requests
-            << " requests in " << stats.batches
-            << " micro-batches (largest " << stats.max_batch << "), "
-            << stats.backpressure_pauses << " backpressure pauses\n";
+            << " protocol errors, " << stats.backpressure_pauses
+            << " backpressure pauses)\n";
   if (args.flag("metrics")) std::cout << metrics.render();
   return 0;
 }
