@@ -8,6 +8,7 @@
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/platform/parser.hpp"
 #include "mtsched/platform/topology.hpp"
+#include "mtsched/sched/hetero.hpp"
 
 #include "platform_util.hpp"
 
@@ -85,6 +86,56 @@ TEST(ClusterSpecEquality, ComparesEveryFieldAndTheTopologyByValue) {
   RackSpec rack = bayreuth32().topology().racks.front();
   rack.link_latency *= 2.0;
   EXPECT_FALSE(to_cluster(one_rack("bayreuth32", rack)) == bayreuth32());
+}
+
+TEST(ClusterSpecView, NodeFactsMatchTheTopology) {
+  // Two hand-built racks of 4: in `fast1` rack 1 is faster, in `mixed1`
+  // only rack 1 has per-node speeds.
+  Topology fast1 = hierarchical_topology(2, 4, 1.0);
+  fast1.name = "fast1";
+  fast1.racks[1].node_flops = 400e6;
+  Topology mixed1 = hierarchical_topology(2, 4, 1.0);
+  mixed1.name = "mixed1";
+  mixed1.racks[1].node_speeds = {100e6, 250e6, 300e6, 500e6};
+  struct Case {
+    ClusterSpec spec;
+    int virtual_procs;  // recorded before ClusterSpec became a view
+  };
+  const Case cases[] = {
+      {bayreuth32(), 32},
+      {bayreuth32(8, 1e9), 8},
+      {cray_xt4(), 64},
+      {*named_platform("hier1x32"), 32},
+      {*named_platform("hier2x16"), 32},
+      {*named_platform("hier4x8"), 32},
+      {heterogeneous_cluster(32, 150e6, 350e6, 3), 32},
+      {to_cluster(fast1), 10},
+      {to_cluster(mixed1), 8},
+  };
+  for (const Case& c : cases) {
+    const ClusterSpec& spec = c.spec;
+    const Topology& topo = spec.topology();
+    const RackSpec& r0 = topo.racks.front();
+    bool uniform = true;
+    for (const RackSpec& r : topo.racks) {
+      uniform = uniform && r.node_speeds.empty() &&
+                r.node_flops == r0.node_flops;
+    }
+    double sum = 0.0;
+    for (int n = 0; n < topo.num_nodes(); ++n) sum += topo.flops_of(n);
+    const double total = uniform ? r0.node_flops * topo.num_nodes() : sum;
+
+    EXPECT_EQ(spec.num_nodes, topo.num_nodes()) << topo.name;
+    for (int n = 0; n < spec.num_nodes; ++n) {
+      EXPECT_EQ(spec.flops_of(n), topo.flops_of(n)) << topo.name << " " << n;
+    }
+    EXPECT_EQ(spec.node.flops, r0.node_flops) << topo.name;
+    EXPECT_EQ(spec.total_flops(), total) << topo.name;
+    EXPECT_EQ(spec.heterogeneous(), !uniform) << topo.name;
+    EXPECT_EQ(mtsched::sched::VirtualCluster(spec).virtual_procs(),
+              c.virtual_procs)
+        << topo.name;
+  }
 }
 
 TEST(Parser, RoundTripsPresets) {
