@@ -48,7 +48,7 @@ int main() {
     if (skew > 1.0) {
       // Speeds spread uniformly in [lo, lo*skew] with mean = reference; the
       // reference speed is their true mean.
-      const double lo = 2.0 * spec.node.flops / (1.0 + skew);
+      const double lo = 2.0 * spec.reference_flops() / (1.0 + skew);
       spec = platform::heterogeneous_cluster(spec.num_nodes, lo, lo * skew,
                                              /*seed=*/5);
     }

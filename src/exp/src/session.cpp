@@ -92,7 +92,7 @@ std::shared_ptr<const CachedCell> ScheduleCache::get_or_compute(
 Session::Session(const Lab& lab) : lab_(lab) {}
 
 void Session::add_platform(const Lab& lab) {
-  const std::string& name = lab.spec().name;
+  const std::string& name = lab.spec().name();
   MTSCHED_REQUIRE(!name.empty(), "platform lab needs a non-empty spec name");
   for (auto& [n, l] : labs_) {
     if (n == name) {
@@ -105,7 +105,7 @@ void Session::add_platform(const Lab& lab) {
 
 const Lab& Session::resolve_lab(const std::string& platform) const {
   if (platform.empty()) return lab_;
-  if (platform == lab_.spec().name) return lab_;
+  if (platform == lab_.spec().name()) return lab_;
   for (const auto& [n, l] : labs_) {
     if (n == platform) return *l;
   }
@@ -120,7 +120,7 @@ ScheduleResponse Session::run(const ScheduleRequest& req,
   resp.model = req.model.name();
   try {
     const Lab& lab = resolve_lab(req.platform);
-    resp.platform = lab.spec().name;
+    resp.platform = lab.spec().name();
     const models::CostModel& model = lab.model(req.model);
     // Validates the algorithm name before any expensive work, exactly
     // like AlgoSpec::allocator does for campaigns.

@@ -46,7 +46,7 @@ double AnalyticalModel::redist_overhead(int p_src, int p_dst) const {
 double AnalyticalModel::exec_estimate(const dag::Task& t, int p) const {
   MTSCHED_REQUIRE(p >= 1 && p <= spec_.num_nodes, "allocation out of range");
   const double comp = dag::kernel_flops(t.kernel, t.matrix_dim) /
-                      static_cast<double>(p) / spec_.node.flops;
+                      static_cast<double>(p) / spec_.reference_flops();
   const double rb = ring_bytes(t.kernel, t.matrix_dim, p);
   if (rb <= 0.0) return comp;
   // Placement-blind: on a hierarchical platform a ring hop may cross the

@@ -1,12 +1,13 @@
 // Cluster platform description (paper Sections II-B and IV).
 //
-// A ClusterSpec is a flat view (node count, node speeds) over the one
-// network description, a platform::Topology, which every spec carries. The
-// paper's clusters are stars: one rack of nodes, each with a private
-// full-duplex link into the rack's switch, whose fabric may itself be a
-// shared resource. The paper's instance: 32 nodes, compute speed
-// calibrated to 250 MFlop/s (Java matrix multiply on a 2 GHz Opteron 246),
-// Gigabit Ethernet (1 Gb/s links, 100 us latency).
+// A ClusterSpec is a read-only view over the one network description, a
+// platform::Topology, which every spec carries: its name, node speeds and
+// aggregate speed are read from the racks. The paper's clusters are stars:
+// one rack of nodes, each with a private full-duplex link into the rack's
+// switch, whose fabric may itself be a shared resource. The paper's
+// instance: 32 nodes, compute speed calibrated to 250 MFlop/s (Java matrix
+// multiply on a 2 GHz Opteron 246), Gigabit Ethernet (1 Gb/s links,
+// 100 us latency).
 #pragma once
 
 #include <cstdint>
@@ -18,43 +19,42 @@ namespace mtsched::platform {
 
 struct Topology;  // racks, ToR switches and core (topology.hpp)
 
-/// One compute node.
-struct NodeSpec {
-  double flops = 250e6;  ///< effective compute speed, flop/s
-};
-
-/// A cluster; homogeneous by default, heterogeneous when per-node speeds
-/// are given. Built from a Topology by platform::to_cluster, which keeps
-/// the flat fields consistent with it.
+/// A cluster; homogeneous unless some rack has per-node speeds or a speed
+/// other than rack 0's. Built from a Topology by platform::to_cluster.
 struct ClusterSpec {
   /// The paper's platform, bayreuth32().
   ClusterSpec();
 
-  std::string name;
+  /// The topology's node count, cached by to_cluster; validate() checks
+  /// that the two still agree.
   int num_nodes = 0;
-  NodeSpec node;  ///< the reference node (every node when homogeneous)
-  /// Optional per-node speeds (flop/s). Empty = homogeneous at node.flops;
-  /// otherwise must have num_nodes entries. node.flops remains the
-  /// *reference* speed used by virtual-cluster scheduling.
-  std::vector<double> node_speeds;
 
   /// The network: racks of nodes behind ToR switches joined by a core. A
   /// star is a one-rack topology.
   const Topology& topology() const { return *topology_; }
 
-  bool heterogeneous() const { return !node_speeds.empty(); }
+  /// The topology's name, which requests select a platform by.
+  const std::string& name() const;
 
-  /// Speed of one node (reference speed when homogeneous).
+  /// Rack 0's node speed: the speed virtual-cluster scheduling and the
+  /// placement-blind estimators count every processor at.
+  double reference_flops() const;
+
+  /// True when some rack has per-node speeds or a speed other than
+  /// rack 0's.
+  bool heterogeneous() const;
+
+  /// Speed of one node.
   double flops_of(int node_id) const;
 
   /// Aggregate speed across the cluster.
   double total_flops() const;
 
-  /// Throws core::InvalidArgument unless all fields are physical and the
-  /// node count matches the topology's.
+  /// Throws core::InvalidArgument unless the topology is physical and
+  /// num_nodes matches its node count.
   void validate() const;
 
-  /// Field by field, the topology by value: equal specs wire the same
+  /// The node count and the topology by value: equal specs wire the same
   /// resources and cost every task the same.
   bool operator==(const ClusterSpec& other) const;
 

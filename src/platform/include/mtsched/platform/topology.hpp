@@ -122,9 +122,8 @@ struct Topology {
   bool operator==(const Topology&) const = default;
 };
 
-/// Flattens `topo` into a ClusterSpec view over it: num_nodes, the
-/// reference speed (rack 0's) and, when any rack deviates from it or has
-/// per-node speeds, the per-node speeds. Validates both.
+/// Validates `topo` and wraps a copy of it in a ClusterSpec, the read-only
+/// view every node fact is read through.
 ClusterSpec to_cluster(const Topology& topo);
 
 /// The one-rack topology of a star: `rack` behind its switch, the rack's

@@ -17,39 +17,41 @@ ClusterSpec::ClusterSpec() {
 ClusterSpec::ClusterSpec(std::shared_ptr<const Topology> topology)
     : topology_(std::move(topology)) {}
 
+const std::string& ClusterSpec::name() const { return topology_->name; }
+
+double ClusterSpec::reference_flops() const {
+  return topology_->racks.front().node_flops;
+}
+
+bool ClusterSpec::heterogeneous() const {
+  const double ref = reference_flops();
+  for (const auto& r : topology_->racks) {
+    if (r.node_flops != ref || !r.node_speeds.empty()) return true;
+  }
+  return false;
+}
+
 double ClusterSpec::flops_of(int node_id) const {
   MTSCHED_REQUIRE(node_id >= 0 && node_id < num_nodes, "node out of range");
-  if (node_speeds.empty()) return node.flops;
-  return node_speeds[static_cast<std::size_t>(node_id)];
+  return topology_->flops_of(node_id);
 }
 
 double ClusterSpec::total_flops() const {
-  if (node_speeds.empty()) return node.flops * num_nodes;
+  if (!heterogeneous()) return reference_flops() * num_nodes;
   double sum = 0.0;
-  for (double s : node_speeds) sum += s;
+  for (int n = 0; n < num_nodes; ++n) sum += topology_->flops_of(n);
   return sum;
 }
 
 void ClusterSpec::validate() const {
   MTSCHED_REQUIRE(num_nodes >= 1, "cluster needs at least one node");
-  MTSCHED_REQUIRE(node.flops > 0.0, "node speed must be positive");
-  if (!node_speeds.empty()) {
-    MTSCHED_REQUIRE(
-        node_speeds.size() == static_cast<std::size_t>(num_nodes),
-        "node_speeds must have one entry per node");
-    for (double s : node_speeds) {
-      MTSCHED_REQUIRE(s > 0.0, "node speeds must be positive");
-    }
-  }
   topology_->validate();
   MTSCHED_REQUIRE(topology_->num_nodes() == num_nodes,
                   "topology node count must match num_nodes");
 }
 
 bool ClusterSpec::operator==(const ClusterSpec& other) const {
-  return name == other.name && num_nodes == other.num_nodes &&
-         node.flops == other.node.flops &&
-         node_speeds == other.node_speeds &&
+  return num_nodes == other.num_nodes &&
          (topology_ == other.topology_ || *topology_ == *other.topology_);
 }
 
@@ -83,7 +85,7 @@ double exec_slowdown(const ClusterSpec& spec, const std::vector<int>& nodes) {
   if (!spec.heterogeneous()) return 1.0;
   double s_min = spec.flops_of(nodes.front());
   for (int n : nodes) s_min = std::min(s_min, spec.flops_of(n));
-  return spec.node.flops / s_min;
+  return spec.reference_flops() / s_min;
 }
 
 ClusterSpec heterogeneous_cluster(int num_nodes, double min_flops,

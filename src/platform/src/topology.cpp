@@ -40,9 +40,10 @@ int Topology::first_node_of(int rack) const {
 }
 
 double Topology::flops_of(int node) const {
-  const auto& r = racks[static_cast<std::size_t>(rack_of(node))];
+  const int rack = rack_of(node);
+  const auto& r = racks[static_cast<std::size_t>(rack)];
   if (r.node_speeds.empty()) return r.node_flops;
-  const int local = node - first_node_of(rack_of(node));
+  const int local = node - first_node_of(rack);
   return r.node_speeds[static_cast<std::size_t>(local)];
 }
 
@@ -131,26 +132,7 @@ void Topology::validate() const {
 ClusterSpec to_cluster(const Topology& topo) {
   topo.validate();
   ClusterSpec spec(std::make_shared<const Topology>(topo));
-  spec.name = topo.name;
   spec.num_nodes = topo.num_nodes();
-  const RackSpec& r0 = topo.racks.front();
-  spec.node.flops = r0.node_flops;
-  // Per-node speeds are flattened whenever any rack deviates from the
-  // reference (rack 0) speed or carries explicit per-node speeds.
-  bool uniform = true;
-  for (const auto& r : topo.racks) {
-    if (r.node_flops != r0.node_flops || !r.node_speeds.empty()) {
-      uniform = false;
-      break;
-    }
-  }
-  if (!uniform) {
-    spec.node_speeds.reserve(static_cast<std::size_t>(spec.num_nodes));
-    for (int n = 0; n < spec.num_nodes; ++n) {
-      spec.node_speeds.push_back(topo.flops_of(n));
-    }
-  }
-  spec.validate();
   return spec;
 }
 

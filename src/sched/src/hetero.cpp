@@ -14,7 +14,8 @@ VirtualCluster::VirtualCluster(const platform::ClusterSpec& spec)
     : spec_(spec) {
   spec_.validate();
   virtual_procs_ = std::max(
-      1, static_cast<int>(std::floor(spec_.total_flops() / spec_.node.flops)));
+      1, static_cast<int>(
+             std::floor(spec_.total_flops() / spec_.reference_flops())));
 }
 
 std::vector<int> VirtualCluster::translate(
@@ -22,7 +23,7 @@ std::vector<int> VirtualCluster::translate(
   MTSCHED_REQUIRE(virtual_alloc >= 1, "virtual allocation must be >= 1");
   MTSCHED_REQUIRE(!preference.empty(), "preference list must be non-empty");
   const double target =
-      static_cast<double>(virtual_alloc) * spec_.node.flops;
+      static_cast<double>(virtual_alloc) * spec_.reference_flops();
   std::vector<int> chosen;
   double s_min = 0.0;
   for (int node : preference) {

@@ -432,7 +432,7 @@ TEST(CampaignSharedCompile, ModelOnAnotherPlatformMatchesFreshCalls) {
   // star and must simulate on a plan of its own; the aware model lives on
   // the rig's platform and shares the cell's plan.
   auto skewed = lab().spec();
-  const double lo = 2.0 * skewed.node.flops / (1.0 + 4.0);
+  const double lo = 2.0 * skewed.reference_flops() / (1.0 + 4.0);
   skewed = platform::heterogeneous_cluster(skewed.num_nodes, lo, lo * 4.0,
                                            /*seed=*/5);
   const tgrid::TGridEmulator rig(lab().machine(), skewed);

@@ -344,7 +344,7 @@ TEST(Service, ReportsMetricsThroughTheSink) {
 std::unique_ptr<exp::Lab> lab_for_spec(platform::ClusterSpec spec) {
   exp::LabConfig cfg;
   cfg.machine.num_nodes = spec.num_nodes;
-  cfg.machine.nominal_flops = spec.node.flops;
+  cfg.machine.nominal_flops = spec.reference_flops();
   if (spec.num_nodes != 32) {
     cfg.sample_plan = profiling::SamplePlan::scaled(spec.num_nodes);
   }
@@ -407,8 +407,9 @@ TEST(Session, OneRackPlatformIsBitIdenticalToStar) {
   // The bit-identity bridge at the service layer: an 8-node star and the
   // one-rack hierarchical topology of the same nodes serve byte-identical
   // responses.
-  auto star = platform::bayreuth32(8);
-  star.name = "star8";
+  auto star_topo = platform::bayreuth32(8).topology();
+  star_topo.name = "star8";
+  const auto star = platform::to_cluster(star_topo);
   auto rack_topo = platform::hierarchical_topology(1, 8, 1.0);
   rack_topo.name = "star8";
   const auto one_rack = platform::to_cluster(rack_topo);

@@ -47,24 +47,21 @@ TEST(HeteroSpec, AccessorsAndValidation) {
   EXPECT_DOUBLE_EQ(c.flops_of(0), 200.0);
   EXPECT_DOUBLE_EQ(c.flops_of(3), 50.0);
   EXPECT_DOUBLE_EQ(c.total_flops(), 450.0);
-  EXPECT_EQ(*std::min_element(c.node_speeds.begin(), c.node_speeds.end()),
-            50.0);
-  EXPECT_EQ(*std::max_element(c.node_speeds.begin(), c.node_speeds.end()),
-            200.0);
+  EXPECT_EQ(c.reference_flops(), 100.0);
   EXPECT_NO_THROW(c.validate());
 
-  auto bad = skewed4();
-  bad.node_speeds.pop_back();
-  EXPECT_THROW(bad.validate(), InvalidArgument);
-  bad = skewed4();
-  bad.node_speeds[1] = 0.0;
-  EXPECT_THROW(bad.validate(), InvalidArgument);
+  Topology bad = skewed4().topology();
+  bad.racks[0].node_speeds.pop_back();
+  EXPECT_THROW((void)to_cluster(bad), InvalidArgument);
+  bad = skewed4().topology();
+  bad.racks[0].node_speeds[1] = 0.0;
+  EXPECT_THROW((void)to_cluster(bad), InvalidArgument);
 }
 
 TEST(HeteroSpec, HomogeneousDefaults) {
   const auto c = bayreuth32();
   EXPECT_FALSE(c.heterogeneous());
-  EXPECT_DOUBLE_EQ(c.flops_of(5), c.node.flops);
+  EXPECT_DOUBLE_EQ(c.flops_of(5), c.reference_flops());
   EXPECT_DOUBLE_EQ(c.total_flops(), 32.0 * 250e6);
 }
 
@@ -72,20 +69,21 @@ TEST(HeteroSpec, GeneratorProducesSeededSpeeds) {
   const auto a = heterogeneous_cluster(16, 100e6, 400e6, 7);
   const auto b = heterogeneous_cluster(16, 100e6, 400e6, 7);
   const auto c = heterogeneous_cluster(16, 100e6, 400e6, 8);
-  EXPECT_EQ(a.node_speeds, b.node_speeds);
-  EXPECT_NE(a.node_speeds, c.node_speeds);
-  for (double s : a.node_speeds) {
+  const auto& speeds = a.topology().racks[0].node_speeds;
+  EXPECT_EQ(speeds, b.topology().racks[0].node_speeds);
+  EXPECT_NE(speeds, c.topology().racks[0].node_speeds);
+  for (double s : speeds) {
     EXPECT_GE(s, 100e6);
     EXPECT_LE(s, 400e6);
   }
   // Reference speed is the mean.
-  EXPECT_NEAR(a.node.flops, a.total_flops() / 16.0, 1e-6);
+  EXPECT_NEAR(a.reference_flops(), a.total_flops() / 16.0, 1e-6);
 }
 
 TEST(HeteroSpec, ParserRoundTripsSpeeds) {
   const auto c = skewed4();
   const auto parsed = parse_platform(to_text(c.topology()));
-  EXPECT_EQ(parsed.node_speeds, c.node_speeds);
+  EXPECT_EQ(parsed.topology(), c.topology());
 }
 
 TEST(ExecSlowdown, SlowestMemberPaces) {
@@ -255,9 +253,11 @@ TEST(HeteroMapper, Table1SuiteSliceMatchesScalarReference) {
   static const exp::Lab lab;
   // The second platform takes its slowest node as the reference speed,
   // so it has more virtual processors than physical nodes.
-  auto slow_ref = heterogeneous_cluster(8, 100e6, 400e6, 5);
-  slow_ref.node.flops = *std::min_element(slow_ref.node_speeds.begin(),
-                                          slow_ref.node_speeds.end());
+  Topology slow_topo = heterogeneous_cluster(8, 100e6, 400e6, 5).topology();
+  RackSpec& slow_rack = slow_topo.racks[0];
+  slow_rack.node_flops = *std::min_element(slow_rack.node_speeds.begin(),
+                                           slow_rack.node_speeds.end());
+  const auto slow_ref = to_cluster(slow_topo);
   ASSERT_GT(VirtualCluster(slow_ref).virtual_procs(), slow_ref.num_nodes);
   // The lab's models answer for p = 1..32.
   const models::SchedCostAdapter analytical_cost(
@@ -278,7 +278,7 @@ TEST(HeteroMapper, Table1SuiteSliceMatchesScalarReference) {
         const auto fast = mapper.map(g, valloc, *cost);
         const auto ref = reference_hetero_map(spec, g, valloc, *cost);
         const std::string what =
-            spec.name +
+            spec.name() +
             (cost == &analytical_cost ? " analytical " : " profile ") +
             suite[i].name;
         ASSERT_EQ(fast.placements.size(), ref.placements.size()) << what;
@@ -313,14 +313,14 @@ TEST(HeteroEmulator, ExecutionScaledBySlowestNode) {
   cfg.num_nodes = 4;
   cfg.noise_sigma = 0.0;
   const machine::JavaClusterModel m(cfg);
-  auto spec = m.platform_spec();
+  const auto spec = m.platform_spec();
   const tgrid::TGridEmulator homog(m, spec);
 
-  auto hetero_spec = spec;
+  Topology hetero_topo = spec.topology();
   // Node 0 runs at half the reference speed.
-  hetero_spec.node_speeds = {spec.node.flops / 2.0, spec.node.flops,
-                             spec.node.flops, spec.node.flops};
-  const tgrid::TGridEmulator hetero(m, hetero_spec);
+  const double ref = spec.reference_flops();
+  hetero_topo.racks[0].node_speeds = {ref / 2.0, ref, ref, ref};
+  const tgrid::TGridEmulator hetero(m, to_cluster(hetero_topo));
 
   dag::Dag g;
   g.add_task(dag::TaskKernel::MatAdd, 2000);
@@ -336,10 +336,10 @@ TEST(HeteroEmulator, ExecutionScaledBySlowestNode) {
 }
 
 TEST(HeteroSimulator, AnalyticalPtasksSlowDownAutomatically) {
-  auto spec = skewed4();
-  spec.node.flops = 100e6;
-  spec.node_speeds = {200e6, 100e6, 100e6, 50e6};
-  const models::AnalyticalModel model(spec);
+  Topology topo = skewed4().topology();
+  topo.racks[0].node_flops = 100e6;
+  topo.racks[0].node_speeds = {200e6, 100e6, 100e6, 50e6};
+  const models::AnalyticalModel model(to_cluster(topo));
   dag::Dag g;
   g.add_task(dag::TaskKernel::MatAdd, 2000);  // 2e9 flops, no comm
   sched::Schedule fast, slow;

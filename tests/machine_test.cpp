@@ -185,7 +185,7 @@ TEST(JavaCluster, PlatformSpecMatchesConfiguration) {
   const JavaClusterModel m(cfg);
   const auto spec = m.platform_spec();
   EXPECT_EQ(spec.num_nodes, 16);
-  EXPECT_DOUBLE_EQ(spec.node.flops, 123e6);
+  EXPECT_DOUBLE_EQ(spec.reference_flops(), 123e6);
 }
 
 TEST(JavaCluster, InternalCommOnlyForParallelMultiplication) {

@@ -78,11 +78,12 @@ TEST(Analytical, ExecEstimateMatchesBottleneckFormula) {
   const auto spec = mtsched::platform::bayreuth32();
   const AnalyticalModel m(spec);
   // Sequential: pure compute, no latency.
-  EXPECT_DOUBLE_EQ(m.exec_estimate(mm_task(), 1),
-                   kernel_flops(TaskKernel::MatMul, 2000) / spec.node.flops);
+  EXPECT_DOUBLE_EQ(
+      m.exec_estimate(mm_task(), 1),
+      kernel_flops(TaskKernel::MatMul, 2000) / spec.reference_flops());
   // Parallel: compute dominates at small p; latency added once.
   const double comp4 =
-      kernel_flops(TaskKernel::MatMul, 2000) / 4.0 / spec.node.flops;
+      kernel_flops(TaskKernel::MatMul, 2000) / 4.0 / spec.reference_flops();
   EXPECT_NEAR(m.exec_estimate(mm_task(), 4),
               comp4 + route_latency(spec.topology(), 0, 1),
               1e-9);

@@ -62,7 +62,7 @@ TEST(Topology, NodeIndexingAndRackLookup) {
   EXPECT_EQ(topo.first_node_of(0), 0);
   EXPECT_EQ(topo.first_node_of(3), 24);
   EXPECT_THROW(topo.first_node_of(4), InvalidArgument);
-  EXPECT_DOUBLE_EQ(topo.flops_of(17), bayreuth32().node.flops);
+  EXPECT_DOUBLE_EQ(topo.flops_of(17), bayreuth32().reference_flops());
 }
 
 TEST(Topology, RouteLatencyFormulas) {
@@ -238,7 +238,7 @@ TEST(PlatformNames, RegistryIsCompleteAndRejectsUnknown) {
   for (const auto& name : named_platform_names()) {
     const auto spec = named_platform(name);
     ASSERT_TRUE(spec.has_value()) << name;
-    EXPECT_EQ(spec->name, name == "hier1x32" ? "hier1x32" : spec->name);
+    EXPECT_EQ(spec->name(), name);
     EXPECT_NO_THROW(spec->validate()) << name;
   }
   EXPECT_FALSE(named_platform("nosuch").has_value());
@@ -261,7 +261,7 @@ TEST(TopologyCluster, OneRackFlattensToExactStarFields) {
   const auto star = bayreuth32();
   const RackSpec& rack = star.topology().racks.front();
   EXPECT_EQ(star.num_nodes, rack.nodes);
-  EXPECT_EQ(star.node.flops, rack.node_flops);
+  EXPECT_EQ(star.reference_flops(), rack.node_flops);
   const FlatNetwork net = star.topology().flat_network();
   EXPECT_EQ(net.link_bandwidth, rack.link_bandwidth);
   EXPECT_EQ(net.fabric_bandwidth, rack.tor_bandwidth);
@@ -287,8 +287,9 @@ TEST(TopologyCluster, MultiRackFlatViewUsesCoreAsBackbone) {
   EXPECT_DOUBLE_EQ(net.uplink_bandwidth, topo.min_uplink_bandwidth());
   // 30 B through a 5 B/s uplink outlasts the 10 B/s link and 40 B/s core.
   EXPECT_DOUBLE_EQ(net.transfer_time(30.0, 30.0, 30.0), 6.0);
-  // Rack speeds flatten into per-node speeds; rack 0 is the reference.
-  ASSERT_EQ(spec.node_speeds.size(), 4u);
+  // Per-node speeds follow the racks; rack 0 is the reference.
+  EXPECT_TRUE(spec.heterogeneous());
+  EXPECT_DOUBLE_EQ(spec.reference_flops(), 100.0);
   EXPECT_DOUBLE_EQ(spec.flops_of(1), 100.0);
   EXPECT_DOUBLE_EQ(spec.flops_of(2), 50.0);
 }

@@ -78,7 +78,7 @@ void expect_golden(const std::string& name, const sched::RunTrace& trace) {
 std::unique_ptr<exp::Lab> lab_on(platform::ClusterSpec spec) {
   exp::LabConfig cfg;
   cfg.machine.num_nodes = spec.num_nodes;
-  cfg.machine.nominal_flops = spec.node.flops;
+  cfg.machine.nominal_flops = spec.reference_flops();
   auto machine = std::make_unique<machine::JavaClusterModel>(cfg.machine);
   return std::make_unique<exp::Lab>(std::move(machine), std::move(spec), cfg);
 }

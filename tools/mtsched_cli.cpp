@@ -138,7 +138,7 @@ platform::ClusterSpec resolve_platform(const std::string& value) {
 std::unique_ptr<exp::Lab> lab_for_spec(platform::ClusterSpec spec) {
   exp::LabConfig cfg;
   cfg.machine.num_nodes = spec.num_nodes;
-  cfg.machine.nominal_flops = spec.node.flops;
+  cfg.machine.nominal_flops = spec.reference_flops();
   if (spec.num_nodes != 32) {
     cfg.sample_plan = profiling::SamplePlan::scaled(spec.num_nodes);
   }
@@ -533,10 +533,10 @@ int cmd_serve(int argc, char** argv) {
             << (service.threads() == 1 ? "" : "s") << ", queue limit "
             << service.queue_limit() << ")" << std::endl;
   if (!platform_labs.empty()) {
-    std::cout << "mtsched serve: platforms: " << lab->spec().name
+    std::cout << "mtsched serve: platforms: " << lab->spec().name()
               << " (default)";
     for (const auto& extra : platform_labs) {
-      std::cout << ", " << extra->spec().name;
+      std::cout << ", " << extra->spec().name();
     }
     std::cout << std::endl;
   }
