@@ -350,17 +350,6 @@ class TraceStream {
 
 // --- schedule / run -----------------------------------------------------
 
-sched::Schedule compute_schedule(const dag::Dag& g, const exp::Lab& lab,
-                                 const ArgParser& args) {
-  const auto algo = sched::make_allocator(args.str("algo"));
-  const models::SchedCostAdapter cost(
-      lab.model(models::ModelSpec::parse(args.str("model"))));
-  const auto strategy = mapping_from_args(args);
-  const auto alloc = algo->allocate(g, cost, lab.spec().num_nodes);
-  return sched::ListMapper(strategy, lab.spec())
-      .map(g, alloc, cost, lab.spec().num_nodes);
-}
-
 void add_schedule_options(ArgParser& args) {
   args.add_str("algo", "HCPA",
                "allocation algorithm: CPA, HCPA, MCPA, SEQ or MAXPAR",
@@ -381,7 +370,11 @@ int cmd_schedule(int argc, char** argv) {
 
   const auto g = load_dag(args);
   const auto lab = make_lab(args);
-  const auto s = compute_schedule(g, *lab, args);
+  const auto algo = sched::make_allocator(args.str("algo"));
+  const models::SchedCostAdapter cost(
+      lab->model(models::ModelSpec::parse(args.str("model"))));
+  const auto s = exp::allocate_and_map(*algo, mapping_from_args(args), g,
+                                       cost, lab->spec());
   core::TextTable t;
   t.set_header({"task", "kernel", "procs", "est start", "est finish"});
   for (dag::TaskId id = 0; id < g.num_tasks(); ++id) {
