@@ -25,11 +25,15 @@ class Cursor {
   }
 
  private:
-  void require(bool ok, const std::string& msg) {
-    if (!ok) {
-      throw core::ParseError(what_ + ": " + msg + " at offset " +
-                             std::to_string(pos_));
-    }
+  // Error text is built only on the throw path: require() runs once per
+  // character parsed.
+  void require(bool ok, const char* msg) {
+    if (!ok) fail(msg);
+  }
+
+  [[noreturn]] void fail(const std::string& msg) const {
+    throw core::ParseError(what_ + ": " + msg + " at offset " +
+                           std::to_string(pos_));
   }
 
   void skip_ws() {
@@ -46,7 +50,7 @@ class Cursor {
   }
 
   void expect(char c) {
-    require(peek() == c, std::string("expected '") + c + "'");
+    if (peek() != c) fail(std::string("expected '") + c + "'");
     ++pos_;
   }
 
@@ -72,7 +76,7 @@ class Cursor {
           case '\\': out += '\\'; break;
           case 'n': out += '\n'; break;
           case 't': out += '\t'; break;
-          default: require(false, "unsupported escape");
+          default: fail("unsupported escape");
         }
       } else {
         out += c;
@@ -149,7 +153,7 @@ class Cursor {
       try {
         v.num = std::stod(text_.substr(start, pos_ - start));
       } catch (const std::exception&) {
-        require(false, "malformed number");
+        fail("malformed number");
       }
     }
     return v;

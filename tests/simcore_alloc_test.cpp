@@ -6,13 +6,19 @@
 // reuses the calling thread's runner, so only its first call on a thread
 // pays for wiring one.
 //
+// The JSON reader that decodes requests is held to the same standard: it
+// builds error text only when it throws, so parsing an array allocates
+// for the array's growth, not once per element.
+//
 // This is its own executable because it replaces the global operator new
 // with a counting one.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +26,7 @@
 #include "mtsched/machine/java_cluster.hpp"
 #include "mtsched/models/analytical.hpp"
 #include "mtsched/models/cost_model.hpp"
+#include "mtsched/obs/json.hpp"
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/mapping.hpp"
@@ -127,6 +134,28 @@ TEST(ReplayAllocations, SingleReplaysReuseTheThreadsRunner) {
   EXPECT_GT(makespans[0], 0.0);
   EXPECT_EQ(makespans[0], makespans[1]);
   EXPECT_LT(second, first);
+}
+
+/// Heap allocations of json::parse on an array of the numbers 0..n-1.
+std::size_t allocations_to_parse(unsigned n) {
+  std::string text = "[";
+  for (unsigned i = 0; i < n; ++i) {
+    text += (i == 0 ? "" : ",") + std::to_string(i);
+  }
+  text += "]";
+  const std::string what = "number array";
+  allocations = 0;
+  counting = true;
+  const obs::json::Value v = obs::json::parse(text, what);
+  counting = false;
+  EXPECT_EQ(v.items.size(), n);
+  return allocations.load();
+}
+
+TEST(JsonAllocations, ArrayParseAllocatesPerGrowthNotPerElement) {
+  // The item vector doubles about log2(n) times; nothing else allocates.
+  const unsigned n = 100;
+  EXPECT_LE(allocations_to_parse(n), 2u * std::bit_width(n));
 }
 
 TEST(ReplayAllocations, CounterSeesAllocations) {
