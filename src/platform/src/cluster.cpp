@@ -44,7 +44,6 @@ double ClusterSpec::total_flops() const {
 }
 
 void ClusterSpec::validate() const {
-  MTSCHED_REQUIRE(num_nodes >= 1, "cluster needs at least one node");
   topology_->validate();
   MTSCHED_REQUIRE(topology_->num_nodes() == num_nodes,
                   "topology node count must match num_nodes");
