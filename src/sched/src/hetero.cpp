@@ -71,6 +71,12 @@ Schedule HeteroListMapper::map(const dag::Dag& g,
   const auto bl = detail::bottom_levels(g, tau, scratch.arena());
   const auto priority = detail::priority_order(bl, scratch.arena());
   detail::ReadyQueue ready(g, priority, scratch.arena());
+  // Node speeds, read from the platform once: the preference sort below
+  // compares them on every tie in ready time.
+  auto speed = scratch.arena().make_span<double>(static_cast<std::size_t>(P));
+  for (int n = 0; n < P; ++n) {
+    speed[static_cast<std::size_t>(n)] = spec.flops_of(n);
+  }
 
   Schedule s;
   s.placements.resize(g.num_tasks());
@@ -93,8 +99,8 @@ Schedule HeteroListMapper::map(const dag::Dag& g,
       const double ra = proc_ready[static_cast<std::size_t>(a)];
       const double rb = proc_ready[static_cast<std::size_t>(b)];
       if (ra != rb) return ra < rb;
-      const double fa = spec.flops_of(a);
-      const double fb = spec.flops_of(b);
+      const double fa = speed[static_cast<std::size_t>(a)];
+      const double fb = speed[static_cast<std::size_t>(b)];
       if (fa != fb) return fa > fb;
       return a < b;
     });
