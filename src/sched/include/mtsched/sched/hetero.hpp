@@ -1,7 +1,8 @@
 // Heterogeneous scheduling via virtual-cluster homogenization — the core
 // idea of HCPA (N'takpé, Suter, Casanova 2007): the allocation phase runs
 // unchanged on a *virtual homogeneous cluster* whose processors all have
-// the platform's reference speed and whose size is the platform's
+// the platform's reference speed (rack 0's node speed,
+// ClusterSpec::reference_flops()) and whose size is the platform's
 // aggregate speed divided by the reference speed; the mapping phase then
 // translates each virtual allocation into a concrete set of physical
 // nodes with at least the same aggregate speed.
