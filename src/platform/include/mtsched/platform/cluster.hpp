@@ -19,8 +19,7 @@ namespace mtsched::platform {
 
 struct Topology;  // racks, ToR switches and core (topology.hpp)
 
-/// A cluster; homogeneous unless some rack has per-node speeds or a speed
-/// other than rack 0's. Built from a Topology by platform::to_cluster.
+/// A cluster, built from a Topology by platform::to_cluster.
 struct ClusterSpec {
   /// The paper's platform, bayreuth32().
   ClusterSpec();
